@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from importlib import resources
 
-from .lpoly import MonomialMap
 from .symbolic import AreaExp, SymPoly
 
 SUBRING_NAMES = ("Lambda", "Lambda0", "Lambda+", "Lambda0x")
@@ -193,17 +192,6 @@ class CoordinateChange:
     def apply(self, element: dict) -> dict:
         out = {g: self.substitute(c) for g, c in element.items()}
         return {g: c for g, c in out.items() if not c.is_zero()}
-
-    def monomial_map(self, source_order, target_order, assignment) -> MonomialMap:
-        """Numeric MonomialMap at an exact rational area assignment."""
-        from .novikov import NovikovSeries
-
-        table = {}
-        for v in source_order:
-            scalar, area, mono = self.solved[v].normalize(self.constraints).single_term()
-            unit = NovikovSeries.monomial(area.evaluate(assignment), scalar)
-            table[v] = (unit, dict(mono))
-        return MonomialMap.build(tuple(source_order), tuple(target_order), table)
 
     def gluing_region(self, subrings: dict = None):
         """Valuation inequalities cutting out the overlap of the two charts.

@@ -37,7 +37,6 @@ class RunConfig:
     face: tuple = None
     windings: dict = field(default_factory=dict)
     a1: dict = field(default_factory=dict)
-    truncation: Fraction = None
     seed: int = 7
     arity: int = 2
     out: str = None
@@ -75,8 +74,6 @@ def parse_args(argv) -> RunConfig:
         p.add_argument("--models", help="directory with curve/model JSON documents")
         p.add_argument("--a1", type=_parse_kv_ints, default={},
                        help="edge gauge overrides, e.g. e=1,f=0")
-        p.add_argument("--truncation", type=Fraction, default=None,
-                       help="Novikov valuation truncation p/q (report metadata)")
         p.add_argument("--seed", type=int, default=7)
         p.add_argument("--arity", type=int, default=2, choices=(2, 3))
         p.add_argument("--out", help="output directory for reports and SVG")
@@ -105,7 +102,7 @@ def parse_args(argv) -> RunConfig:
         command=ns.command, curve=getattr(ns, "curve", None),
         models=getattr(ns, "models", None), face=getattr(ns, "face", None),
         windings=getattr(ns, "windings", {}), a1=ns.a1,
-        truncation=ns.truncation, seed=ns.seed, arity=ns.arity,
+        seed=ns.seed, arity=ns.arity,
         out=ns.out, format=ns.format, suite=getattr(ns, "suite", "all"))
 
 
@@ -273,7 +270,8 @@ def _emit(cfg: RunConfig, report: dict) -> None:
 def _config_echo(cfg: RunConfig) -> dict:
     return {"command": cfg.command, "curve": cfg.curve, "seed": cfg.seed,
             "arity": cfg.arity, "format": cfg.format,
-            "truncation": str(cfg.truncation) if cfg.truncation else None}
+            # always null: the report digests in bench/baseline.json hash this echo
+            "truncation": None}
 
 
 # ---------------------------------------------------------------------------

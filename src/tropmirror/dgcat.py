@@ -5,8 +5,8 @@ Implements, following Appendix A of the paper:
   A.1  the A-infinity structure of a dg category with reversed morphisms
        (``ainf_from_dg``),
   A.2  the homotopy fiber product B x^h_D C of dg categories over dg
-       functors G: B -> D, L: C -> D (``hfp_build`` / ``hfp_d`` /
-       ``hfp_compose``),
+       functors G: B -> D, L: C -> D (``HomotopyFiberProduct`` with its
+       ``d`` and ``compose``),
   A.3  pre-natural transformations between A-infinity functors with dg
        target, their differential M1 and product M2 (``nat_M1`` /
        ``nat_M2``),
@@ -444,15 +444,6 @@ class HomotopyFiberProduct:
             raise ValueError("degree bookkeeping violated: need (i, i, i-1)")
         return FiberProductMorphism(src, tgt, mu, nu, gamma, deg)
 
-    def zero_morphism(self, src: HfpObject, tgt: HfpObject, degree: int) -> FiberProductMorphism:
-        return self.morphism(
-            src, tgt,
-            self.B.zero(src.M, tgt.M, degree),
-            self.C.zero(src.N, tgt.N, degree),
-            self.D.zero(self.G.obj(src.M), self.L.obj(tgt.N), degree - 1),
-            degree,
-        )
-
     def identity(self, obj: HfpObject) -> FiberProductMorphism:
         return self.morphism(
             obj, obj, self.B.identity(obj.M), self.C.identity(obj.N),
@@ -485,19 +476,6 @@ class HomotopyFiberProduct:
 
     def is_zero(self, a: FiberProductMorphism) -> bool:
         return a.mu.is_zero() and a.nu.is_zero() and a.gamma.is_zero()
-
-
-def hfp_build(B: DgPiece, C: DgPiece, D: DgPiece, G: DgFunctor, L: DgFunctor) -> HomotopyFiberProduct:
-    return HomotopyFiberProduct(B, C, D, G, L)
-
-
-def hfp_d(hfp: HomotopyFiberProduct, m: FiberProductMorphism) -> FiberProductMorphism:
-    return hfp.d(m)
-
-
-def hfp_compose(hfp: HomotopyFiberProduct, m2: FiberProductMorphism,
-                m1: FiberProductMorphism) -> FiberProductMorphism:
-    return hfp.compose(m2, m1)
 
 
 # ---------------------------------------------------------------------------
@@ -576,7 +554,7 @@ def random_hfp_instance(seed: int):
     D = random_dg_piece(rng, "D", objects=3)
     G = identity_functor(D)
     L = conjugation_functor(D, _random_conjugators(rng, D))
-    hfp = hfp_build(D, D, D, G, L)
+    hfp = HomotopyFiberProduct(D, D, D, G, L)
     objs = []
     names = sorted(D.modules)
     for obj in names:
@@ -1461,12 +1439,10 @@ def global_functor(model="two_pants", curve=None, arity_bound: int = 2,
     n_conn = nat_from_cocycle(ops, beta_n, "N01")
     report["restriction_regions"] = setup["change"].gluing_region()
 
-    # object triples with closed connecting components
+    # object triples; closedness of N01 is the identity M1(N01)=0 checked in (i)
     objects = []
     for obj in ops.model.objects:
         phi = n_conn.component((), obj)
-        closed = not _evaluate_nat([(1, nat_M1(n_conn))], (), obj, ops.unit(obj)) \
-            if obj == a_tgt else True
         objects.append({"object": obj,
                         "triple": (f"Y^{a_src}({obj})", f"Y^{a_tgt}({obj})", "N01"),
                         "phi_degree": phi.degree})

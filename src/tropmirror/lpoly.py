@@ -1,17 +1,18 @@
-"""Laurent polynomials over Novikov coefficients and monomial substitution maps.
+"""Laurent polynomials over exact Novikov coefficients and monomial maps.
 
-Chart coordinates, superpotentials, and every coordinate change in the
-package live here.  A :class:`MonomialMap` sends each source variable to
-(Novikov unit or pure T-power) times a Laurent monomial in the target
-variables; substitution along such a map is a ring homomorphism.
+These are the tropical chart transitions of :mod:`tropmirror.tropical`:
+a :class:`MonomialMap` sends each source variable to a Novikov monomial
+times a Laurent monomial in the target variables, and substitution along
+such a map is a ring homomorphism.  The A-infinity models, matrix
+factorizations and dg layer compute with :mod:`tropmirror.symbolic`
+instead.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .novikov import INF, NovikovSeries, as_series, _as_exp
+from .novikov import as_series
 
 
 class LaurentPoly:
@@ -66,48 +67,19 @@ class LaurentPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def is_monomial(self) -> bool:
-        return len(self.terms) == 1
-
     def single_term(self):
         if len(self.terms) != 1:
             raise ValueError("not a monomial")
         return next(iter(self.terms.items()))
 
-    def nonnegative_exponents(self) -> bool:
-        return all(all(e >= 0 for e in exps) for exps in self.terms)
-
-    def in_variables(self, variables) -> "LaurentPoly":
-        """Re-express over a (super)set of variables, preserving terms."""
-        variables = tuple(variables)
-        idx = []
-        for v in self.variables:
-            if v not in variables:
-                raise ValueError(f"variable {v} missing from target list")
-            idx.append(variables.index(v))
-        out = {}
-        for exps, coeff in self.terms.items():
-            new = [0] * len(variables)
-            for i, e in zip(idx, exps):
-                new[i] = e
-            out[tuple(new)] = coeff
-        return LaurentPoly(variables, out)
-
-    def _align(self, other: "LaurentPoly"):
-        if self.variables == other.variables:
-            return self, other
-        merged = list(self.variables) + [v for v in other.variables if v not in self.variables]
-        return self.in_variables(merged), other.in_variables(merged)
-
     # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other) -> "LaurentPoly":
         other = self._coerce(other)
-        a, b = self._align(other)
-        out = dict(a.terms)
-        for exps, coeff in b.terms.items():
+        out = dict(self.terms)
+        for exps, coeff in other.terms.items():
             out[exps] = out.get(exps, as_series(0)) + coeff
-        return LaurentPoly(a.variables, out)
+        return LaurentPoly(self.variables, out)
 
     def __neg__(self) -> "LaurentPoly":
         return LaurentPoly(self.variables, {e: -c for e, c in self.terms.items()})
@@ -117,20 +89,15 @@ class LaurentPoly:
 
     def __mul__(self, other) -> "LaurentPoly":
         other = self._coerce(other)
-        a, b = self._align(other)
         out = {}
-        for e1, c1 in a.terms.items():
-            for e2, c2 in b.terms.items():
+        for e1, c1 in self.terms.items():
+            for e2, c2 in other.terms.items():
                 key = tuple(x + y for x, y in zip(e1, e2))
                 out[key] = out.get(key, as_series(0)) + c1 * c2
-        return LaurentPoly(a.variables, out)
+        return LaurentPoly(self.variables, out)
 
     __rmul__ = __mul__
     __radd__ = __add__
-
-    def scale(self, coeff) -> "LaurentPoly":
-        coeff = as_series(coeff)
-        return LaurentPoly(self.variables, {e: c * coeff for e, c in self.terms.items()})
 
     def __pow__(self, n: int) -> "LaurentPoly":
         if not isinstance(n, int):
@@ -148,44 +115,17 @@ class LaurentPoly:
         return result
 
     def _coerce(self, other) -> "LaurentPoly":
-        if isinstance(other, LaurentPoly):
-            return other
-        return LaurentPoly.constant(self.variables, other)
+        if not isinstance(other, LaurentPoly):
+            return LaurentPoly.constant(self.variables, other)
+        if other.variables != self.variables:
+            raise ValueError(f"variables differ: {self.variables} vs {other.variables}")
+        return other
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, LaurentPoly):
-            other = self._coerce(other)
         return (self - other).is_zero()
 
     def __hash__(self):
         raise TypeError("LaurentPoly is not hashable")
-
-    # -- valuation -------------------------------------------------------------
-
-    def monomial_val(self, point: dict):
-        """Valuation at a point of (-inf, +inf]^n, min over terms.
-
-        A negative exponent against a +infinity coordinate is ill-defined
-        and raises ValueError.
-        """
-        best = INF
-        for exps, coeff in self.terms.items():
-            total = coeff.val()
-            for v, e in zip(self.variables, exps):
-                if e == 0:
-                    continue
-                u = point[v]
-                if u is INF or u == INF:
-                    if e < 0:
-                        raise ValueError(
-                            f"monomial has negative exponent in {v} at valuation +inf"
-                        )
-                    total = INF
-                    break
-                total = total + e * _as_exp(u) if total is not INF else INF
-            if total is not INF and (best is INF or total < best):
-                best = total
-        return best
 
     # -- display -----------------------------------------------------------------
 
@@ -231,11 +171,6 @@ class MonomialMap:
             unit = as_series(unit)
             rows.append((v, unit, tuple(sorted((k, int(e)) for k, e in exps.items() if e))))
         return MonomialMap(source, target, tuple(rows))
-
-    @staticmethod
-    def identity(variables) -> "MonomialMap":
-        variables = tuple(variables)
-        return MonomialMap.build(variables, variables, {v: (1, {v: 1}) for v in variables})
 
     def image_of(self, var: str) -> LaurentPoly:
         for v, unit, exps in self.assignments:
@@ -288,53 +223,3 @@ class MonomialMap:
             prefix = "" if u == "1" else f"{u} * "
             lines.append(f"{v} <- {prefix}{mono}")
         return "\n".join(lines)
-
-
-@dataclass(frozen=True)
-class MonoidSpec:
-    """A box U' in (-inf, +inf]^n of per-variable valuation intervals."""
-
-    variables: tuple
-    intervals: tuple  # per variable (lo: Fraction, hi: Fraction or INF)
-
-    @staticmethod
-    def box(variables, intervals) -> "MonoidSpec":
-        variables = tuple(variables)
-        ivals = []
-        for lo, hi in intervals:
-            lo = _as_exp(lo)
-            hi = hi if hi is INF or hi == INF else _as_exp(hi)
-            ivals.append((lo, hi))
-        return MonoidSpec(variables, tuple(ivals))
-
-    def monoid_member(self, mono: LaurentPoly) -> bool:
-        """True iff the monomial's valuation is well-defined and finite on U'."""
-        exps, _ = mono.single_term()
-        order = [mono.variables.index(v) for v in self.variables]
-        for (lo, hi), i in zip(self.intervals, order):
-            e = exps[i]
-            if (hi is INF or hi == INF) and e < 0:
-                return False
-        return True
-
-    def val_bounds(self, mono: LaurentPoly):
-        """(inf, sup) of the monomial's valuation over the box."""
-        exps, coeff = mono.single_term()
-        lo_total = coeff.val()
-        hi_total = coeff.val()
-        for v, e in zip(mono.variables, exps):
-            if e == 0 or v not in self.variables:
-                continue
-            lo, hi = self.intervals[self.variables.index(v)]
-            pts = []
-            for u in (lo, hi):
-                if u is INF or u == INF:
-                    if e < 0:
-                        raise ValueError("valuation ill-defined on box")
-                    pts.append(INF)
-                else:
-                    pts.append(e * u)
-            a, b = min(pts), max(pts)
-            lo_total = INF if lo_total is INF or a is INF else lo_total + a
-            hi_total = INF if hi_total is INF or b is INF else hi_total + b
-        return lo_total, hi_total

@@ -19,11 +19,10 @@ relations) and reports any shape it cannot handle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from .ainf import AInfLocalModel, Entry, Generator, _check_entry_degrees
-from .lpoly import LaurentPoly
 from .symbolic import AreaExp, SymPoly
 
 
@@ -93,38 +92,26 @@ class MatrixFactorization:
 def check_mf(mf: MatrixFactorization, assignment: dict = None):
     """delta^2 - W * Id, computed exactly; returns (ok, residual).
 
-    With ``assignment`` the areas are instantiated at exact rationals and the
-    square is recomputed with Laurent-polynomial arithmetic over the Novikov
-    field; otherwise the comparison is symbolic under the model constraints.
+    The comparison is symbolic under the model constraints.  With
+    ``assignment`` every coefficient is first normalized and its areas are
+    instantiated at those exact rationals, so the same check runs at one
+    point of the area space.
     """
+    if assignment is not None:
+        def at_point(c):
+            return c.normalize(mf.constraints).instantiate(assignment)
+        mf = replace(
+            mf, potential=at_point(mf.potential),
+            delta={g: {h: at_point(c) for h, c in col.items()}
+                   for g, col in mf.delta.items()})
     residual = {}
-    if assignment is None:
-        w = mf.potential.normalize(mf.constraints)
-        for g in mf.generators:
-            sq = mf.apply(mf.delta.get(g, {}))
-            keys = set(sq) | {g}
-            for k in keys:
-                want = w if k == g else SymPoly.zero()
-                r = (sq.get(k, SymPoly.zero()) - want).normalize(mf.constraints)
-                if not r.is_zero():
-                    residual[(g, k)] = r
-        return (not residual, residual)
-    order = mf.variables
-    num = {
-        g: {h: c.normalize(mf.constraints).to_laurent(order, assignment)
-            for h, c in col.items()}
-        for g, col in mf.delta.items()
-    }
-    w = mf.potential.normalize(mf.constraints).to_laurent(order, assignment)
-    zero = LaurentPoly.zero(order)
+    w = mf.potential.normalize(mf.constraints)
     for g in mf.generators:
-        sq: dict = {}
-        for h, c in num.get(g, {}).items():
-            for k, d in num.get(h, {}).items():
-                sq[k] = sq.get(k, zero) + c * d
+        sq = mf.apply(mf.delta.get(g, {}))
         keys = set(sq) | {g}
         for k in keys:
-            r = sq.get(k, zero) - (w if k == g else zero)
+            want = w if k == g else SymPoly.zero()
+            r = (sq.get(k, SymPoly.zero()) - want).normalize(mf.constraints)
             if not r.is_zero():
                 residual[(g, k)] = r
     return (not residual, residual)

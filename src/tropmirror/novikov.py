@@ -1,270 +1,74 @@
-"""Exact arithmetic in the Novikov field and its valuation subrings.
+"""Exact finite sums in the Novikov field.
 
 Elements are finite sums ``sum a_i * T^{A_i}`` with strictly increasing
-rational exponents ``A_i`` and exact rational (or rational-complex)
-coefficients.  The valuation of a nonzero element is its least exponent;
-``val(0) = +infinity``.  Truncation is explicit state: an operation that
-drops a term past the truncation order marks its result inexact, and
-exact-equality helpers refuse inexact operands.
+rational exponents ``A_i`` and nonzero rational coefficients.  Every
+operation is exact, so ``==`` on two series is exact equality, and only
+monomials ``a * T^A`` are invertible.  These are the coefficients of the
+tropical chart maps in :mod:`tropmirror.lpoly`.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Union
-
-INF = math.inf  # valuation of 0; used only as an order sentinel, never in float arithmetic
-
-RatLike = Union[int, Fraction]
+from typing import Iterable
 
 
-@dataclass(frozen=True)
-class RationalComplex:
-    """Gaussian rational a + b*i with exact Fraction parts."""
-
-    re: Fraction
-    im: Fraction
-
-    def __add__(self, other: "RationalComplex") -> "RationalComplex":
-        other = _as_rc(other)
-        return RationalComplex(self.re + other.re, self.im + other.im)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "RationalComplex":
-        return RationalComplex(-self.re, -self.im)
-
-    def __sub__(self, other) -> "RationalComplex":
-        return self + (-_as_rc(other))
-
-    def __rsub__(self, other) -> "RationalComplex":
-        return _as_rc(other) + (-self)
-
-    def __mul__(self, other) -> "RationalComplex":
-        other = _as_rc(other)
-        return RationalComplex(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
-
-    __rmul__ = __mul__
-
-    def inv(self) -> "RationalComplex":
-        n = self.re * self.re + self.im * self.im
-        if n == 0:
-            raise ZeroDivisionError("inverse of 0")
-        return RationalComplex(self.re / n, -self.im / n)
-
-    def __bool__(self) -> bool:
-        return bool(self.re) or bool(self.im)
-
-    def __str__(self) -> str:
-        if not self.im:
-            return str(self.re)
-        return f"({self.re}{'+' if self.im >= 0 else '-'}{abs(self.im)}i)"
-
-
-def _as_rc(c) -> "RationalComplex":
-    if isinstance(c, RationalComplex):
-        return c
-    if isinstance(c, (int, Fraction)):
-        return RationalComplex(Fraction(c), Fraction(0))
-    raise TypeError(f"not an exact coefficient: {c!r}")
-
-
-Coeff = Union[Fraction, RationalComplex]
-
-
-def _as_coeff(c) -> Coeff:
-    if isinstance(c, RationalComplex):
-        return c
-    if isinstance(c, (int, Fraction)):
-        return Fraction(c)
-    raise TypeError(f"not an exact coefficient: {c!r}")
-
-
-def _coeff_inv(c: Coeff) -> Coeff:
-    if isinstance(c, RationalComplex):
-        return c.inv()
-    return Fraction(1) / c
-
-
-def _as_exp(e) -> Fraction:
-    if isinstance(e, (int, Fraction)):
-        return Fraction(e)
-    raise TypeError(f"exponent must be rational: {e!r}")
+def _as_rational(x, what: str) -> Fraction:
+    if isinstance(x, (int, Fraction)):
+        return Fraction(x)
+    raise TypeError(f"{what} must be rational: {x!r}")
 
 
 @dataclass(frozen=True)
 class NovikovSeries:
     """Finite sum of (exponent, coefficient) terms, exponents strictly increasing."""
 
-    terms: tuple  # tuple[(Fraction, Coeff), ...]
-    truncation: object = INF  # Fraction or INF
-    inexact: bool = False
-
-    # -- construction ----------------------------------------------------
+    terms: tuple  # tuple[(Fraction, Fraction), ...]
 
     @staticmethod
-    def from_terms(pairs: Iterable, truncation=INF, inexact: bool = False) -> "NovikovSeries":
+    def from_terms(pairs: Iterable) -> "NovikovSeries":
         acc: dict = {}
         for e, c in pairs:
-            e = _as_exp(e)
-            c = _as_coeff(c)
-            acc[e] = acc.get(e, Fraction(0)) + c
-        dropped = False
-        out = []
-        for e in sorted(acc):
-            c = acc[e]
-            if not c:
-                continue
-            if e >= truncation:
-                dropped = True
-                continue
-            out.append((e, c))
-        return NovikovSeries(tuple(out), truncation, inexact or dropped)
-
-    @staticmethod
-    def zero(truncation=INF) -> "NovikovSeries":
-        return NovikovSeries((), truncation)
-
-    @staticmethod
-    def one() -> "NovikovSeries":
-        return NovikovSeries(((Fraction(0), Fraction(1)),))
+            e = _as_rational(e, "exponent")
+            acc[e] = acc.get(e, Fraction(0)) + _as_rational(c, "coefficient")
+        return NovikovSeries(tuple((e, acc[e]) for e in sorted(acc) if acc[e]))
 
     @staticmethod
     def monomial(exponent, coefficient=1) -> "NovikovSeries":
         return NovikovSeries.from_terms([(exponent, coefficient)])
 
-    # -- structure --------------------------------------------------------
-
     def is_zero(self) -> bool:
         return not self.terms
 
-    def is_monomial(self) -> bool:
-        return len(self.terms) == 1
-
-    def val(self):
-        """Least exponent of a nonzero term; +infinity for 0."""
-        if not self.terms:
-            return INF
-        return self.terms[0][0]
-
-    def unit_part_coeff(self) -> Coeff:
-        if not self.terms:
-            raise ZeroDivisionError("0 has no unit part")
-        return self.terms[0][1]
-
     # -- arithmetic -------------------------------------------------------
 
-    def _join_trunc(self, other: "NovikovSeries"):
-        return min(self.truncation, other.truncation)
-
     def __add__(self, other) -> "NovikovSeries":
-        other = as_series(other)
-        return NovikovSeries.from_terms(
-            list(self.terms) + list(other.terms),
-            self._join_trunc(other),
-            self.inexact or other.inexact,
-        )
+        return NovikovSeries.from_terms(self.terms + as_series(other).terms)
 
     __radd__ = __add__
 
     def __neg__(self) -> "NovikovSeries":
-        return NovikovSeries(tuple((e, -c) for e, c in self.terms), self.truncation, self.inexact)
+        return NovikovSeries(tuple((e, -c) for e, c in self.terms))
 
     def __sub__(self, other) -> "NovikovSeries":
         return self + (-as_series(other))
 
-    def __rsub__(self, other) -> "NovikovSeries":
-        return as_series(other) + (-self)
-
     def __mul__(self, other) -> "NovikovSeries":
         other = as_series(other)
-        prods = [(e1 + e2, c1 * c2) for e1, c1 in self.terms for e2, c2 in other.terms]
         return NovikovSeries.from_terms(
-            prods, self._join_trunc(other), self.inexact or other.inexact
-        )
+            (e1 + e2, c1 * c2) for e1, c1 in self.terms for e2, c2 in other.terms)
 
     __rmul__ = __mul__
 
     def inv(self) -> "NovikovSeries":
-        """Multiplicative inverse via geometric expansion of the unit part.
-
-        Exact when the series is a single monomial; otherwise requires a
-        finite truncation order (the result is flagged inexact).
-        """
+        """(a * T^A)^{-1} = a^{-1} * T^{-A}; a sum of two or more terms raises ValueError."""
         if not self.terms:
             raise ZeroDivisionError("inverse of 0")
-        v, c0 = self.terms[0]
-        lead_inv = NovikovSeries.monomial(-v, _coeff_inv(c0))
-        if len(self.terms) == 1:
-            return NovikovSeries(lead_inv.terms, self.truncation, self.inexact)
-        # self = c0 T^v (1 + r), val(r) > 0.  If self is known mod T^t then r
-        # is known mod T^{t-v} and the inverse only mod T^{t-2v}.
-        if self.truncation is INF:
-            raise ValueError("inverse of a multi-term series needs a finite truncation order")
-        budget = self.truncation - v
-        trunc = self.truncation - 2 * v
-        # expand with truncation metadata stripped; the honest cutoff is applied at the end
-        raw = NovikovSeries(self.terms)
-        lead_inv = NovikovSeries(lead_inv.terms)
-        r = (raw * lead_inv) - NovikovSeries.one()
-        acc = NovikovSeries.one()
-        power = NovikovSeries.one()
-        rv = r.val()
-        k = 1
-        while k * rv < budget:
-            power = power * (-r)
-            acc = acc + power
-            k += 1
-        result = acc * lead_inv
-        return NovikovSeries(
-            tuple((e, c) for e, c in result.terms if e < trunc),
-            trunc,
-            True,
-        )
-
-    def truncate(self, order) -> "NovikovSeries":
-        order = _as_exp(order)
-        kept = tuple((e, c) for e, c in self.terms if e < order)
-        dropped = len(kept) < len(self.terms)
-        t = min(self.truncation, order)
-        return NovikovSeries(kept, t, self.inexact or dropped)
-
-    # -- predicates ---------------------------------------------------------
-
-    def subring_check(self, ring: str) -> bool:
-        v = self.val()
-        if ring == "Lambda":
-            return True
-        if ring == "Lambda0":
-            return v >= 0
-        if ring == "Lambda+":
-            return v > 0
-        if ring == "Lambda0x":
-            return v == 0
-        raise ValueError(f"unknown subring {ring!r}")
-
-    # -- comparison / display ---------------------------------------------
-
-    def assert_exact(self) -> "NovikovSeries":
-        if self.inexact:
-            raise ValueError("operand is inexact (terms were truncated)")
-        return self
-
-    def eq_exact(self, other) -> bool:
-        other = as_series(other)
-        self.assert_exact()
-        other.assert_exact()
-        return self.terms == other.terms
-
-    def eq_up_to_truncation(self, other) -> bool:
-        other = as_series(other)
-        t = self._join_trunc(other)
-        return (self - other).truncate(t).is_zero() if t is not INF else (self - other).is_zero()
+        if len(self.terms) > 1:
+            raise ValueError(f"only monomials are invertible, not {self}")
+        ((e, c),) = self.terms
+        return NovikovSeries(((-e, 1 / c),))
 
     def __str__(self) -> str:
         if not self.terms:
@@ -279,25 +83,16 @@ class NovikovSeries:
                 parts.append(f"-T^{e}")
             else:
                 parts.append(f"{c}*T^{e}")
-        s = " + ".join(parts).replace("+ -", "- ")
-        if self.inexact:
-            s += f" + O(T^{self.truncation})"
-        return s
+        return " + ".join(parts).replace("+ -", "- ")
 
 
 def as_series(x) -> NovikovSeries:
     if isinstance(x, NovikovSeries):
         return x
-    if isinstance(x, (int, Fraction, RationalComplex)):
-        c = _as_coeff(x)
-        return NovikovSeries(((Fraction(0), c),) if c else ())
-    raise TypeError(f"cannot coerce {x!r} to NovikovSeries")
+    c = _as_rational(x, "coefficient")
+    return NovikovSeries(((Fraction(0), c),) if c else ())
 
 
 def T(exponent) -> NovikovSeries:
     """The formal generator T raised to a rational exponent."""
     return NovikovSeries.monomial(exponent)
-
-
-ZERO = NovikovSeries.zero()
-ONE = NovikovSeries.one()

@@ -18,16 +18,6 @@ def sign_pow(n: int) -> int:
     return -1 if n % 2 else 1
 
 
-def koszul(deg_a: int, deg_b: int) -> int:
-    """(-1)^{|a||b|}."""
-    return sign_pow(deg_a * deg_b)
-
-
-def dg_compose_sign(deg_first: int) -> int:
-    """Sign in m2(phi, psi) = (-1)^{|phi|} phi o psi for dg categories."""
-    return sign_pow(deg_first)
-
-
 def shifted_sum(degrees) -> int:
     """Sum of shifted degrees mod 2."""
     return sum(shifted(d) for d in degrees) % 2

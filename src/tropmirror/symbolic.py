@@ -4,16 +4,14 @@ A model's structure constants are Novikov monomials whose T-exponents are
 linear expressions in formal area symbols (with rational coefficients),
 times a Laurent monomial in named chart/holonomy variables, times an exact
 rational scalar.  This module provides that coefficient arithmetic plus
-monomial substitution and numeric instantiation into :mod:`tropmirror.lpoly`.
+monomial substitution and instantiation of the areas at exact rationals
+(a numeric area is a constant :class:`AreaExp`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-
-from .lpoly import LaurentPoly
-from .novikov import NovikovSeries
 
 
 def _frac(x) -> Fraction:
@@ -218,6 +216,14 @@ class SymPoly:
             out[key] = out.get(key, Fraction(0)) + scalar
         return SymPoly(out)
 
+    def instantiate(self, assignment: dict) -> "SymPoly":
+        """Evaluate every area at the exact rationals of ``assignment``."""
+        out = {}
+        for (area, mono), scalar in self.terms.items():
+            key = (AreaExp.constant(area.evaluate(assignment)), mono)
+            out[key] = out.get(key, Fraction(0)) + scalar
+        return SymPoly(out)
+
     def substitute(self, images: dict) -> "SymPoly":
         """Replace variables by monomial SymPolys (unbound variables stay)."""
         out = SymPoly.zero()
@@ -231,23 +237,6 @@ class SymPoly:
 
     def variables(self) -> set:
         return {v for (_, mono) in self.terms for v, _ in mono}
-
-    def coefficient_of(self, variables: dict):
-        """SymPoly of terms whose variable monomial is exactly `variables`."""
-        key = _mono_key(variables)
-        return SymPoly({(a, m): s for (a, m), s in self.terms.items() if m == key})
-
-    def to_laurent(self, variable_order, assignment: dict) -> LaurentPoly:
-        """Instantiate areas at exact rationals, producing a LaurentPoly."""
-        variable_order = tuple(variable_order)
-        out = LaurentPoly.zero(variable_order)
-        for (area, mono), scalar in self.terms.items():
-            exps = [0] * len(variable_order)
-            for v, e in mono:
-                exps[variable_order.index(v)] = e
-            coeff = NovikovSeries.monomial(area.evaluate(assignment), scalar)
-            out = out + LaurentPoly.monomial(variable_order, exps, coeff)
-        return out
 
     def sorted_terms(self):
         return sorted(

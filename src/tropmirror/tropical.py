@@ -187,6 +187,8 @@ class TropicalCurve:
 
     def _validate(self):
         errors = []
+        if self.anchor["edge"] not in self.edges:
+            errors.append(f"anchor: edge {self.anchor['edge']} does not exist")
         for vid, v in self.vertices.items():
             if len(v.edges) != 3 or len(set(v.edges)) != 3:
                 errors.append(f"vertex {vid}: not trivalent")
@@ -363,12 +365,20 @@ def load_curve(document, a1_overrides=None) -> TropicalCurve:
     """Load a curve from a dict, a path, or a shipped curve name."""
     if isinstance(document, (str, Path)):
         path = Path(document)
-        if path.suffix == ".json" and path.exists():
-            doc = json.loads(path.read_text())
-        else:
-            text = resources.files("tropmirror.curves").joinpath(
-                f"{document}.json").read_text()
+        try:
+            if path.suffix == ".json" and path.exists():
+                text = path.read_text()
+            else:
+                text = resources.files("tropmirror.curves").joinpath(
+                    f"{document}.json").read_text()
+        except OSError as err:
+            raise CurveValidationError(
+                [f"curve {str(document)!r}: no such JSON file or shipped curve "
+                 f"({type(err).__name__})"]) from err
+        try:
             doc = json.loads(text)
+        except ValueError as err:
+            raise CurveValidationError([f"curve {str(document)!r}: invalid JSON: {err}"]) from err
     else:
         doc = document
     vertices = {}

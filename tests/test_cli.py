@@ -1,10 +1,21 @@
 """Tests for the command-line interface: reports, determinism, exit codes."""
 
+import hashlib
 import json
 
 import pytest
 
 from tropmirror import cli
+
+# SHA-256 of outputs that must stay byte-identical: a deliberate format
+# change re-records these.
+GOLDEN_CONIFOLD_STRUCTURED = "fa19dd1fa2786b74d3a26762a2ecfbd80563d4e5c335211cba832267e794959f"
+GOLDEN_PANTS_TEXT = "c6e2f0dedaffd242aa7432247e18238ad2e097c8f88a5cff4197071914a94a60"
+GOLDEN_TORICCYEG_SVG = "aac3eb3d3add99c5c4bf5e06134abd6461842d362255f83609731e6ef72f3aa1"
+
+
+def sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def run(capsys, *argv):
@@ -46,6 +57,30 @@ class TestMirror:
         assert code == 2
         assert not report["ok"]
         assert report["errors"]
+
+    @pytest.mark.parametrize("kind", ["unknown_name", "bad_json", "bad_anchor_edge"])
+    def test_unreadable_curve_exits_2_with_errors(self, capsys, tmp_path, kind):
+        if kind == "unknown_name":
+            curve = "nosuchcurve"
+        else:
+            path = tmp_path / f"{kind}.json"
+            if kind == "bad_json":
+                path.write_text("{not json")
+            else:
+                doc = {"name": "bad",
+                       "vertices": {"v": {"position": ["0", "0"],
+                                          "edges": ["x", "y", "z"]}},
+                       "edges": {"x": {"ends": ["v"], "direction": [1, 0]},
+                                 "y": {"ends": ["v"], "direction": [0, 1]},
+                                 "z": {"ends": ["v"], "direction": [-1, -1]}},
+                       "anchor": {"edge": "nope", "left": [0, 0]}}
+                path.write_text(json.dumps(doc))
+            curve = str(path)
+        code, report = run_json(capsys, "mirror", "--curve", curve)
+        assert code == 2
+        assert report["ok"] is False
+        assert isinstance(report["errors"], list) and report["errors"]
+        assert all(isinstance(e, str) for e in report["errors"])
 
     def test_svg_artifacts(self, capsys, tmp_path):
         out = tmp_path / "art"
@@ -125,29 +160,29 @@ class TestVerify:
 
 class TestGoldenStability:
     def test_mirror_report_bit_identical(self, capsys):
-        outputs = set()
+        digests = set()
         for _ in range(2):
             code, out = run(capsys, "mirror", "--curve", "conifold",
                             "--format", "structured")
             assert code == 0
-            outputs.add(out)
-        assert len(outputs) == 1
+            digests.add(sha256(out))
+        assert digests == {GOLDEN_CONIFOLD_STRUCTURED}
 
     def test_render_svg_bit_identical(self, capsys, tmp_path):
-        texts = []
+        digests = set()
         for sub in ("a", "b"):
             out = tmp_path / sub
             code, _ = run(capsys, "render", "--curve", "toriccyeg",
                           "--out", str(out))
             assert code == 0
-            texts.append((out / "curve.svg").read_text()
-                         + (out / "fan.svg").read_text()
-                         + (out / "cones.svg").read_text())
-        assert texts[0] == texts[1]
+            digests.add(sha256((out / "curve.svg").read_text()
+                               + (out / "fan.svg").read_text()
+                               + (out / "cones.svg").read_text()))
+        assert digests == {GOLDEN_TORICCYEG_SVG}
 
     def test_text_format_stable(self, capsys):
         code1, out1 = run(capsys, "mirror", "--curve", "pair_of_pants")
         code2, out2 = run(capsys, "mirror", "--curve", "pair_of_pants")
         assert code1 == code2 == 0
-        assert out1 == out2
+        assert {sha256(out1), sha256(out2)} == {GOLDEN_PANTS_TEXT}
         assert "potential_check.ok: True" in out1

@@ -63,8 +63,8 @@ class TestHomotopyFiberProduct:
         rng = random.Random(5)
         piece = dgcat.random_dg_piece(rng, "D", objects=1)
         obj = sorted(piece.modules)[0]
-        hfp = dgcat.hfp_build(piece, piece, piece,
-                              dgcat.identity_functor(piece), dgcat.identity_functor(piece))
+        hfp = dgcat.HomotopyFiberProduct(piece, piece, piece, dgcat.identity_functor(piece),
+                                         dgcat.identity_functor(piece))
         with pytest.raises(ValueError, match="invertible"):
             hfp.object(obj, obj, piece.zero(obj, obj, 0))
 
@@ -76,9 +76,9 @@ class TestHomotopyFiberProduct:
             phi = dgcat.random_dg_morphism(rng, piece, obj, obj, 0)
             if piece.d_of(phi).is_zero():
                 continue
-            hfp = dgcat.hfp_build(piece, piece, piece,
-                                  dgcat.identity_functor(piece),
-                                  dgcat.identity_functor(piece))
+            hfp = dgcat.HomotopyFiberProduct(piece, piece, piece,
+                                             dgcat.identity_functor(piece),
+                                             dgcat.identity_functor(piece))
             with pytest.raises(ValueError, match="closed"):
                 hfp.object(obj, obj, phi)
             return

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tropmirror.lpoly import LaurentPoly, MonoidSpec, MonomialMap
-from tropmirror.novikov import INF, T
+from tropmirror.lpoly import LaurentPoly, MonomialMap
+from tropmirror.novikov import T
 
 VARS = ("x", "y", "z")
 
@@ -48,24 +48,12 @@ def test_monomial_inverse_power():
         (m + LaurentPoly.var(VARS, "z")) ** -1
 
 
-def test_align_different_variable_sets():
+def test_mismatched_variable_sets_rejected():
     p = LaurentPoly.var(("x",), "x")
     q = LaurentPoly.var(("y",), "y")
-    s = p * q
-    assert s.variables == ("x", "y")
-    assert s.single_term()[0] == (1, 1)
-
-
-def test_monomial_val():
-    w = LaurentPoly.monomial(VARS, (1, 1, 1), T(2))
-    pt = {"x": Fraction(1), "y": Fraction(0), "z": Fraction(3)}
-    assert w.monomial_val(pt) == 6
-    assert w.monomial_val({"x": INF, "y": 0, "z": 0}) is INF
-    neg = LaurentPoly.monomial(VARS, (-1, 0, 0))
-    with pytest.raises(ValueError):
-        neg.monomial_val({"x": INF, "y": 0, "z": 0})
-    two = w + LaurentPoly.monomial(VARS, (0, 1, 0))
-    assert two.monomial_val(pt) == 0
+    for op in (p.__add__, p.__mul__, p.__sub__, p.__eq__):
+        with pytest.raises(ValueError):
+            op(q)
 
 
 def make_map():
@@ -107,15 +95,3 @@ def test_compose_and_identity():
     h = f.compose(g)  # x1-chart -> x1-chart
     assert h.source == ("x1", "y1", "z1") and h.target == ("x1", "y1", "z1")
     assert h.is_identity()
-
-
-def test_monoid_spec():
-    box = MonoidSpec.box(VARS, [(0, 2), (0, INF), (1, 3)])
-    good = LaurentPoly.monomial(VARS, (2, 1, -1))
-    bad = LaurentPoly.monomial(VARS, (0, -1, 0))
-    assert box.monoid_member(good)
-    assert not box.monoid_member(bad)
-    lo, hi = box.val_bounds(LaurentPoly.monomial(VARS, (1, 0, 2), T(1)))
-    assert lo == Fraction(3) and hi == Fraction(9)
-    lo, hi = box.val_bounds(LaurentPoly.monomial(VARS, (0, 1, 0)))
-    assert lo == 0 and hi is INF

@@ -65,11 +65,17 @@ class TestCheckMF:
             assert ok, residual
 
     def test_sign_flip_fails(self):
-        obj = mf.transform_object(mf.winding_strip_model(1), "L", "S1")
+        model = mf.winding_strip_model(1)
+        obj = mf.transform_object(model, "L", "S1")
         obj.delta["C1"]["D0"] = -obj.delta["C1"]["D0"]
         ok, residual = mf.check_mf(obj)
         assert not ok
         assert residual
+        rng = random.Random(101)
+        for _ in range(10):
+            ok, residual = mf.check_mf(obj, random_area_assignment(model, rng))
+            assert not ok
+            assert residual
 
     def test_zero_module_passes(self):
         empty = mf.MatrixFactorization(

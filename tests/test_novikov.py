@@ -8,15 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tropmirror.novikov import (
-    INF,
-    ONE,
-    ZERO,
-    NovikovSeries,
-    RationalComplex,
-    T,
-    as_series,
-)
+from tropmirror.novikov import NovikovSeries, T, as_series
+
+ZERO = NovikovSeries(())
+ONE = T(0)
 
 exponents = st.fractions(min_value=-5, max_value=5, max_denominator=12)
 coeffs = st.fractions(min_value=-9, max_value=9, max_denominator=6)
@@ -28,18 +23,21 @@ def series(draw, max_terms=8):
     return NovikovSeries.from_terms(pairs)
 
 
+def lead(s):
+    """Least exponent of a nonzero series."""
+    return s.terms[0][0]
+
+
 def test_zero_and_one():
     assert ZERO.is_zero()
-    assert ZERO.val() is INF
-    assert ONE.val() == 0
-    assert (ONE + ZERO).eq_exact(ONE)
+    assert ONE.terms == ((Fraction(0), Fraction(1)),)
+    assert ONE + ZERO == ONE
 
 
 def test_monomial_roundtrip():
-    a = T(Fraction(3, 2))
-    assert a.val() == Fraction(3, 2)
-    assert a.inv().val() == Fraction(-3, 2)
-    assert (a * a.inv()).eq_exact(ONE)
+    a = NovikovSeries.monomial(Fraction(3, 2), Fraction(-2, 3))
+    assert a.inv() == NovikovSeries.monomial(Fraction(-3, 2), Fraction(-3, 2))
+    assert a * a.inv() == ONE
 
 
 def test_from_terms_merges_and_drops_zero():
@@ -49,19 +47,19 @@ def test_from_terms_merges_and_drops_zero():
 
 def test_val_of_sum_cancellation():
     s = T(1) - T(1) + T(2)
-    assert s.val() == 2
+    assert s == T(2)
 
 
 @given(series(), series(), series())
 @settings(max_examples=100)
 def test_ring_axioms(a, b, c):
-    assert ((a + b) + c).eq_exact(a + (b + c))
-    assert (a + b).eq_exact(b + a)
-    assert ((a * b) * c).eq_exact(a * (b * c))
-    assert (a * b).eq_exact(b * a)
-    assert (a * (b + c)).eq_exact(a * b + a * c)
-    assert (a + (-a)).eq_exact(ZERO)
-    assert (a * ONE).eq_exact(a)
+    assert (a + b) + c == a + (b + c)
+    assert a + b == b + a
+    assert (a * b) * c == a * (b * c)
+    assert a * b == b * a
+    assert a * (b + c) == a * b + a * c
+    assert a + (-a) == ZERO
+    assert a * ONE == a
 
 
 @given(series(), series())
@@ -70,63 +68,16 @@ def test_val_submultiplicative(a, b):
     if a.is_zero() or b.is_zero():
         assert (a * b).is_zero()
     else:
-        assert (a * b).val() == a.val() + b.val()
-        assert (a + b).is_zero() or (a + b).val() >= min(a.val(), b.val())
-
-
-@given(series())
-@settings(max_examples=100, deadline=None)
-def test_inverse_up_to_truncation(a):
-    if a.is_zero():
-        with pytest.raises(ZeroDivisionError):
-            a.inv()
-        return
-    t = a.val() + 4
-    at = a.truncate(t) if len(a.terms) > 1 else a
-    if at.is_zero():
-        return
-    inv = at.inv()
-    prod = at * inv
-    assert prod.eq_up_to_truncation(ONE)
+        assert lead(a * b) == lead(a) + lead(b)
+        assert (a + b).is_zero() or lead(a + b) >= min(lead(a), lead(b))
 
 
 def test_multiterm_inverse_needs_truncation():
-    s = ONE + T(1)
+    # the field is exact, with no truncation order, so only monomials invert
     with pytest.raises(ValueError):
-        s.inv()
-    inv = s.truncate(5).inv()
-    assert inv.inexact
-    assert (s * inv).eq_up_to_truncation(ONE)
-
-
-def test_truncation_marks_inexact():
-    s = NovikovSeries.from_terms([(0, 1), (3, 1)], truncation=Fraction(2))
-    assert s.inexact
-    assert s.terms == ((Fraction(0), Fraction(1)),)
-    with pytest.raises(ValueError):
-        s.assert_exact()
-
-
-def test_subring_checks():
-    assert T(1).subring_check("Lambda+")
-    assert not T(0).subring_check("Lambda+")
-    assert T(0).subring_check("Lambda0x")
-    assert (ONE + T(1)).subring_check("Lambda0x")
-    assert not T(-1).subring_check("Lambda0")
-    assert T(-1).subring_check("Lambda")
-    with pytest.raises(ValueError):
-        ONE.subring_check("bogus")
-
-
-def test_rational_complex():
-    i = RationalComplex(Fraction(0), Fraction(1))
-    assert (i * i) == RationalComplex(Fraction(-1), Fraction(0))
-    z = RationalComplex(Fraction(3), Fraction(4))
-    w = z * z.inv()
-    assert w.re == 1 and w.im == 0
-    s = as_series(i) * T(Fraction(1, 2))
-    assert s.val() == Fraction(1, 2)
-    assert (s * s).unit_part_coeff() == RationalComplex(Fraction(-1), Fraction(0))
+        (ONE + T(1)).inv()
+    with pytest.raises(ZeroDivisionError):
+        ZERO.inv()
 
 
 def test_str_stable():
