@@ -3,7 +3,7 @@
 Implements, following Appendix A of the paper:
 
   A.1  the A-infinity structure of a dg category with reversed morphisms
-       (``ainf_from_dg``),
+       (``AinfFromDg``),
   A.2  the homotopy fiber product B x^h_D C of dg categories over dg
        functors G: B -> D, L: C -> D (``HomotopyFiberProduct`` with its
        ``d`` and ``compose``),
@@ -16,12 +16,19 @@ and uses them to verify, over the shipped finite local models,
   * Theorem 12.1 / Lemma "n0hptyeq": the Yoneda functors of an isomorphism
     pair (alpha, beta) are quasi-isomorphic, with the explicit homotopy H
     (``yoneda_equivalence_check``),
-  * Prop 13.2: the object and morphism triples (F^{L0}(L), F^{L1}(L),
+  * Prop 13.2: the object and morphism triples (F^{L1}(L), F^{L0}(L),
     N01(L)) satisfy the A-infinity functor equation into the homotopy
     fiber product (``global_functor``),
   * Section 11: the flop coordinate change intertwines the two gluings,
     preserves W, and the two-circle differential table closes
     (``flop_check``).
+
+Every dg category here -- a finite ``DgPiece``, the Yoneda complexes of a
+local model (``YonedaPiece``) and a ``HomotopyFiberProduct`` -- offers the
+same operations ``d``, ``compose``, ``add``, ``scale`` and ``zero``, so the
+one A.1 construction supplies m1 and m2 everywhere: to the Yoneda
+complexes in M1/M2 of A.3, and to the fiber product of Yoneda complexes,
+where the Prop 13.2 functor equation is checked with A.1's m1 and m2.
 
 Verification scope
 ------------------
@@ -47,7 +54,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from . import ainf as ainf_mod
@@ -108,7 +115,8 @@ class DgPiece:
     Morphism composition is ordinary matrix composition; the differential of
     a morphism is d(f) = d_N o f - (-1)^{|f|} f o d_M.  With ``mod2`` the
     grading (and all degree signs) are taken modulo 2, which is the matrix
-    factorization case.
+    factorization case.  ``YonedaPiece`` and ``HomotopyFiberProduct`` offer
+    the same ``d``/``compose``/``add``/``scale``/``zero``.
     """
 
     def __init__(self, name: str, modules: dict, mod2: bool = False):
@@ -143,20 +151,18 @@ class DgPiece:
         labels = self.modules[obj].labels()
         return DgMorphism(obj, obj, 0, {g: {g: SymPoly.scalar(1)} for g in labels})
 
-    def add(self, f: DgMorphism, g: DgMorphism) -> DgMorphism:
-        if (f.src, f.tgt, f.degree) != (g.src, g.tgt, g.degree):
-            raise ValueError("morphism sum shape mismatch")
-        entries: dict = {}
-        for src_label in set(f.entries) | set(g.entries):
-            col: dict = {}
-            fa, ga = f.entries.get(src_label, {}), g.entries.get(src_label, {})
-            for h in set(fa) | set(ga):
-                c = fa.get(h, SymPoly.zero()) + ga.get(h, SymPoly.zero())
-                if not c.is_zero():
-                    col[h] = c
-            if col:
-                entries[src_label] = col
-        return DgMorphism(f.src, f.tgt, f.degree, entries)
+    def add(self, f: DgMorphism, *rest: DgMorphism) -> DgMorphism:
+        entries = {g: dict(col) for g, col in f.entries.items()}
+        for g in rest:
+            if (g.src, g.tgt, g.degree) != (f.src, f.tgt, f.degree):
+                raise ValueError("morphism sum shape mismatch")
+            for src_label, col in g.entries.items():
+                out = entries.setdefault(src_label, {})
+                for h, c in col.items():
+                    out[h] = out[h] + c if h in out else c
+        entries = {g: {h: c for h, c in col.items() if not c.is_zero()}
+                   for g, col in entries.items()}
+        return DgMorphism(f.src, f.tgt, f.degree, {g: col for g, col in entries.items() if col})
 
     def scale(self, f: DgMorphism, c) -> DgMorphism:
         c = _as_poly(c)
@@ -183,7 +189,7 @@ class DgPiece:
     def _d_morphism(self, obj: str) -> DgMorphism:
         return DgMorphism(obj, obj, 1, self.modules[obj].d)
 
-    def d_of(self, f: DgMorphism) -> DgMorphism:
+    def d(self, f: DgMorphism) -> DgMorphism:
         """d(f) = d_tgt o f - (-1)^{|f|} f o d_src."""
         left = self.compose(self._d_morphism(f.tgt), f)
         right = self.compose(f, self._d_morphism(f.src))
@@ -206,12 +212,12 @@ class DgPiece:
         for a in objs:
             for b in objs:
                 for f in self.basis_morphisms(a, b):
-                    if not self.d_of(self.d_of(f)).is_zero():
+                    if not self.d(self.d(f)).is_zero():
                         failures.append(("d2", a, b))
                         break
         for a in objs:
             ida = self.identity(a)
-            if not self.d_of(ida).is_zero():
+            if not self.d(ida).is_zero():
                 failures.append(("identity not closed", a))
         return {"ok": not failures, "failures": failures}
 
@@ -242,25 +248,43 @@ def mf_dg_piece(factorizations) -> DgPiece:
 # ---------------------------------------------------------------------------
 
 
-class AinfFromDg:
-    """A-infinity operations of a dg piece after reversing all morphisms.
+def contractions(args, degrees, m):
+    """Each contraction (a1, m(a2), a3) of ``args``, a2 nonempty, with its sign.
 
-    Arguments to ``m`` are dg morphisms; an element of
-    Hom_{A-infinity}(E, F) is stored as the dg map F -> E, so a composable
-    A-infinity tuple (a_1, ..., a_k) is a chain with a_{i+1}.tgt == a_i.src.
-    m1 = d, m2(phi, psi) = (-1)^{|phi|} phi o psi, m_{>=3} = 0.
+    Yields (sign, contracted tuple) with sign (-1)^{|a1|'}; ``degrees`` are
+    the degrees of ``args``.  A contraction whose inner value is a zero
+    model element (an empty dict) is skipped: every term built on it
+    vanishes.
+    """
+    args = tuple(args)
+    for i in range(len(args)):
+        sign = sign_pow(shifted_sum(degrees[:i]))
+        for j in range(i + 1, len(args) + 1):
+            inner = m(args[i:j])
+            if isinstance(inner, dict) and not inner:
+                continue
+            yield sign, args[:i] + (inner,) + args[j:]
+
+
+class AinfFromDg:
+    """A-infinity operations of a dg category after reversing all morphisms.
+
+    ``piece`` is any dg category with ``d``, ``compose``, ``add``, ``scale``
+    and ``zero``: a ``DgPiece``, a ``YonedaPiece`` or a
+    ``HomotopyFiberProduct``.  Arguments to ``m`` are its morphisms; an
+    element of Hom_{A-infinity}(E, F) is stored as the dg map F -> E, so a
+    composable A-infinity tuple (a_1, ..., a_k) is a chain with
+    a_{i+1}.tgt == a_i.src.  m1 = d, m2(phi, psi) = (-1)^{|phi|} phi o psi,
+    m_{>=3} = 0.
     """
 
-    def __init__(self, piece: DgPiece):
+    def __init__(self, piece):
         self.piece = piece
-        report = piece.validate()
-        if not report["ok"]:
-            raise ValueError(f"invalid dg piece: {report['failures']}")
 
-    def m(self, args) -> DgMorphism:
+    def m(self, args):
         args = list(args)
         if len(args) == 1:
-            return self.piece.d_of(args[0])
+            return self.piece.d(args[0])
         if len(args) == 2:
             phi, psi = args
             return self.piece.scale(self.piece.compose(phi, psi), sign_pow(phi.degree))
@@ -269,23 +293,18 @@ class AinfFromDg:
         return self.piece.zero(args[-1].src, args[0].tgt,
                                sum(a.degree for a in args) + 2 - len(args))
 
-    def relation_residual(self, args) -> DgMorphism:
+    def relation_residual(self, args):
         """Sum over i<=j of the A-infinity relation terms at this tuple."""
-        args = list(args)
-        n = len(args)
-        total = None
-        for i in range(n):
-            for j in range(i + 1, n + 1):
-                inner = self.m(args[i:j])
-                outer_args = args[:i] + [inner] + args[j:]
-                term = self.m(outer_args)
-                sgn = sign_pow(shifted_sum(a.degree for a in args[:i]))
-                term = self.piece.scale(term, sgn)
-                total = term if total is None else self.piece.add(total, term)
-        return total
+        terms = [self.piece.scale(self.m(c), sign) for sign, c in
+                 contractions(args, [a.degree for a in args], self.m)]
+        return self.piece.add(*terms)
 
 
 def ainf_from_dg(piece: DgPiece) -> AinfFromDg:
+    """A.1 on a finite dg piece, after checking d^2 = 0 on its Hom complexes."""
+    report = piece.validate()
+    if not report["ok"]:
+        raise ValueError(f"invalid dg piece: {report['failures']}")
     return AinfFromDg(piece)
 
 
@@ -296,23 +315,19 @@ def ainf_from_dg(piece: DgPiece) -> AinfFromDg:
 
 @dataclass
 class DgFunctor:
-    """A dg functor given by an object map and a morphism action."""
+    """A dg functor that is the identity on objects, given by its morphism action."""
 
     name: str
-    source: DgPiece
-    target: DgPiece
-    obj_map: dict
-    mor_map: object  # callable DgMorphism -> DgMorphism
+    source: object
+    target: object
+    mor_map: object  # callable morphism -> morphism
 
-    def obj(self, name: str) -> str:
-        return self.obj_map[name]
-
-    def __call__(self, f: DgMorphism) -> DgMorphism:
+    def __call__(self, f):
         return self.mor_map(f)
 
 
-def identity_functor(piece: DgPiece) -> DgFunctor:
-    return DgFunctor("id", piece, piece, {o: o for o in piece.modules}, lambda f: f)
+def identity_functor(piece) -> DgFunctor:
+    return DgFunctor("id", piece, piece, lambda f: f)
 
 
 def conjugation_functor(piece: DgPiece, units: dict) -> DgFunctor:
@@ -322,7 +337,7 @@ def conjugation_functor(piece: DgPiece, units: dict) -> DgFunctor:
     morphisms; closedness of u makes this a dg functor.
     """
     for obj, (u, u_inv) in units.items():
-        if not piece.d_of(u).is_zero():
+        if not piece.d(u).is_zero():
             raise ValueError(f"conjugator at {obj} is not closed")
         if not piece.equal(piece.compose(u, u_inv), piece.identity(obj)):
             raise ValueError(f"conjugator at {obj}: inverse certificate fails")
@@ -334,12 +349,16 @@ def conjugation_functor(piece: DgPiece, units: dict) -> DgFunctor:
         u_src_inv = units[f.src][1]
         return piece.compose(u_tgt, piece.compose(f, u_src_inv))
 
-    return DgFunctor("conj", piece, piece, {o: o for o in piece.modules}, act)
+    return DgFunctor("conj", piece, piece, act)
 
 
 @dataclass
 class HfpObject:
-    """Object (M, N, phi) with phi: G(M) -> L(N) closed, degree 0, invertible."""
+    """Object (M, N, phi) with phi: G(M) -> L(N) closed, degree 0, invertible.
+
+    ``HomotopyFiberProduct.object`` certifies a strict inverse; objects
+    whose phi is invertible only up to homotopy are built directly.
+    """
 
     M: str
     N: str
@@ -358,11 +377,18 @@ class FiberProductMorphism:
     gamma: DgMorphism
     degree: int
 
+    def is_zero(self) -> bool:
+        return self.mu.is_zero() and self.nu.is_zero() and self.gamma.is_zero()
+
 
 class HomotopyFiberProduct:
-    """B x^h_D C over dg functors G: B -> D and L: C -> D (Appendix A.2)."""
+    """B x^h_D C over dg functors G: B -> D and L: C -> D (Appendix A.2).
 
-    def __init__(self, B: DgPiece, C: DgPiece, D: DgPiece, G: DgFunctor, L: DgFunctor):
+    B, C and D are dg categories with the ``DgPiece`` operations; the fiber
+    product offers the same ones, so ``AinfFromDg`` runs on it too.
+    """
+
+    def __init__(self, B, C, D, G: DgFunctor, L: DgFunctor):
         if G.target is not D or L.target is not D:
             raise ValueError("G and L must land in D")
         self.B, self.C, self.D, self.G, self.L = B, C, D, G, L
@@ -370,11 +396,11 @@ class HomotopyFiberProduct:
     # -- objects -------------------------------------------------------------
 
     def object(self, M: str, N: str, phi: DgMorphism, inverse: DgMorphism = None) -> HfpObject:
-        if (phi.src, phi.tgt) != (self.G.obj(M), self.L.obj(N)):
+        if (phi.src, phi.tgt) != (M, N):
             raise ValueError(f"phi must map G({M}) -> L({N})")
         if self.D._deg(phi.degree) != 0:
             raise ValueError("phi must have degree 0")
-        if not self.D.d_of(phi).is_zero():
+        if not self.D.d(phi).is_zero():
             raise ValueError("phi must be closed")
         if inverse is None:
             inverse = self._try_invert(phi)
@@ -434,7 +460,7 @@ class HomotopyFiberProduct:
                  nu: DgMorphism, gamma: DgMorphism, degree: int) -> FiberProductMorphism:
         checks = [
             (mu.src, src.M), (mu.tgt, tgt.M), (nu.src, src.N), (nu.tgt, tgt.N),
-            (gamma.src, self.G.obj(src.M)), (gamma.tgt, self.L.obj(tgt.N)),
+            (gamma.src, src.M), (gamma.tgt, tgt.N),
         ]
         for got, want in checks:
             if got != want:
@@ -447,15 +473,30 @@ class HomotopyFiberProduct:
     def identity(self, obj: HfpObject) -> FiberProductMorphism:
         return self.morphism(
             obj, obj, self.B.identity(obj.M), self.C.identity(obj.N),
-            self.D.zero(self.G.obj(obj.M), self.L.obj(obj.N), -1), 0)
+            self.D.zero(obj.M, obj.N, -1), 0)
+
+    def zero(self, src: HfpObject, tgt: HfpObject, degree: int) -> FiberProductMorphism:
+        return self.morphism(src, tgt, self.B.zero(src.M, tgt.M, degree),
+                             self.C.zero(src.N, tgt.N, degree),
+                             self.D.zero(src.M, tgt.N, degree - 1), degree)
+
+    def add(self, m: FiberProductMorphism, *rest: FiberProductMorphism) -> FiberProductMorphism:
+        parts = (m,) + rest
+        return self.morphism(m.src, m.tgt, self.B.add(*(p.mu for p in parts)),
+                             self.C.add(*(p.nu for p in parts)),
+                             self.D.add(*(p.gamma for p in parts)), m.degree)
+
+    def scale(self, m: FiberProductMorphism, c) -> FiberProductMorphism:
+        return self.morphism(m.src, m.tgt, self.B.scale(m.mu, c), self.C.scale(m.nu, c),
+                             self.D.scale(m.gamma, c), m.degree)
 
     def d(self, m: FiberProductMorphism) -> FiberProductMorphism:
         """d(mu, nu, gamma) = (d mu, d nu, -d gamma - phi_2 G(mu) + L(nu) phi_1)."""
-        third = self.D.scale(self.D.d_of(m.gamma), -1)
-        third = self.D.add(third, self.D.scale(
-            self.D.compose(m.tgt.phi, self.G(m.mu)), -1))
-        third = self.D.add(third, self.D.compose(self.L(m.nu), m.src.phi))
-        return self.morphism(m.src, m.tgt, self.B.d_of(m.mu), self.C.d_of(m.nu),
+        third = self.D.add(
+            self.D.scale(self.D.d(m.gamma), -1),
+            self.D.scale(self.D.compose(m.tgt.phi, self.G(m.mu)), -1),
+            self.D.compose(self.L(m.nu), m.src.phi))
+        return self.morphism(m.src, m.tgt, self.B.d(m.mu), self.C.d(m.nu),
                              third, m.degree + 1)
 
     def compose(self, m2: FiberProductMorphism, m1: FiberProductMorphism) -> FiberProductMorphism:
@@ -471,11 +512,7 @@ class HomotopyFiberProduct:
                              m1.degree + m2.degree)
 
     def equal(self, a: FiberProductMorphism, b: FiberProductMorphism) -> bool:
-        return (self.B.equal(a.mu, b.mu) and self.C.equal(a.nu, b.nu)
-                and self.D.equal(a.gamma, b.gamma))
-
-    def is_zero(self, a: FiberProductMorphism) -> bool:
-        return a.mu.is_zero() and a.nu.is_zero() and a.gamma.is_zero()
+        return self.add(a, self.scale(b, -1)).is_zero()
 
 
 # ---------------------------------------------------------------------------
@@ -578,12 +615,12 @@ def hfp_axiom_check(seed: int) -> dict:
     hfp, objs, (m1, m2, m3) = random_hfp_instance(seed)
     failures = []
     for tag, m in (("m1", m1), ("m2", m2), ("m3", m3)):
-        if not hfp.is_zero(hfp.d(hfp.d(m))):
+        if not hfp.d(hfp.d(m)).is_zero():
             failures.append(f"d2({tag})")
     for tag, hi, lo in (("m2m1", m2, m1), ("m3m2", m3, m2), ("m1m3", m1, m3)):
         lhs = hfp.d(hfp.compose(hi, lo))
-        rhs = hfp.compose(hfp.d(hi), lo)
-        rhs = _hfp_add(hfp, rhs, hfp.compose(hi, hfp.d(lo)), sign_pow(hi.degree))
+        rhs = hfp.add(hfp.compose(hfp.d(hi), lo),
+                      hfp.scale(hfp.compose(hi, hfp.d(lo)), sign_pow(hi.degree)))
         if not hfp.equal(lhs, rhs):
             failures.append(f"leibniz({tag})")
     assoc_l = hfp.compose(hfp.compose(m3, m2), m1)
@@ -596,15 +633,6 @@ def hfp_axiom_check(seed: int) -> dict:
         if not hfp.equal(hfp.compose(m, hfp.identity(m.src)), m):
             failures.append("right unit")
     return {"ok": not failures, "failures": failures, "seed": seed}
-
-
-def _hfp_add(hfp, a, b, coeff=1):
-    return FiberProductMorphism(
-        a.src, a.tgt,
-        hfp.B.add(a.mu, hfp.B.scale(b.mu, coeff)),
-        hfp.C.add(a.nu, hfp.C.scale(b.nu, coeff)),
-        hfp.D.add(a.gamma, hfp.D.scale(b.gamma, coeff)),
-        a.degree)
 
 
 # ---------------------------------------------------------------------------
@@ -722,22 +750,6 @@ class ModelOps:
                         add({g: cf * sc * s})
         return self.clean(total)
 
-    def ainf_residual(self, elements) -> dict:
-        """The A-infinity relation at this tuple, with formal units."""
-        els = [dict(e) for e in elements]
-        n = len(els)
-        total: dict = {}
-        for i in range(n):
-            for j in range(i + 1, n + 1):
-                inner = self.m(els[i:j])
-                if not inner:
-                    continue
-                sgn = sign_pow(shifted_sum(self.degree(e) for e in els[:i]))
-                out = self.m(els[:i] + [inner] + els[j:])
-                for g, cf in out.items():
-                    total[g] = total.get(g, SymPoly.zero()) + (cf if sgn > 0 else -cf)
-        return self.clean(total)
-
 
 def model_ainf_check(model: AInfLocalModel, max_arity: int = 3,
                      sample_arities=(), samples: int = 50, seed: int = 0) -> dict:
@@ -756,17 +768,10 @@ def model_ainf_check(model: AInfLocalModel, max_arity: int = 3,
 
     def residual(seq) -> dict:
         els = [{g.name: SymPoly.scalar(1)} for g in seq]
-        n = len(els)
         total: dict = {}
-        for i in range(n):
-            for j in range(i + 1, n + 1):
-                inner = model.deformed_m(els[i:j])
-                if not inner:
-                    continue
-                sgn = sign_pow(shifted_sum(g.degree for g in seq[:i]))
-                out = model.deformed_m(els[:i] + [inner] + els[j:])
-                for g, cf in out.items():
-                    total[g] = total.get(g, SymPoly.zero()) + (cf if sgn > 0 else -cf)
+        for sgn, contracted in contractions(els, [g.degree for g in seq], model.deformed_m):
+            for g, cf in model.deformed_m(contracted).items():
+                total[g] = total.get(g, SymPoly.zero()) + (cf if sgn > 0 else -cf)
         return {g: c for g, c in ((g, model.normalize(c)) for g, c in total.items())
                 if not c.is_zero()}
 
@@ -802,14 +807,14 @@ def model_ainf_check(model: AInfLocalModel, max_arity: int = 3,
 
 @dataclass
 class HomMap:
-    """A graded linear map Hom(dom) -> Hom(cod) between Floer complexes.
+    """A graded linear map Hom(src) -> Hom(tgt) between Yoneda complexes.
 
-    ``dom`` and ``cod`` are (object, reference) pairs; the map acts on formal
+    ``src`` and ``tgt`` are (object, reference) pairs; the map acts on formal
     sums by the stored closure.  Degree is Z/2.
     """
 
-    dom: tuple
-    cod: tuple
+    src: tuple
+    tgt: tuple
     degree: int
     fn: object
 
@@ -817,63 +822,66 @@ class HomMap:
         return self.fn(el)
 
 
-def hom_zero(dom, cod, degree) -> HomMap:
-    return HomMap(dom, cod, degree % 2, lambda el: {})
+class YonedaPiece:
+    """The Yoneda complexes (Hom(C, ref), -m1) of a local model as a dg category.
 
+    Objects are (C, ref) pairs and morphisms are ``HomMap``s; the operations
+    match ``DgPiece``.  The differential of a map is d o f - (-1)^{|f|} f o d
+    with d = -m1, and a sum reduces its values through ``ModelOps.clean``.
+    """
 
-def hom_sum(ops: ModelOps, maps) -> HomMap:
-    maps = [m for m in maps if m is not None]
-    if not maps:
-        raise ValueError("empty sum of maps")
-    dom, cod, deg = maps[0].dom, maps[0].cod, maps[0].degree
-    for m in maps[1:]:
-        if (m.dom, m.cod, m.degree % 2) != (dom, cod, deg % 2):
-            raise ValueError(f"map sum shape mismatch: {(m.dom, m.cod, m.degree)} vs {(dom, cod, deg)}")
+    def __init__(self, ops: ModelOps):
+        self.ops = ops
 
-    def fn(el):
-        out: dict = {}
-        for m in maps:
-            for g, c in m(el).items():
-                out[g] = out.get(g, SymPoly.zero()) + c
-        return ops.clean(out)
+    def _deg(self, n: int) -> int:
+        return n % 2
 
-    return HomMap(dom, cod, deg % 2, fn)
+    def zero(self, src, tgt, degree) -> HomMap:
+        return HomMap(src, tgt, degree % 2, lambda el: {})
 
+    def add(self, f: HomMap, *rest: HomMap) -> HomMap:
+        maps = (f,) + rest
+        for g in rest:
+            if (g.src, g.tgt, g.degree) != (f.src, f.tgt, f.degree):
+                raise ValueError(f"map sum shape mismatch: {(g.src, g.tgt, g.degree)} "
+                                 f"vs {(f.src, f.tgt, f.degree)}")
 
-def hom_scale(m: HomMap, coeff) -> HomMap:
-    if coeff == 1:
-        return m
-    c = _as_poly(coeff)
-    return HomMap(m.dom, m.cod, m.degree, lambda el: {g: v * c for g, v in m(el).items()})
+        def fn(el):
+            out: dict = {}
+            for m in maps:
+                for g, c in m(el).items():
+                    out[g] = out.get(g, SymPoly.zero()) + c
+            return self.ops.clean(out)
 
+        return HomMap(f.src, f.tgt, f.degree, fn)
 
-def m1_ch(ops: ModelOps, f: HomMap) -> HomMap:
-    """Differential of the chain-complex Hom: d o f - (-1)^{|f|} f o d, d = -m1."""
+    def scale(self, f: HomMap, coeff) -> HomMap:
+        if coeff == 1:
+            return f
+        if coeff == -1:
+            return HomMap(f.src, f.tgt, f.degree, lambda el: {g: -v for g, v in f(el).items()})
+        c = _as_poly(coeff)
+        return HomMap(f.src, f.tgt, f.degree, lambda el: {g: v * c for g, v in f(el).items()})
 
-    def fn(el):
-        out: dict = {}
-        for g, c in ops.m([f(el)]).items():
-            out[g] = out.get(g, SymPoly.zero()) - c
-        tail = f(ops.m([el]))
+    def compose(self, g: HomMap, f: HomMap) -> HomMap:
+        """g after f (plain composition, no sign)."""
+        if f.tgt != g.src:
+            raise ValueError(f"maps not composable: {f.tgt} then {g.src}")
+        return HomMap(f.src, g.tgt, (f.degree + g.degree) % 2, lambda el: g(f(el)))
+
+    def d(self, f: HomMap) -> HomMap:
+        ops = self.ops
         s = sign_pow(f.degree)
-        for g, c in tail.items():
-            out[g] = out.get(g, SymPoly.zero()) + s * c
-        return ops.clean(out)
 
-    return HomMap(f.dom, f.cod, (f.degree + 1) % 2, fn)
+        def fn(el):
+            out: dict = {}
+            for g, c in ops.m([f(el)]).items():
+                out[g] = out.get(g, SymPoly.zero()) - c
+            for g, c in f(ops.m([el])).items():
+                out[g] = out.get(g, SymPoly.zero()) + s * c
+            return ops.clean(out)
 
-
-def m2_ch(ops: ModelOps, phi: HomMap, psi: HomMap) -> HomMap:
-    """m2(phi, psi) = (-1)^{|phi|} phi o psi in the reversed dg convention."""
-    if psi.cod != phi.dom:
-        raise ValueError(f"maps not composable: {psi.cod} then {phi.dom}")
-    s = sign_pow(phi.degree)
-
-    def fn(el):
-        out = phi(psi(el))
-        return out if s > 0 else {g: -c for g, c in out.items()}
-
-    return HomMap(psi.dom, phi.cod, (phi.degree + psi.degree) % 2, fn)
+        return HomMap(f.src, f.tgt, (f.degree + 1) % 2, fn)
 
 
 class YonedaFunctor:
@@ -882,9 +890,6 @@ class YonedaFunctor:
     def __init__(self, ops: ModelOps, ref: str):
         self.ops = ops
         self.ref = ref
-
-    def obj(self, C: str):
-        return (C, self.ref)
 
     def component(self, a) -> HomMap:
         a = tuple(a)
@@ -919,16 +924,6 @@ class PreNatTransform:
         if not a and obj is None:
             raise ValueError("arity-0 component needs the object")
         return self.comp(a, obj)
-
-    def _objects(self, a, obj):
-        if a:
-            return self.ops.hom_pair(a[0])[0], self.ops.hom_pair(a[-1])[1]
-        return obj, obj
-
-    def zero_at(self, a, obj=None) -> HomMap:
-        c0, ck = self._objects(tuple(a), obj)
-        deg = (self.norm + shifted_sum(self.ops.degree(e) for e in a)) % 2
-        return hom_zero((ck, self.target.ref), (c0, self.source.ref), deg)
 
 
 def nat_from_cocycle(ops: ModelOps, beta: dict, label: str = "N") -> PreNatTransform:
@@ -1004,11 +999,13 @@ def nat_M1(N: PreNatTransform) -> PreNatTransform:
              + sum_{a = a1 a2, a2 nonempty} m2(N(a1), F2(a2))
              - sum (-1)^{||N||' + |a1|'} N(a1, m(a2), a3),   a2 nonempty,
 
-    with m1, m2 the dg operations of the chain-complex target.  Inner m0
+    with m1, m2 the A.1 operations of the Yoneda complexes.  Inner m0
     insertions are omitted: every component has a unit argument there and
     vanishes by the unit conventions.
     """
     ops = N.ops
+    yon = YonedaPiece(ops)
+    A = AinfFromDg(yon)
     nprime = shifted(N.norm)
 
     def comp(a, obj):
@@ -1016,7 +1013,7 @@ def nat_M1(N: PreNatTransform) -> PreNatTransform:
         terms = []
         base = N.component(a, obj)
         if base is not None:
-            terms.append(m1_ch(ops, base))
+            terms.append(A.m([base]))
         for a1, a2 in _splits(a):
             if a1:
                 mid = ops.hom_pair(a1[-1])[1]
@@ -1024,35 +1021,30 @@ def nat_M1(N: PreNatTransform) -> PreNatTransform:
                 if n_part is not None:
                     f_part = N.source.component(a1)
                     s = sign_pow(nprime * shifted_sum(ops.degree(e) for e in a1))
-                    terms.append(hom_scale(m2_ch(ops, f_part, n_part), s))
+                    terms.append(yon.scale(A.m([f_part, n_part]), s))
             if a2:
                 mid = ops.hom_pair(a2[0])[0]
                 n_part = N.component(a1, mid)
                 if n_part is not None:
                     f_part = N.target.component(a2)
-                    terms.append(m2_ch(ops, n_part, f_part))
-        for i in range(len(a)):
-            for j in range(i + 1, len(a) + 1):
-                inner = ops.m(list(a[i:j]))
-                if not inner:
-                    continue
-                contracted = a[:i] + (inner,) + a[j:]
-                part = N.component(contracted, obj)
-                if part is None:
-                    continue
-                s = -sign_pow(nprime + shifted_sum(ops.degree(e) for e in a[:i]))
-                terms.append(hom_scale(part, s))
+                    terms.append(A.m([n_part, f_part]))
+        for s, contracted in contractions(a, [ops.degree(e) for e in a], ops.m):
+            part = N.component(contracted, obj)
+            if part is not None:
+                terms.append(yon.scale(part, -sign_pow(nprime) * s))
         if not terms:
             return None
-        return hom_sum(ops, terms)
+        return yon.add(*terms)
 
     return PreNatTransform(ops, N.source, N.target, (N.norm + 1) % 2, comp,
                            f"M1({N.label})")
 
 
 def nat_M2(N1: PreNatTransform, N2: PreNatTransform) -> PreNatTransform:
-    """M2(N1, N2)(a) = sum (-1)^{||N2||' |a1|'} m2(N1(a1), N2(a2))."""
+    """M2(N1, N2)(a) = sum (-1)^{||N2||' |a1|'} m2(N1(a1), N2(a2)), m2 from A.1."""
     ops = N1.ops
+    yon = YonedaPiece(ops)
+    A = AinfFromDg(yon)
     n2prime = shifted(N2.norm)
 
     def comp(a, obj):
@@ -1066,10 +1058,10 @@ def nat_M2(N1: PreNatTransform, N2: PreNatTransform) -> PreNatTransform:
             if p1 is None or p2 is None:
                 continue
             s = sign_pow(n2prime * shifted_sum(ops.degree(e) for e in a1))
-            terms.append(hom_scale(m2_ch(ops, p1, p2), s))
+            terms.append(yon.scale(A.m([p1, p2]), s))
         if not terms:
             return None
-        return hom_sum(ops, terms)
+        return yon.add(*terms)
 
     return PreNatTransform(ops, N1.source, N2.target, (N1.norm + N2.norm) % 2,
                            comp, f"M2({N1.label},{N2.label})")
@@ -1275,107 +1267,45 @@ def yoneda_equivalence_check(model, alpha=None, beta=None, unknowns=None,
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class FunctorTriple:
-    """Value of the glued functor on a morphism tuple: (p, q, gamma).
-
-    p is the F^{L0}-component (maps Hom(., L0) complexes), q the
-    F^{L1}-component, gamma the connecting N_01-component mapping
-    Hom(C_k, L1) -> Hom(C_0, L0).
-    """
-
-    p: HomMap
-    q: HomMap
-    gamma: HomMap
-
-
-def _triple_of(ops, y_p: YonedaFunctor, y_q: YonedaFunctor, n_conn: PreNatTransform, a):
-    a = tuple(a)
-    return FunctorTriple(y_p.component(a), y_q.component(a), n_conn.component(a))
-
-
-def _triple_m1E(ops, phi_at, T: FunctorTriple) -> FunctorTriple:
-    """m1 of the fiber product on a reversed morphism triple.
-
-    Third component: -m1(gamma) - m2(phi_{C0}, q) + (-1)^{|p|} m2(p, phi_{Ck}),
-    with phi the object-level connecting maps (arity-0 N_01 components).
-    """
-    c0 = T.p.cod[0]
-    ck = T.p.dom[0]
-    third = hom_sum(ops, [
-        hom_scale(m1_ch(ops, T.gamma), -1),
-        hom_scale(m2_ch(ops, phi_at(c0), T.q), -1),
-        hom_scale(m2_ch(ops, T.p, phi_at(ck)), sign_pow(T.p.degree)),
-    ])
-    return FunctorTriple(m1_ch(ops, T.p), m1_ch(ops, T.q), third)
-
-
-def _triple_m2E(ops, T1: FunctorTriple, T2: FunctorTriple) -> FunctorTriple:
-    """m2 on triples: third = -m2(gamma1, q2) + (-1)^{|p1|} m2(p1, gamma2)."""
-    third = hom_sum(ops, [
-        hom_scale(m2_ch(ops, T1.gamma, T2.q), -1),
-        hom_scale(m2_ch(ops, T1.p, T2.gamma), sign_pow(T1.p.degree)),
-    ])
-    return FunctorTriple(m2_ch(ops, T1.p, T2.p), m2_ch(ops, T1.q, T2.q), third)
-
-
 def functor_equation_residuals(ops, alpha, beta_n, a, bullets) -> list:
     """Componentwise residual of eqn (13.2) at the tuple ``a``.
 
-    LHS = m1E(F(a)) + sum_{a = a1 a2} m2E(F(a1), F(a2));
-    RHS = sum (-1)^{|a1|'} F(a1, m(a2), a3).  Inner m0 insertions vanish by
-    the unit conventions and are omitted.  Returns per-bullet residuals of
-    all three components.
+    The glued functor lands in the homotopy fiber product of the Yoneda
+    complexes over identity functors: an object C goes to
+    (Y^{L1}(C), Y^{L0}(C), N01(C)) and a tuple to F(a) = (q, p, N01(a)),
+    with p, q the components of Y^{L0}, Y^{L1}.  The residual is
+    LHS - RHS with LHS = m1(F(a)) + sum_{a = a1 a2} m2(F(a1), F(a2)), m1 and
+    m2 from A.1 on the fiber product, and RHS = sum (-1)^{|a1|'}
+    F(a1, m(a2), a3).  Inner m0 insertions vanish by the unit conventions
+    and are omitted.  ``bullets`` are (name, element, side) with side "p",
+    "q" or "gamma"; returns (name, side, residual) per bullet.
     """
-    a_src, a_tgt = ops.hom_pair(alpha)
-    y_p = YonedaFunctor(ops, a_src)
-    y_q = YonedaFunctor(ops, a_tgt)
+    l0, l1 = ops.hom_pair(alpha)
+    yon = YonedaPiece(ops)
+    hfp = HomotopyFiberProduct(yon, yon, yon, identity_functor(yon), identity_functor(yon))
+    A = AinfFromDg(hfp)
+    y_p = YonedaFunctor(ops, l0)
+    y_q = YonedaFunctor(ops, l1)
     n_conn = nat_from_cocycle(ops, beta_n, "N01")
 
-    def phi_at(obj):
-        return n_conn.component((), obj)
+    def obj(C):
+        # N01(C) is invertible up to homotopy only; check (i) of
+        # global_functor certifies it
+        return HfpObject((C, l1), (C, l0), n_conn.component((), C))
+
+    def F(t):
+        p = y_p.component(t)
+        return hfp.morphism(obj(ops.hom_pair(t[-1])[1]), obj(ops.hom_pair(t[0])[0]),
+                            y_q.component(t), p, n_conn.component(t), p.degree)
 
     a = tuple(a)
-    terms_p, terms_q, terms_g = [], [], []
-
-    def push(T, coeff=1):
-        terms_p.append(hom_scale(T.p, coeff))
-        terms_q.append(hom_scale(T.q, coeff))
-        terms_g.append(hom_scale(T.gamma, coeff))
-
-    F_a = _triple_of(ops, y_p, y_q, n_conn, a)
-    push(_triple_m1E(ops, phi_at, F_a))
-    for i in range(1, len(a)):
-        T1 = _triple_of(ops, y_p, y_q, n_conn, a[:i])
-        T2 = _triple_of(ops, y_p, y_q, n_conn, a[i:])
-        push(_triple_m2E(ops, T1, T2))
-    for i in range(len(a)):
-        for j in range(i + 1, len(a) + 1):
-            inner = ops.m(list(a[i:j]))
-            if not inner:
-                continue
-            contracted = a[:i] + (inner,) + a[j:]
-            s = -sign_pow(shifted_sum(ops.degree(e) for e in a[:i]))
-            push(_triple_of(ops, y_p, y_q, n_conn, contracted), s)
-
-    out = []
-    for bname, bullet, side in bullets:
-        if side == "p":
-            res = _hom_eval_sum(ops, terms_p, bullet)
-        elif side == "q":
-            res = _hom_eval_sum(ops, terms_q, bullet)
-        else:
-            res = _hom_eval_sum(ops, terms_g, bullet)
-        out.append((bname, side, res))
-    return out
-
-
-def _hom_eval_sum(ops, maps, bullet) -> dict:
-    total: dict = {}
-    for m in maps:
-        for g, c in m(bullet).items():
-            total[g] = total.get(g, SymPoly.zero()) + c
-    return ops.clean(total)
+    terms = [A.m([F(a)])]
+    terms += [A.m([F(a[:i]), F(a[i:])]) for i in range(1, len(a))]
+    terms += [hfp.scale(F(c), -s)
+              for s, c in contractions(a, [ops.degree(e) for e in a], ops.m)]
+    residual = hfp.add(*terms)
+    sides = {"p": residual.nu, "q": residual.mu, "gamma": residual.gamma}
+    return [(bname, side, sides[side](bullet)) for bname, bullet, side in bullets]
 
 
 def stretched_covering(curve):
@@ -1414,7 +1344,10 @@ def global_functor(model="two_pants", curve=None, arity_bound: int = 2,
     object triples (F^{L0}(C), F^{L1}(C), N_01(C)) and verifies (i) the
     homotopy invertibility of the connecting map via Lemma "n0hptyeq" and
     (ii) the Prop 13.2 functor equation at arities <= ``arity_bound`` on
-    the isomorphism sector.  On the matrix-factorization side it builds the
+    the isomorphism sector.  The connecting map phi = N_01(C) of each
+    object is invertible only up to homotopy; check (i) certifies that, so
+    these objects skip ``HomotopyFiberProduct.object``'s strict-inverse
+    test.  On the matrix-factorization side it builds the
     Prop "glueMF_12" object triple for the given winding and gauge integers.
     With a ``curve`` (default: the 4-punctured-sphere two-chart system of
     the conifold) the covering certificate of Assumption 4.7 is required;
@@ -1518,8 +1451,10 @@ def gluemf_triple(m: int = 0, a1: int = 0, a2: int = 0) -> dict:
     w_ok = (w2 - mf1.potential).is_zero()
 
     # the pants factorization written in the chart-1 variables
-    delta2 = {g: {h: c.substitute(transition) for h, c in col.items()}
-              for g, col in mf2.delta.items()}
+    rewritten = replace(
+        mf2, variables=mf1.variables, potential=w2,
+        delta={g: {h: c.substitute(transition) for h, c in col.items()}
+               for g, col in mf2.delta.items()})
     if m == 0:
         glue = {"A": {"C0": SymPoly.term(-1, None, {t: a1})},
                 "B": {"D0": SymPoly.term(1, None, {t: a2})}}
@@ -1528,28 +1463,13 @@ def gluemf_triple(m: int = 0, a1: int = 0, a2: int = 0) -> dict:
                 "B": {f"D{2*m}": SymPoly.term(-1, None, {t: a2 + 1, "y1": 1}),
                       f"D{2*m-1}": SymPoly.term(1, None, {t: a2 + 1})}}
 
-    def residual(sA, sB):
-        signs = {"A": sA, "B": sB}
-        out = {}
-        for g in ("A", "B"):
-            img = {h: c * signs[g] for h, c in glue[g].items()}
-            lhs: dict = {}
-            for h, c in img.items():
-                for k2, d in mf1.delta.get(h, {}).items():
-                    lhs[k2] = lhs.get(k2, SymPoly.zero()) + c * d
-            rhs: dict = {}
-            for h, c in delta2.get(g, {}).items():
-                for k2, d in glue[h].items():
-                    rhs[k2] = rhs.get(k2, SymPoly.zero()) + c * d * signs[h]
-            for k2 in set(lhs) | set(rhs):
-                r = lhs.get(k2, SymPoly.zero()) - rhs.get(k2, SymPoly.zero())
-                if not r.is_zero():
-                    out[(g, k2)] = str(r)
-        return out
-
     chain_ok, chosen = False, None
     for sA, sB in itertools.product((1, -1), repeat=2):
-        if not residual(sA, sB):
+        signs = {"A": sA, "B": sB}
+        signed = mf_mod.MFMorphism(
+            rewritten, mf1, {g: {h: c * signs[g] for h, c in col.items()}
+                             for g, col in glue.items()}, 0)
+        if signed.is_chain_map:
             chain_ok, chosen = True, (sA, sB)
             break
 

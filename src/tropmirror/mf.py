@@ -214,6 +214,27 @@ def _canonical_monomial(poly: SymPoly) -> str:
     return "*".join(f"{v}^{e}" if e != 1 else v for v, e in sorted(exps.items()))
 
 
+def _expand(element: dict, subs: dict, drop=frozenset()) -> dict:
+    """Rewrite a formal sum through the substitutions of eliminated generators.
+
+    Generators in ``drop`` are projected away.  Substitutions may chain;
+    more than 10,000 steps means they cycle.
+    """
+    out: dict = {}
+    queue = list(element.items())
+    steps = 0
+    while queue:
+        g, c = queue.pop()
+        steps += 1
+        if steps > 10000:
+            raise ValueError("cokernel substitution does not terminate")
+        if g in subs:
+            queue.extend((h, c * d) for h, d in subs[g].items())
+        elif g not in drop:
+            out[g] = out.get(g, SymPoly.zero()) + c
+    return {g: c for g, c in out.items() if not c.is_zero()}
+
+
 def _reduce_presentation(mf: MatrixFactorization):
     """Scripted reduction of coker(delta: odd -> even).
 
@@ -231,22 +252,6 @@ def _reduce_presentation(mf: MatrixFactorization):
     relations = [r for r in relations if r]
     live = list(mf.even)
     subs: dict = {}
-
-    def substitute(rel: dict) -> dict:
-        out: dict = {}
-        queue = list(rel.items())
-        steps = 0
-        while queue:
-            g, c = queue.pop()
-            steps += 1
-            if steps > 10000:
-                raise ValueError("cokernel substitution does not terminate")
-            if g in subs:
-                queue.extend((h, c * d) for h, d in subs[g].items())
-            else:
-                out[g] = out.get(g, SymPoly.zero()) + c
-        return {g: c for g, c in out.items() if not c.is_zero()}
-
     changed = True
     while changed:
         changed = False
@@ -259,7 +264,7 @@ def _reduce_presentation(mf: MatrixFactorization):
             subs[hit] = {h: -(inv * c) for h, c in rel.items() if h != hit}
             live.remove(hit)
             del relations[idx]
-            relations = [substitute(r) for r in relations]
+            relations = [_expand(r, subs) for r in relations]
             relations = [r for r in relations if r]
             changed = True
             break
@@ -631,7 +636,7 @@ def section_vanishing_order(mf: MatrixFactorization, m: int, a2: int) -> int:
     of D0 (the divisor integer, independent of any Novikov unit).  For
     m = 0 both factorizations are two-by-two and the gluing is B -> x1^{a2} D0.
     """
-    live, mono_rels, subs, trivial = _reduce_presentation(mf)
+    _, _, subs, trivial = _reduce_presentation(mf)
     x = mf.variables[0]
     if m == 0:
         element = {"D0": SymPoly.term(1, None, {x: a2})}
@@ -641,19 +646,7 @@ def section_vanishing_order(mf: MatrixFactorization, m: int, a2: int) -> int:
             f"D{2*m}": SymPoly.term(-1, None, {x: a2 + 1, y: 1}),
             f"D{2*m-1}": SymPoly.term(1, None, {x: a2 + 1}),
         }
-    out: dict = {}
-    queue = list(element.items())
-    steps = 0
-    while queue:
-        g, c = queue.pop()
-        steps += 1
-        if steps > 10000:
-            raise ValueError("section trace does not terminate")
-        if g in subs:
-            queue.extend((h, c * d) for h, d in subs[g].items())
-        elif g not in trivial:
-            out[g] = out.get(g, SymPoly.zero()) + c
-    out = {g: c for g, c in out.items() if not c.is_zero()}
+    out = _expand(element, subs, drop=trivial)
     if set(out) != {"D0"}:
         raise ValueError(f"glued section does not land on D0: {sorted(out)}")
     exps = _mono_exponents(out["D0"])

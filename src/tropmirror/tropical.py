@@ -381,26 +381,89 @@ def load_curve(document, a1_overrides=None) -> TropicalCurve:
             raise CurveValidationError([f"curve {str(document)!r}: invalid JSON: {err}"]) from err
     else:
         doc = document
+    vertices, edges, errors = _parse_document(doc, a1_overrides or {})
+    if errors:
+        raise CurveValidationError(errors)
+    return TropicalCurve(doc.get("name", "curve"), vertices, edges, doc.get("anchor"))
+
+
+def _pair(values, convert) -> tuple:
+    out = tuple(convert(v) for v in values)
+    if len(out) != 2:
+        raise ValueError(f"needs two entries, got {len(out)}")
+    return out
+
+
+def _integer(v) -> int:
+    # int() would truncate a JSON float such as 1.5 without complaint
+    if isinstance(v, float) and not v.is_integer():
+        raise ValueError(f"{v!r} is not an integer")
+    return int(v)
+
+
+def _ids(values) -> tuple:
+    out = tuple(values)
+    if not all(isinstance(v, str) for v in out):
+        raise TypeError("ids must be strings")
+    return out
+
+
+def _parse_document(doc, overrides: dict):
+    """Vertices, edges and the structural errors of a curve document.
+
+    A malformed entry (a missing key, a value of the wrong shape or type)
+    becomes an error line instead of an exception; so does an a1 override
+    that names no finite edge.
+    """
+    if not isinstance(doc, dict):
+        return {}, {}, [f"curve document: expected a JSON object, got {type(doc).__name__}"]
+    errors = [f"curve document: {key!r} must be a JSON object"
+              for key in ("vertices", "edges") if not isinstance(doc.get(key), dict)]
+    if errors:
+        return {}, {}, errors
+
+    def parse(where, build):
+        try:
+            return build()
+        except KeyError as err:
+            errors.append(f"{where}: missing {err.args[0]!r}")
+        except (TypeError, ValueError, AttributeError, ZeroDivisionError) as err:
+            errors.append(f"{where}: malformed ({err})")
+        return None
+
     vertices = {}
     for vid, spec in doc["vertices"].items():
-        pos = tuple(_frac(c) for c in spec["position"])
-        vertices[vid] = Vertex(vid, pos, tuple(spec["edges"]))
+        vertex = parse(f"vertex {vid}", lambda: Vertex(
+            vid, _pair(spec["position"], _frac), _ids(spec["edges"])))
+        if vertex is not None:
+            vertices[vid] = vertex
     edges = {}
-    overrides = a1_overrides or {}
     for eid, spec in doc["edges"].items():
-        a1_doc = spec.get("a1")
-        a1 = overrides.get(eid, a1_doc)
-        areas = spec.get("areas", {})
-        edges[eid] = Edge(
-            eid,
-            tuple(spec["ends"]),
-            tuple(int(c) for c in spec["direction"]),
-            int(a1) if a1 is not None else None,
-            int(spec["a2"]) if "a2" in spec else None,
-            _frac(areas["Ay"]) if "Ay" in areas else None,
-            int(a1_doc) if a1_doc is not None else None,
-        )
-    return TropicalCurve(doc.get("name", "curve"), vertices, edges, doc.get("anchor"))
+        def build():
+            a1_doc = spec.get("a1")
+            a1 = overrides.get(eid, a1_doc)
+            areas = spec.get("areas", {})
+            ends = _ids(spec["ends"])
+            if len(ends) not in (1, 2):
+                raise ValueError(f"needs one or two ends, got {len(ends)}")
+            return Edge(
+                eid, ends, _pair(spec["direction"], _integer),
+                _integer(a1) if a1 is not None else None,
+                _integer(spec["a2"]) if "a2" in spec else None,
+                _frac(areas["Ay"]) if "Ay" in areas else None,
+                _integer(a1_doc) if a1_doc is not None else None,
+            )
+        edge = parse(f"edge {eid}", build)
+        if edge is not None:
+            edges[eid] = edge
+    for eid, edge in sorted(edges.items()):
+        errors += [f"edge {eid}: end {v!r} is not a vertex" for v in edge.ends if v not in vertices]
+    anchor = doc.get("anchor")
+    if anchor is not None:
+        parse("anchor", lambda: (_ids([anchor["edge"]]), _pair(anchor["left"], _frac)))
+    errors += [f"a1 override {eid!r}: names no finite edge" for eid in sorted(overrides)
+               if eid not in edges or not edges[eid].finite]
+    return vertices, edges, errors
 
 
 def conifold_curve(k: int) -> TropicalCurve:

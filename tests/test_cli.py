@@ -58,29 +58,51 @@ class TestMirror:
         assert not report["ok"]
         assert report["errors"]
 
-    @pytest.mark.parametrize("kind", ["unknown_name", "bad_json", "bad_anchor_edge"])
+    @pytest.mark.parametrize("kind", ["unknown_name", "bad_json", "bad_anchor_edge",
+                                      "empty_object", "not_an_object",
+                                      "vertex_without_position", "fractional_direction",
+                                      "unknown_a1_key"])
     def test_unreadable_curve_exits_2_with_errors(self, capsys, tmp_path, kind):
+        doc = {"name": "bad",
+               "vertices": {"v": {"position": ["0", "0"],
+                                  "edges": ["x", "y", "z"]}},
+               "edges": {"x": {"ends": ["v"], "direction": [1, 0]},
+                         "y": {"ends": ["v"], "direction": [0, 1]},
+                         "z": {"ends": ["v"], "direction": [-1, -1]}},
+               "anchor": {"edge": "x", "left": [0, 0]}}
+        extra = ()
         if kind == "unknown_name":
             curve = "nosuchcurve"
+        elif kind == "unknown_a1_key":
+            curve = "conifold"
+            extra = ("--a1", "nope=3")
         else:
             path = tmp_path / f"{kind}.json"
             if kind == "bad_json":
                 path.write_text("{not json")
+            elif kind == "empty_object":
+                path.write_text("{}")
+            elif kind == "not_an_object":
+                path.write_text("[1]")
             else:
-                doc = {"name": "bad",
-                       "vertices": {"v": {"position": ["0", "0"],
-                                          "edges": ["x", "y", "z"]}},
-                       "edges": {"x": {"ends": ["v"], "direction": [1, 0]},
-                                 "y": {"ends": ["v"], "direction": [0, 1]},
-                                 "z": {"ends": ["v"], "direction": [-1, -1]}},
-                       "anchor": {"edge": "nope", "left": [0, 0]}}
+                if kind == "bad_anchor_edge":
+                    doc["anchor"]["edge"] = "nope"
+                elif kind == "fractional_direction":
+                    doc["edges"]["x"]["direction"] = [1.5, 0]
+                else:
+                    del doc["vertices"]["v"]["position"]
                 path.write_text(json.dumps(doc))
             curve = str(path)
-        code, report = run_json(capsys, "mirror", "--curve", curve)
+        code, report = run_json(capsys, "mirror", "--curve", curve, *extra)
         assert code == 2
         assert report["ok"] is False
         assert isinstance(report["errors"], list) and report["errors"]
         assert all(isinstance(e, str) for e in report["errors"])
+        named = {"bad_anchor_edge": "nope", "empty_object": "vertices",
+                 "not_an_object": "JSON object", "vertex_without_position": "position",
+                 "fractional_direction": "not an integer",
+                 "unknown_a1_key": "nope"}.get(kind, "")
+        assert any(named in e for e in report["errors"])
 
     def test_svg_artifacts(self, capsys, tmp_path):
         out = tmp_path / "art"

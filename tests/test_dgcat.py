@@ -35,6 +35,12 @@ class TestDgPieces:
             f3 = dgcat.random_dg_morphism(rng, piece, names[0], names[2], rng.choice([0, 1]))
             for args in ([f1], [f1, f2], [f1, f2, f3]):
                 assert A.relation_residual(args).is_zero()
+        # the same construction on homotopy fiber products
+        for seed in range(20):
+            hfp, _, (m1, m2, m3) = dgcat.random_hfp_instance(seed)
+            A = dgcat.AinfFromDg(hfp)
+            for args in ([m1], [m2, m1], [m3, m2, m1]):
+                assert A.relation_residual(args).is_zero()
 
     def test_mf_dg_piece_single_potential(self):
         mf0 = mf.transform_object(mf.winding_strip_model(0, exact=True), "L", "S1")
@@ -74,7 +80,7 @@ class TestHomotopyFiberProduct:
             piece = dgcat.random_dg_piece(rng, "D", objects=1)
             obj = sorted(piece.modules)[0]
             phi = dgcat.random_dg_morphism(rng, piece, obj, obj, 0)
-            if piece.d_of(phi).is_zero():
+            if piece.d(phi).is_zero():
                 continue
             hfp = dgcat.HomotopyFiberProduct(piece, piece, piece,
                                              dgcat.identity_functor(piece),
@@ -128,6 +134,25 @@ class TestGlobalFunctor:
         fe = report["checks"]["functor_equation"]
         assert fe["ok"] and fe["cases"] > 0, fe["failures"][:3]
         assert report["ok"]
+
+    def test_functor_equation_detects_wrong_connecting_map(self):
+        # the Q1r half of two_pants' normalized beta is closed but no inverse of alpha
+        ops, alpha, beta_n, _ = dgcat.iso_setup("two_pants")
+        half = {"Q1r": beta_n["Q1r"]}
+        assert not ops.m([half])
+        l0, l1 = ops.hom_pair(alpha)
+        sides = {l0: ("p",), l1: ("q", "gamma")}
+        arrows = dgcat.sector_elements(ops, alpha, beta_n)
+        residuals = []
+        for k in (1, 2):
+            for chain, _, ck in dgcat.sector_tuples(ops, arrows, k):
+                bullets = [(name, el, side) for (s, t), items in sorted(arrows.items())
+                           if s == ck for name, el in items for side in sides[t]]
+                residuals += dgcat.functor_equation_residuals(
+                    ops, alpha, half, [el for _, el in chain], bullets)
+        assert len(residuals) == 36
+        # only the connecting component at (beta~; alpha) sees the missing P1r half
+        assert [(name, side) for name, side, res in residuals if res] == [("alpha", "gamma")]
 
     @pytest.mark.parametrize("name", ["isotopy_pair", "circle_seidel"])
     def test_all_shipped_pairs_glue(self, name):
