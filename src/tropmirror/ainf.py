@@ -22,8 +22,6 @@ from importlib import resources
 
 from .symbolic import AreaExp, SymPoly
 
-SUBRING_NAMES = ("Lambda", "Lambda0", "Lambda+", "Lambda0x")
-
 
 @dataclass(frozen=True)
 class Generator:
@@ -56,7 +54,6 @@ class AInfLocalModel:
     subrings: dict = field(default_factory=dict)  # variable -> subring name
     offsets: dict = field(default_factory=dict)  # generator -> AreaExp
     max_b_insertions: int = 3
-    ainf_complete: bool = False
 
     # -- basic structure ----------------------------------------------------
 
@@ -193,7 +190,7 @@ class CoordinateChange:
         out = {g: self.substitute(c) for g, c in element.items()}
         return {g: c for g, c in out.items() if not c.is_zero()}
 
-    def gluing_region(self, subrings: dict = None):
+    def gluing_region(self):
         """Valuation inequalities cutting out the overlap of the two charts.
 
         Each solved relation v = s*T^a*prod(w^e) yields the requirement that
@@ -205,7 +202,7 @@ class CoordinateChange:
         out = []
         for v, expr in self.solved.items():
             _, area, mono = expr.normalize(self.constraints).single_term()
-            rel = rels[(subrings or self.subrings).get(v, "Lambda+")]
+            rel = rels[self.subrings.get(v, "Lambda+")]
             out.append({"variable": v, "exponents": dict(mono), "area": area, "relation": rel})
         return out
 
@@ -420,7 +417,6 @@ def exact_reduce(model: AInfLocalModel) -> AInfLocalModel:
         subrings=dict(model.subrings),
         offsets={},
         max_b_insertions=model.max_b_insertions,
-        ainf_complete=model.ainf_complete,
     )
 
 
@@ -476,7 +472,6 @@ def load_model(name: str, apply_constraints: bool = True, spin: bool = True) -> 
         subrings=dict(doc.get("subrings", {})),
         offsets={k: _area_from_json(v) for k, v in doc.get("offsets", {}).items()},
         max_b_insertions=int(doc.get("max_b_insertions", 3)),
-        ainf_complete=bool(doc.get("ainf_complete", False)),
     )
 
 

@@ -69,41 +69,36 @@ def parse_args(argv) -> RunConfig:
         description="Mirror constructions for punctured Riemann surfaces.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def output(p):
+        p.add_argument("--out", help="output directory for reports and SVG")
+        p.add_argument("--format", choices=("text", "structured"), default="text")
+        return p
+
+    def curve_input(p):
         p.add_argument("--curve", help="curve document: shipped name or JSON path")
         p.add_argument("--models", help="directory with curve/model JSON documents")
         p.add_argument("--a1", type=_parse_kv_ints, default={},
                        help="edge gauge overrides, e.g. e=1,f=0")
-        p.add_argument("--seed", type=int, default=7)
-        p.add_argument("--arity", type=int, default=2, choices=(2, 3))
-        p.add_argument("--out", help="output directory for reports and SVG")
-        p.add_argument("--format", choices=("text", "structured"), default="text")
+        return output(p)
 
-    p_mirror = sub.add_parser("mirror", help="construct the mirror of a curve")
-    common(p_mirror)
+    curve_input(sub.add_parser("mirror", help="construct the mirror of a curve"))
 
-    p_trans = sub.add_parser("transform", help="divisor line bundle of a face")
-    common(p_trans)
+    p_trans = curve_input(sub.add_parser("transform", help="divisor line bundle of a face"))
     p_trans.add_argument("--face", type=_parse_face, required=True,
                          help="dual point of the face, e.g. 0,0")
     p_trans.add_argument("--windings", type=_parse_kv_ints, default={},
                          help="winding integers per finite edge, e.g. e=2")
 
-    p_verify = sub.add_parser("verify", help="run acceptance-criteria suites")
-    common(p_verify)
+    p_verify = output(sub.add_parser("verify", help="run acceptance-criteria suites"))
+    p_verify.add_argument("--seed", type=int, default=7)
+    p_verify.add_argument("--arity", type=int, default=2, choices=(2, 3))
     p_verify.add_argument("suite", nargs="?", default="all",
                           help=f"one of: {', '.join(SUITE_ORDER)}, all")
 
-    p_render = sub.add_parser("render", help="write SVG diagrams of a curve")
-    common(p_render)
+    curve_input(sub.add_parser("render", help="write SVG diagrams of a curve"))
 
-    ns = parser.parse_args(argv)
-    return RunConfig(
-        command=ns.command, curve=getattr(ns, "curve", None),
-        models=getattr(ns, "models", None), face=getattr(ns, "face", None),
-        windings=getattr(ns, "windings", {}), a1=ns.a1,
-        seed=ns.seed, arity=ns.arity,
-        out=ns.out, format=ns.format, suite=getattr(ns, "suite", "all"))
+    # flags a subcommand does not register keep the RunConfig defaults
+    return RunConfig(**vars(parser.parse_args(argv)))
 
 
 def _load_curve(cfg: RunConfig):
@@ -267,6 +262,18 @@ def _emit(cfg: RunConfig, report: dict) -> None:
         (out_dir / f"{cfg.command}-report.{suffix}").write_text(text)
 
 
+def _write_svgs(curve, out_dir: Path) -> dict:
+    """Write the curve, fan and cone diagrams; returns {file name: path}."""
+    out_dir.mkdir(parents=True, exist_ok=True)
+    artifacts = {}
+    for name, text in (("curve.svg", curve_svg(curve)),
+                       ("fan.svg", fan_svg(curve)),
+                       ("cones.svg", cones_svg(curve))):
+        (out_dir / name).write_text(text)
+        artifacts[name] = str(out_dir / name)
+    return artifacts
+
+
 def _config_echo(cfg: RunConfig) -> dict:
     return {"command": cfg.command, "curve": cfg.curve, "seed": cfg.seed,
             "arity": cfg.arity, "format": cfg.format,
@@ -279,15 +286,7 @@ def _config_echo(cfg: RunConfig) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def cmd_mirror(cfg: RunConfig) -> int:
-    try:
-        curve = _load_curve(cfg)
-    except CurveValidationError as err:
-        report = {"config": _config_echo(cfg), "ok": False,
-                  "errors": list(err.errors)}
-        _emit(cfg, report)
-        return 2
-
+def cmd_mirror(cfg: RunConfig, curve) -> int:
     report = {"config": _config_echo(cfg), "curve": curve.name}
     report["vertices"] = {
         vid: {"position": [str(c) for c in v.position], "edges": list(v.edges)}
@@ -329,15 +328,7 @@ def cmd_mirror(cfg: RunConfig) -> int:
     report["ok"] = bool(cocycle["ok"] and potential["ok"] and certificate["ok"])
 
     if cfg.out:
-        out_dir = Path(cfg.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        artifacts = {}
-        for name, text in (("curve.svg", curve_svg(curve)),
-                           ("fan.svg", fan_svg(curve)),
-                           ("cones.svg", cones_svg(curve))):
-            (out_dir / name).write_text(text)
-            artifacts[name] = str(out_dir / name)
-        report["artifacts"] = artifacts
+        report["artifacts"] = _write_svgs(curve, Path(cfg.out))
 
     _emit(cfg, report)
     return 0 if report["ok"] else 1
@@ -348,13 +339,7 @@ def cmd_mirror(cfg: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 
 
-def cmd_transform(cfg: RunConfig) -> int:
-    try:
-        curve = _load_curve(cfg)
-    except CurveValidationError as err:
-        _emit(cfg, {"config": _config_echo(cfg), "ok": False,
-                    "errors": list(err.errors)})
-        return 2
+def cmd_transform(cfg: RunConfig, curve) -> int:
     report = {"config": _config_echo(cfg), "curve": curve.name,
               "face": [str(c) for c in cfg.face],
               "windings": dict(sorted(cfg.windings.items()))}
@@ -566,8 +551,8 @@ def _suite_morphisms(cfg) -> dict:
     cases = {}
     for name, image in images.items():
         phi = mf.transform_morphism(model, name, obj, obj)
-        cases[name] = phi.to_dict()["entries"] == {"A": {"A": image},
-                                                   "B": {"B": image}}
+        entries = {g: {h: str(c) for h, c in col.items()} for g, col in phi.entries.items()}
+        cases[name] = entries == {"A": {"A": image}, "B": {"B": image}}
     comp_ok = all(mf.composition_check(model, i, j)
                   for i in range(-3, 4) for j in range(-3, 4))
     cases["compositions |i|,|j|<=3"] = comp_ok
@@ -616,33 +601,28 @@ def cmd_verify(cfg: RunConfig) -> int:
     return 0 if report["ok"] else 1
 
 
-def cmd_render(cfg: RunConfig) -> int:
+def cmd_render(cfg: RunConfig, curve) -> int:
+    written = list(_write_svgs(curve, Path(cfg.out or ".")).values())
+    _emit(cfg, {"config": _config_echo(cfg), "curve": curve.name,
+                "artifacts": written, "ok": True})
+    return 0
+
+
+CURVE_COMMANDS = {"mirror": cmd_mirror, "transform": cmd_transform,
+                  "render": cmd_render}
+
+
+def main(argv=None) -> int:
+    cfg = parse_args(argv if argv is not None else sys.argv[1:])
+    if cfg.command == "verify":
+        return cmd_verify(cfg)
     try:
         curve = _load_curve(cfg)
     except CurveValidationError as err:
         _emit(cfg, {"config": _config_echo(cfg), "ok": False,
                     "errors": list(err.errors)})
         return 2
-    out_dir = Path(cfg.out or ".")
-    out_dir.mkdir(parents=True, exist_ok=True)
-    written = []
-    for name, text in (("curve.svg", curve_svg(curve)),
-                       ("fan.svg", fan_svg(curve)),
-                       ("cones.svg", cones_svg(curve))):
-        (out_dir / name).write_text(text)
-        written.append(str(out_dir / name))
-    _emit(cfg, {"config": _config_echo(cfg), "curve": curve.name,
-                "artifacts": written, "ok": True})
-    return 0
-
-
-COMMANDS = {"mirror": cmd_mirror, "transform": cmd_transform,
-            "verify": cmd_verify, "render": cmd_render}
-
-
-def main(argv=None) -> int:
-    cfg = parse_args(argv if argv is not None else sys.argv[1:])
-    return COMMANDS[cfg.command](cfg)
+    return CURVE_COMMANDS[cfg.command](cfg, curve)
 
 
 if __name__ == "__main__":  # pragma: no cover

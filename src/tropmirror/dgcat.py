@@ -29,6 +29,10 @@ same operations ``d``, ``compose``, ``add``, ``scale`` and ``zero``, so the
 one A.1 construction supplies m1 and m2 everywhere: to the Yoneda
 complexes in M1/M2 of A.3, and to the fiber product of Yoneda complexes,
 where the Prop 13.2 functor equation is checked with A.1's m1 and m2.
+Matrix factorizations form a ``DgPiece`` too (``mf_dg_piece``): the
+morphisms ``mf.transform_morphism`` builds are its ``DgMorphism``s, so the
+Section 10.2 chain-map and composition checks and the Prop "glueMF_12"
+gluing signs all use the one Hom-complex differential of ``DgPiece.d``.
 
 Verification scope
 ------------------
@@ -229,7 +233,9 @@ def mf_dg_piece(factorizations) -> DgPiece:
     -m1^{0,b} convention of Def 2.4 as produced by ``mf.transform_object``;
     delta^2 = W Id is central, so all Hom complexes square to zero.  All
     objects must factor the same chart potential: across different
-    potentials the Hom spaces are not complexes.
+    potentials the Hom spaces are not complexes.  ``d`` does not normalize
+    area forms: factorization entries come normalized from ``deformed_m``,
+    and sums and products of normalized forms stay normalized.
     """
     potentials = [f.potential for f in factorizations]
     for w in potentials[1:]:
@@ -356,8 +362,8 @@ def conjugation_functor(piece: DgPiece, units: dict) -> DgFunctor:
 class HfpObject:
     """Object (M, N, phi) with phi: G(M) -> L(N) closed, degree 0, invertible.
 
-    ``HomotopyFiberProduct.object`` certifies a strict inverse; objects
-    whose phi is invertible only up to homotopy are built directly.
+    ``HomotopyFiberProduct.object`` certifies a given strict inverse;
+    objects whose phi is invertible only up to homotopy are built directly.
     """
 
     M: str
@@ -395,64 +401,18 @@ class HomotopyFiberProduct:
 
     # -- objects -------------------------------------------------------------
 
-    def object(self, M: str, N: str, phi: DgMorphism, inverse: DgMorphism = None) -> HfpObject:
+    def object(self, M: str, N: str, phi: DgMorphism, inverse: DgMorphism) -> HfpObject:
+        """The object (M, N, phi), certifying ``inverse`` as a two-sided inverse of phi."""
         if (phi.src, phi.tgt) != (M, N):
             raise ValueError(f"phi must map G({M}) -> L({N})")
         if self.D._deg(phi.degree) != 0:
             raise ValueError("phi must have degree 0")
         if not self.D.d(phi).is_zero():
             raise ValueError("phi must be closed")
-        if inverse is None:
-            inverse = self._try_invert(phi)
-        if inverse is None:
-            raise ValueError("phi is not invertible (no certificate found)")
         if not self.D.equal(self.D.compose(phi, inverse), self.D.identity(phi.tgt)) or \
            not self.D.equal(self.D.compose(inverse, phi), self.D.identity(phi.src)):
             raise ValueError("phi is not invertible (certificate fails)")
         return HfpObject(M, N, phi, inverse)
-
-    def _try_invert(self, phi: DgMorphism) -> DgMorphism | None:
-        """Strict inverse by Gaussian elimination over exact scalar entries."""
-        src = self.D.module(phi.src)
-        tgt = self.D.module(phi.tgt)
-        labels_s, labels_t = src.labels(), tgt.labels()
-        if len(labels_s) != len(labels_t):
-            return None
-        n = len(labels_s)
-        rows = []
-        for i, g in enumerate(labels_s):
-            row = []
-            for h in labels_t:
-                c = phi.entries.get(g, {}).get(h, SymPoly.zero())
-                if c.is_zero():
-                    row.append(Fraction(0))
-                    continue
-                scalar, area, mono = c.single_term() if c.is_monomial() else (None, None, None)
-                if scalar is None or not area.is_zero() or mono:
-                    return None  # non-scalar entry: require an explicit certificate
-                row.append(scalar)
-            rows.append(row + [Fraction(1) if j == i else Fraction(0) for j in range(n)])
-        for col in range(n):
-            pivot = next((r for r in range(col, n) if rows[r][col]), None)
-            if pivot is None:
-                return None
-            rows[col], rows[pivot] = rows[pivot], rows[col]
-            pv = rows[col][col]
-            rows[col] = [v / pv for v in rows[col]]
-            for r in range(n):
-                if r != col and rows[r][col]:
-                    f = rows[r][col]
-                    rows[r] = [v - f * w for v, w in zip(rows[r], rows[col])]
-        entries: dict = {}
-        for i, h in enumerate(labels_t):
-            col = {}
-            for j, g in enumerate(labels_s):
-                v = rows[j][n + i]
-                if v:
-                    col[g] = SymPoly.scalar(v)
-            if col:
-                entries[h] = col
-        return DgMorphism(phi.tgt, phi.src, 0, entries)
 
     # -- morphisms -----------------------------------------------------------
 
@@ -520,14 +480,13 @@ class HomotopyFiberProduct:
 # ---------------------------------------------------------------------------
 
 
-def random_dg_piece(rng: random.Random, name: str = "P", objects: int = 2,
-                    max_rank: int = 3) -> DgPiece:
-    """Two-term complexes with matched-pair differentials and monomial entries."""
+def random_dg_piece(rng: random.Random, name: str = "P", objects: int = 2) -> DgPiece:
+    """Two-term complexes of ranks 1..3 with matched-pair differentials and monomial entries."""
     modules = {}
     for k in range(objects):
         obj = f"{name}{k}"
-        rank0 = rng.randint(1, max_rank)
-        rank1 = rng.randint(1, max_rank)
+        rank0 = rng.randint(1, 3)
+        rank1 = rng.randint(1, 3)
         basis = tuple([(f"{obj}a{i}", 0) for i in range(rank0)]
                       + [(f"{obj}b{i}", 1) for i in range(rank1)])
         d = {}
@@ -546,16 +505,14 @@ def _random_monomial(rng: random.Random) -> SymPoly:
 
 
 def random_dg_morphism(rng: random.Random, piece: DgPiece, src: str, tgt: str,
-                       degree: int, scalar_only: bool = False) -> DgMorphism:
+                       degree: int) -> DgMorphism:
     ms, mt = piece.module(src), piece.module(tgt)
     entries: dict = {}
     for g, dg in ms.basis:
         col = {}
         for h, dh in mt.basis:
             if piece._deg(dh - dg - degree) == 0 and rng.random() < 0.6:
-                col[h] = (SymPoly.scalar(Fraction(rng.randint(-4, 4)))
-                          if scalar_only else _random_monomial(rng))
-        col = {h: c for h, c in col.items() if not c.is_zero()}
+                col[h] = _random_monomial(rng)
         if col:
             entries[g] = col
     return DgMorphism(src, tgt, piece._deg(degree), entries)
@@ -822,6 +779,21 @@ class HomMap:
         return self.fn(el)
 
 
+def _model_map(ops: ModelOps, src: tuple, tgt: tuple, degree: int, fn) -> HomMap:
+    """A HomMap on elements of a local model that only accepts Hom(src).
+
+    Evaluating it on a nonzero element of another Hom space raises
+    ValueError, so an argument routed to the wrong complex cannot pass.
+    """
+    def checked(el: dict) -> dict:
+        if el and ops.hom_pair(el) != src:
+            raise ValueError(f"map on Hom{src} evaluated on an element of "
+                             f"Hom{ops.hom_pair(el)}")
+        return fn(el)
+
+    return HomMap(src, tgt, degree, checked)
+
+
 class YonedaPiece:
     """The Yoneda complexes (Hom(C, ref), -m1) of a local model as a dg category.
 
@@ -898,8 +870,8 @@ class YonedaFunctor:
         c0 = self.ops.hom_pair(a[0])[0]
         ck = self.ops.hom_pair(a[-1])[1]
         deg = (shifted_sum(self.ops.degree(e) for e in a) + 1) % 2
-        return HomMap((ck, self.ref), (c0, self.ref), deg,
-                      lambda el: self.ops.m(list(a) + [el]))
+        return _model_map(self.ops, (ck, self.ref), (c0, self.ref), deg,
+                          lambda el: self.ops.m(list(a) + [el]))
 
 
 @dataclass
@@ -945,7 +917,7 @@ def nat_from_cocycle(ops: ModelOps, beta: dict, label: str = "N") -> PreNatTrans
             return out if s > 0 else {g: -c for g, c in out.items()}
 
         deg = (norm + shifted_sum(ops.degree(e) for e in a)) % 2
-        return HomMap((ck, b_src), (c0, b_tgt), deg, fn)
+        return _model_map(ops, (ck, b_src), (c0, b_tgt), deg, fn)
 
     return PreNatTransform(ops, source, target, norm, comp, label)
 
@@ -957,7 +929,7 @@ def nat_identity(ops: ModelOps, functor: YonedaFunctor) -> PreNatTransform:
         a = tuple(a)
         if a:
             return None
-        return HomMap((obj, functor.ref), (obj, functor.ref), 0, lambda el: dict(el))
+        return _model_map(ops, (obj, functor.ref), (obj, functor.ref), 0, lambda el: dict(el))
 
     return PreNatTransform(ops, functor, functor, 0, comp, "N_id")
 
@@ -980,8 +952,8 @@ def nat_homotopy(ops: ModelOps, first: dict, second: dict, label: str = "H") -> 
         c0 = ops.hom_pair(a[0])[0] if a else obj
         ck = ops.hom_pair(a[-1])[1] if a else obj
         deg = (norm + shifted_sum(ops.degree(e) for e in a)) % 2
-        return HomMap((ck, f_src), (c0, s_tgt), deg,
-                      lambda el: ops.m(list(a) + [el, first, second]))
+        return _model_map(ops, (ck, f_src), (c0, s_tgt), deg,
+                          lambda el: ops.m(list(a) + [el, first, second]))
 
     return PreNatTransform(ops, source, target, norm, comp, label)
 
@@ -1082,15 +1054,14 @@ ISO_DATA = {
 }
 
 
-def iso_setup(model, alpha=None, beta=None, unknowns=None):
-    """Solve and normalize an isomorphism pair; returns (ops, alpha, beta~)."""
+def iso_setup(model):
+    """Solve and normalize the ``ISO_DATA`` pair of a model; returns (ops, alpha, beta~)."""
     if isinstance(model, str):
         model = ainf_mod.load_model(model)
-    data = ISO_DATA.get(model.name, {})
-    alpha = model.element(alpha or data["alpha"])
-    beta = model.element(beta or data["beta"])
-    unknowns = tuple(unknowns or data["unknowns"])
-    change = solve_isomorphism(model, alpha, unknowns)
+    data = ISO_DATA[model.name]
+    alpha = model.element(data["alpha"])
+    beta = model.element(data["beta"])
+    change = solve_isomorphism(model, alpha, data["unknowns"])
     out = verify_isomorphism(model, alpha, beta, change)
     scalar, scalar_rev = out["scalar"], out["scalar_rev"]
     if not (scalar - scalar_rev).is_zero():
@@ -1153,8 +1124,7 @@ def _evaluate_nat(terms, a, obj, bullet) -> dict:
     return ops.clean(total)
 
 
-def yoneda_equivalence_check(model, alpha=None, beta=None, unknowns=None,
-                             gamma1=None, gamma2=None, arity_bound: int = 2) -> dict:
+def yoneda_equivalence_check(model, arity_bound: int = 2) -> dict:
     """Theorem 12.1 on a shipped model: Y^0 and Y^1 are quasi-isomorphic.
 
     Builds N_01 (from beta), N_10 (from alpha) and the homotopies H of Lemma
@@ -1164,12 +1134,13 @@ def yoneda_equivalence_check(model, alpha=None, beta=None, unknowns=None,
       * M2(N_01, N_10) - N_id = M1(H) and the reversed composite likewise,
       * the formal unit laws M1(N_id) = 0, M2(N_id, N) = N,
         M2(N, N_id) = (-1)^{||N||} N on arbitrary generator tuples,
-      * optionally Lemma 12.2: chained isomorphisms m2(alpha, gamma1) and
-        m2(gamma2, beta) compose to units.
+      * Lemma 12.2: chained isomorphisms m2(alpha, gamma1) and
+        m2(gamma2, beta) compose to units, with gamma1 = beta~ and
+        gamma2 = alpha.
 
     The strict isomorphism case has gamma = 0, so each H has a single term.
     """
-    ops, alpha, beta_n, setup = iso_setup(model, alpha, beta, unknowns)
+    ops, alpha, beta_n, setup = iso_setup(model)
     if setup["gamma"] or setup["gamma_rev"]:
         raise ValueError("shipped pairs are strict isomorphisms; got nonzero gamma")
     arrows = sector_elements(ops, alpha, beta_n)
@@ -1230,7 +1201,7 @@ def yoneda_equivalence_check(model, alpha=None, beta=None, unknowns=None,
             for bullet_name, bullet in bullets:
                 lhs = _evaluate_nat([(1, mid), (-1, N)], a, None, bullet)
                 rhs = _evaluate_nat([(1, mid2), (-sign_pow(N.norm), N)], a, None, bullet)
-                m1id = _evaluate_nat([(1, nat_M1(nat_identity(ops, N.source)))],
+                m1id = _evaluate_nat([(1, nat_M1(nat_identity(ops, N.target)))],
                                      a, None, bullet) if g.target == ref else {}
                 for tag, res in (("M2(N_id,N)=N", lhs),
                                  (f"M2(N,N_id)=(-1)^||N|| N", rhs),
@@ -1241,20 +1212,18 @@ def yoneda_equivalence_check(model, alpha=None, beta=None, unknowns=None,
                                           "residual": {h: str(c) for h, c in res.items()}})
     report["identities"]["unit laws"] = {"ok": not unit_fail, "failures": unit_fail}
 
-    # Lemma 12.2: chained isomorphisms compose to isomorphisms
-    g1 = gamma1 if gamma1 is not None else beta_n
-    g2 = gamma2 if gamma2 is not None else alpha
-    comp1 = ops.m([alpha, g1])
-    comp2 = ops.m([g2, beta_n])
-    chained = ops.m([comp1, comp2])
+    # Lemma 12.2: chained isomorphisms compose to isomorphisms; with
+    # gamma1 = beta~ and gamma2 = alpha both composites are m2(alpha, beta~)
+    comp = ops.m([alpha, beta_n])
+    chained = ops.m([comp, comp])
     obj = ops.hom_pair(alpha)[0]
     unit = ops.unit(obj)
     chain_res = ops.add_el(chained, {g: -c for g, c in unit.items()})
+    comp_str = {g: str(c) for g, c in comp.items()}
     report["identities"]["Lemma 12.2 chained isomorphism"] = {
-        "ok": ops.unit_part(comp1) is not None and ops.unit_part(comp2) is not None
-              and not chain_res,
-        "m2(alpha,gamma1)": {g: str(c) for g, c in comp1.items()},
-        "m2(gamma2,beta)": {g: str(c) for g, c in comp2.items()},
+        "ok": ops.unit_part(comp) is not None and not chain_res,
+        "m2(alpha,gamma1)": comp_str,
+        "m2(gamma2,beta)": comp_str,
     }
 
     report["ok"] = all(v["ok"] for v in report["identities"].values())
@@ -1335,9 +1304,7 @@ def stretched_covering(curve):
     return charts, certificate
 
 
-def global_functor(model="two_pants", curve=None, arity_bound: int = 2,
-                   winding: int = 0, a1: int = 0, a2: int = 0,
-                   allow_monodromy: bool = False) -> dict:
+def global_functor(model="two_pants", arity_bound: int = 2) -> dict:
     """Assemble and verify the global functor of Theorem 4.5(3).
 
     On the A-infinity side this builds, over the given local model, the
@@ -1348,24 +1315,19 @@ def global_functor(model="two_pants", curve=None, arity_bound: int = 2,
     object is invertible only up to homotopy; check (i) certifies that, so
     these objects skip ``HomotopyFiberProduct.object``'s strict-inverse
     test.  On the matrix-factorization side it builds the
-    Prop "glueMF_12" object triple for the given winding and gauge integers.
-    With a ``curve`` (default: the 4-punctured-sphere two-chart system of
-    the conifold) the covering certificate of Assumption 4.7 is required;
-    ``allow_monodromy`` relaxes it to a warning for experimentation.
+    Prop "glueMF_12" object triple at winding 0 and zero gauges.  The
+    charts are the 4-punctured-sphere two-chart system of the conifold,
+    whose covering certificate of Assumption 4.7 is required.
     """
     from . import tropical
 
     report: dict = {"checks": {}}
 
-    if curve is None:
-        curve = tropical.conifold_curve(2)
-    charts, certificate = stretched_covering(curve)
+    charts, certificate = stretched_covering(tropical.conifold_curve(2))
     report["certificate"] = certificate
     report["charts"] = [c.label for c in charts]
     if not certificate.get("ok", False):
-        if not allow_monodromy:
-            raise ValueError(f"covering certificate failed: {certificate}")
-        report.setdefault("warnings", []).append("covering certificate not satisfied")
+        raise ValueError(f"covering certificate failed: {certificate}")
 
     ops, alpha, beta_n, setup = iso_setup(model)
     a_src, a_tgt = ops.hom_pair(alpha)
@@ -1413,7 +1375,7 @@ def global_functor(model="two_pants", curve=None, arity_bound: int = 2,
                                             "failures": failures}
 
     # matrix-factorization chart layer: the Prop glueMF_12 triple
-    report["mf_triple"] = gluemf_triple(winding, a1, a2)
+    report["mf_triple"] = gluemf_triple()
     report["checks"]["mf_triple"] = {"ok": report["mf_triple"]["ok"]}
 
     report["ok"] = (all(report["checks"]["homotopy_identity"].values())
@@ -1433,7 +1395,7 @@ def gluemf_triple(m: int = 0, a1: int = 0, a2: int = 0) -> dict:
     with unit-monomial entries (invertible away from x1 = 0), and that the
     potentials agree.
     """
-    from . import mf as mf_mod
+    from . import mf as mf_mod  # mf imports this module
 
     wind = mf_mod.winding_strip_model(m, exact=True)
     pants = mf_mod.pants_strip_model(exact=True)
@@ -1463,13 +1425,14 @@ def gluemf_triple(m: int = 0, a1: int = 0, a2: int = 0) -> dict:
                 "B": {f"D{2*m}": SymPoly.term(-1, None, {t: a2 + 1, "y1": 1}),
                       f"D{2*m-1}": SymPoly.term(1, None, {t: a2 + 1})}}
 
+    piece = mf_dg_piece([rewritten, mf1])
     chain_ok, chosen = False, None
     for sA, sB in itertools.product((1, -1), repeat=2):
         signs = {"A": sA, "B": sB}
-        signed = mf_mod.MFMorphism(
-            rewritten, mf1, {g: {h: c * signs[g] for h, c in col.items()}
-                             for g, col in glue.items()}, 0)
-        if signed.is_chain_map:
+        signed = piece.morphism(
+            rewritten.name, mf1.name, 0,
+            {g: {h: c * signs[g] for h, c in col.items()} for g, col in glue.items()})
+        if piece.d(signed).is_zero():
             chain_ok, chosen = True, (sA, sB)
             break
 
@@ -1500,11 +1463,11 @@ def one_chart_degenerate_check(model_name: str = "two_pants") -> dict:
     for obj in model.objects:
         unit = ops.unit(obj)
         n_triv = nat_from_cocycle(ops, unit, "N_triv")
-        phi = n_triv.component((), obj)
         ok = True
         for g in model.generators.values():
             if g.target != obj or g.name in ops.all_units:
                 continue
+            phi = n_triv.component((), g.source)
             el = {g.name: SymPoly.scalar(1)}
             res = ops.add_el(phi(el), {h: -c for h, c in el.items()})
             if res:

@@ -9,7 +9,10 @@ models whose module generators are the intersection points of L with the
 reference object), takes cokernels in the singularity category by scripted
 elementary moves, traces section gluings into divisor line bundles over a
 face of a tropical curve, and transforms morphisms between Lagrangian paths
-into morphisms of matrix factorizations.
+into morphisms of matrix factorizations.  Those morphisms live in the dg
+category ``dgcat.mf_dg_piece`` of the factorizations: they are ``DgMorphism``s
+between factorization names, and chain-map and composition checks use that
+piece's ``d``, ``compose`` and ``equal``.
 
 The cokernel routine is deliberately not a general Smith/Groebner engine: it
 performs exactly the triangular basis changes the shipped presentations
@@ -23,6 +26,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from .ainf import AInfLocalModel, Entry, Generator, _check_entry_degrees
+from .dgcat import DgMorphism, mf_dg_piece
 from .symbolic import AreaExp, SymPoly
 
 
@@ -699,68 +703,15 @@ def glue_objects(curve, face_point, windings, models: dict = None, exact: bool =
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class MFMorphism:
-    source: MatrixFactorization
-    target: MatrixFactorization
-    entries: dict  # source generator -> {target generator: SymPoly}
-    degree: int  # Z/2
-
-    def apply(self, element: dict) -> dict:
-        out: dict = {}
-        for g, c in element.items():
-            for h, d in self.entries.get(g, {}).items():
-                out[h] = out.get(h, SymPoly.zero()) + c * d
-        return {h: v for h, v in out.items() if not v.is_zero()}
-
-    def compose(self, inner: "MFMorphism") -> "MFMorphism":
-        """self after inner."""
-        entries = {g: self.apply(col) for g, col in inner.entries.items()}
-        return MFMorphism(inner.source, self.target,
-                          {g: col for g, col in entries.items() if col},
-                          (self.degree + inner.degree) % 2)
-
-    def chain_map_residual(self) -> dict:
-        """delta_target(phi(psi)) - (-1)^{|phi|} phi(delta_source(psi)) per generator."""
-        sign = -1 if self.degree % 2 else 1
-        out = {}
-        constraints = self.target.constraints
-        for psi in self.source.generators:
-            lhs = self.target.apply(self.entries.get(psi, {}))
-            rhs = self.apply(self.source.delta.get(psi, {}))
-            keys = set(lhs) | set(rhs)
-            res = {}
-            for k in keys:
-                r = (lhs.get(k, SymPoly.zero()) - sign * rhs.get(k, SymPoly.zero()))
-                r = r.normalize(constraints)
-                if not r.is_zero():
-                    res[k] = r
-            if res:
-                out[psi] = res
-        return out
-
-    @property
-    def is_chain_map(self) -> bool:
-        return not self.chain_map_residual()
-
-    def to_dict(self) -> dict:
-        return {
-            "degree": self.degree,
-            "entries": {
-                g: {h: str(c) for h, c in sorted(col.items())}
-                for g, col in sorted(self.entries.items())
-            },
-        }
-
-
 def transform_morphism(model: AInfLocalModel, morphism, source_mf: MatrixFactorization,
-                       target_mf: MatrixFactorization) -> MFMorphism:
+                       target_mf: MatrixFactorization) -> DgMorphism:
     """Induced map of matrix factorizations: psi -> m_2^{b}(f, psi).
 
     ``morphism`` is a generator name or a formal sum in the model;
     ``source_mf``/``target_mf`` are the factorizations of the two Lagrangian
-    paths on the same chart.  When the input is a Floer cocycle the result
-    commutes with the differentials exactly (see ``chain_map_residual``).
+    paths on the same chart.  The result is a morphism of
+    ``mf_dg_piece([source_mf, target_mf])`` between the two names; when the
+    input is a Floer cocycle its differential in that piece vanishes.
     """
     element = {morphism: SymPoly.scalar(1)} if isinstance(morphism, str) else dict(morphism)
     entries: dict = {}
@@ -776,7 +727,7 @@ def transform_morphism(model: AInfLocalModel, morphism, source_mf: MatrixFactori
     if len(degrees) > 1:
         raise ValueError("morphism image has mixed parity")
     degree = degrees.pop() if degrees else 0
-    return MFMorphism(source_mf, target_mf, entries, degree)
+    return DgMorphism(source_mf.name, target_mf.name, degree, entries)
 
 
 def composition_check(model: AInfLocalModel, i: int, j: int) -> bool:
@@ -791,6 +742,7 @@ def composition_check(model: AInfLocalModel, i: int, j: int) -> bool:
     their class equals the image of P_{i+j}.
     """
     mf = transform_object(model, "L", "S")
+    piece = mf_dg_piece([mf])
     phi_i = transform_morphism(model, f"P{i}", mf, mf)
     phi_j = transform_morphism(model, f"P{j}", mf, mf)
     product = model.deformed_m([
@@ -801,24 +753,10 @@ def composition_check(model: AInfLocalModel, i: int, j: int) -> bool:
     glue = {"y": SymPoly.var("x", -1)}
 
     def reduced(phi):
-        return {
+        return replace(phi, entries={
             g: {h: c.substitute(glue).normalize(model.constraints) for h, c in col.items()}
-            for g, col in phi.entries.items()
-        }
+            for g, col in phi.entries.items()})
 
-    lhs = reduced(phi_i.compose(phi_j))
+    lhs = reduced(piece.compose(phi_i, phi_j))
     rhs = reduced(phi_sum)
-    for sign in (1, -1):
-        ok = True
-        for g in set(lhs) | set(rhs):
-            cl, cr = lhs.get(g, {}), rhs.get(g, {})
-            for h in set(cl) | set(cr):
-                d = cl.get(h, SymPoly.zero()) - sign * cr.get(h, SymPoly.zero())
-                if not d.is_zero():
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            return True
-    return False
+    return any(piece.equal(lhs, piece.scale(rhs, sign)) for sign in (1, -1))

@@ -905,14 +905,14 @@ def _edge_between(curve, u, w):
     return None
 
 
-def covering_collection(curve, style="tilde", max_denominator=4, max_numerator=400):
+def covering_collection(curve, style="tilde"):
     """Build a chart collection covering the critical strata with pairwise overlaps.
 
     Starts with undeformed charts at vertices touching an infinite edge,
     then walks the bounded faces in increasing order of their dual point,
     deforming each ring chart toward its clockwise predecessor with the
-    smallest shift (denominator bounded) that keeps a genuine overlap and
-    creates no triple overlap.  Returns (charts, certificate).
+    smallest shift n/d (1 <= d <= 4, 1 <= n <= 400) that keeps a genuine
+    overlap and creates no triple overlap.  Returns (charts, certificate).
     """
     matrices = chart_matrices(curve)
     charts = []
@@ -920,8 +920,7 @@ def covering_collection(curve, style="tilde", max_denominator=4, max_numerator=4
         if any(not curve.edges[e].finite for e in curve.vertices[vid].edges):
             charts.append(Chart(vid))
     shifts = sorted(
-        {Fraction(n, d) for d in range(1, max_denominator + 1)
-         for n in range(1, max_numerator + 1)}
+        {Fraction(n, d) for d in range(1, 5) for n in range(1, 401)}
     )
     failures = []
     for point in sorted(curve.bounded_faces()):
@@ -990,12 +989,12 @@ def _admissible(curve, charts, cand, prev_chart, shared, matrices):
     return True
 
 
-def cone_image(curve, chart, drop_index=2, matrices=None) -> dict:
+def cone_image(curve, chart, matrices=None) -> dict:
     """Projected valuation cone of a chart: apex and rays in the plane.
 
     The chart region in global exact-valuation coordinates is
     {V : M V >= delta - a}; its apex is M^{-1}(delta - a) and its rays the
-    columns of M^{-1}.  Projection drops one base coordinate.
+    columns of M^{-1}.  Projection drops the last base coordinate.
     """
     matrices = matrices or chart_matrices(curve)
     M = matrices[chart.vertex]
@@ -1007,7 +1006,7 @@ def cone_image(curve, chart, drop_index=2, matrices=None) -> dict:
         a = Fraction(_dot(curve.direction_at(cv.edges[s], chart.vertex), cv.position))
         rhs.append(deltas[LETTERS[s]] - a)
     apex = [sum(Minv[i][j] * rhs[j] for j in range(3)) for i in range(3)]
-    keep = [i for i in range(3) if i != drop_index]
+    keep = [0, 1]
     rays = []
     for j in range(3):
         ray = tuple(Minv[i][j] for i in keep)

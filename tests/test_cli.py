@@ -146,6 +146,19 @@ class TestTransform:
         assert code == 2
 
 
+class TestFlags:
+    # each subcommand registers only the flags it reads
+    @pytest.mark.parametrize("argv", [
+        ["mirror", "--seed", "3", "--arity", "3"],
+        ["verify", "flop", "--curve", "nosuch", "--a1", "nope=1", "--models", "/nonexistent"],
+    ])
+    def test_flag_of_another_subcommand_is_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
 class TestVerify:
     def test_unknown_suite_is_usage_error(self, capsys):
         code = cli.main(["verify", "nosuchsuite"])

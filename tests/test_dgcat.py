@@ -1,6 +1,7 @@
 """Tests for the dg/A-infinity layer: fiber products, transformations, functor."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -72,7 +73,12 @@ class TestHomotopyFiberProduct:
         hfp = dgcat.HomotopyFiberProduct(piece, piece, piece, dgcat.identity_functor(piece),
                                          dgcat.identity_functor(piece))
         with pytest.raises(ValueError, match="invertible"):
-            hfp.object(obj, obj, piece.zero(obj, obj, 0))
+            hfp.object(obj, obj, piece.zero(obj, obj, 0), piece.identity(obj))
+        # an invertible phi with a wrong candidate inverse fails the certificate
+        phi = piece.scale(piece.identity(obj), 2)
+        with pytest.raises(ValueError, match="invertible"):
+            hfp.object(obj, obj, phi, piece.identity(obj))
+        hfp.object(obj, obj, phi, piece.scale(piece.identity(obj), Fraction(1, 2)))
 
     def test_non_closed_phi_rejected(self):
         rng = random.Random(7)
@@ -86,7 +92,7 @@ class TestHomotopyFiberProduct:
                                              dgcat.identity_functor(piece),
                                              dgcat.identity_functor(piece))
             with pytest.raises(ValueError, match="closed"):
-                hfp.object(obj, obj, phi)
+                hfp.object(obj, obj, phi, piece.identity(obj))
             return
         pytest.skip("no non-closed candidate generated")
 
@@ -111,6 +117,18 @@ class TestModelOps:
 
 
 class TestYonedaEquivalence:
+    def test_components_reject_elements_of_another_hom(self):
+        ops, alpha, beta_n, _ = dgcat.iso_setup("two_pants")
+        l0, l1 = ops.hom_pair(alpha)
+        p = dgcat.YonedaFunctor(ops, l0).component((alpha,))
+        assert p.src == (l1, l0)
+        p(beta_n)  # beta~ lies in Hom(L1, L0)
+        with pytest.raises(ValueError, match="evaluated on an element of Hom"):
+            p(alpha)  # alpha lies in Hom(L0, L1)
+        n01 = dgcat.nat_from_cocycle(ops, beta_n).component((), l0)
+        with pytest.raises(ValueError, match="evaluated on an element of Hom"):
+            n01(ops.unit(l1))
+
     def test_two_pants_identities(self):
         report = dgcat.yoneda_equivalence_check("two_pants", arity_bound=2)
         idents = report["identities"]
