@@ -41,6 +41,13 @@ class Entry:
 
 @dataclass
 class AInfLocalModel:
+    """A curated local model with its table of structure-constant entries.
+
+    ``__post_init__`` indexes the entries once by their real inputs (the
+    input tokens with every deformation generator dropped), so ``entries``
+    and ``deformations`` must not change after construction.
+    """
+
     name: str
     objects: tuple
     generators: dict  # name -> Generator
@@ -54,6 +61,17 @@ class AInfLocalModel:
     subrings: dict = field(default_factory=dict)  # variable -> subring name
     offsets: dict = field(default_factory=dict)  # generator -> AreaExp
     max_b_insertions: int = 3
+
+    def __post_init__(self):
+        self._deformation_gens = frozenset(
+            g for gens in self.deformations.values() for g in gens)
+        self._entries_by_inputs: dict = {}
+        for entry in self.entries:
+            self._entries_by_inputs.setdefault(
+                self._real_inputs(entry.inputs), []).append(entry)
+
+    def _real_inputs(self, tokens) -> tuple:
+        return tuple(t for t in tokens if t not in self._deformation_gens)
 
     # -- basic structure ----------------------------------------------------
 
@@ -113,6 +131,14 @@ class AInfLocalModel:
 
         ``inputs`` is a list of formal sums (dicts generator -> SymPoly);
         for k = 0 pass an empty list and the object label.
+
+        A basis sequence is matched only against the entries indexed under
+        its real inputs.  In any reading of an entry, the entry's tokens
+        that are not deformation generators are exactly the sequence's
+        generators that are not, in the same order; so dropping the
+        deformation generators from both sides finds every entry that
+        matches, also when the sequence passes a deformation generator as a
+        real input.
         """
         if not inputs:
             if obj is None:
@@ -140,7 +166,7 @@ class AInfLocalModel:
         for seq, coeff, slots in zip(basis_lists, coeff_lists, slot_lists):
             if slots is None:
                 continue  # non-composable basis combination contributes nothing
-            for entry in self.entries:
+            for entry in self._entries_by_inputs.get(self._real_inputs(seq), ()):
                 for match in self._match_entry(entry, seq, slots):
                     term = coeff * entry.coeff
                     for var in match:
@@ -243,7 +269,7 @@ def solve_isomorphism(model: AInfLocalModel, alpha: dict, unknowns) -> Coordinat
             else:
                 remaining.append((g, poly))
         pending = remaining
-    residuals = [(g, reduce(p)) for g, p in pending if not reduce(p).is_zero()]
+    residuals = [(g, r) for g, p in pending if not (r := reduce(p)).is_zero()]
     if residuals:
         lines = ", ".join(f"{g}: {p}" for g, p in residuals)
         raise ValueError(f"isomorphism system not solvable by monomial relations ({lines})")

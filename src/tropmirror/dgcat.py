@@ -362,14 +362,14 @@ def conjugation_functor(piece: DgPiece, units: dict) -> DgFunctor:
 class HfpObject:
     """Object (M, N, phi) with phi: G(M) -> L(N) closed, degree 0, invertible.
 
-    ``HomotopyFiberProduct.object`` certifies a given strict inverse;
-    objects whose phi is invertible only up to homotopy are built directly.
+    ``HomotopyFiberProduct.object`` certifies a given strict inverse once,
+    at construction, and does not keep it; objects whose phi is invertible
+    only up to homotopy are built directly.
     """
 
     M: str
     N: str
     phi: DgMorphism
-    phi_inverse: DgMorphism | None = None
 
 
 @dataclass
@@ -412,7 +412,7 @@ class HomotopyFiberProduct:
         if not self.D.equal(self.D.compose(phi, inverse), self.D.identity(phi.tgt)) or \
            not self.D.equal(self.D.compose(inverse, phi), self.D.identity(phi.src)):
             raise ValueError("phi is not invertible (certificate fails)")
-        return HfpObject(M, N, phi, inverse)
+        return HfpObject(M, N, phi)
 
     # -- morphisms -----------------------------------------------------------
 
@@ -597,6 +597,14 @@ def hfp_axiom_check(seed: int) -> dict:
 # ---------------------------------------------------------------------------
 
 
+def _element_key(el: dict) -> tuple:
+    """Canonical plain-tuple form of a formal sum, for ``ModelOps.m``'s memo."""
+    return tuple(sorted(
+        (g, tuple(sorted(((area.coeffs, area.const), mono, scalar)
+                         for (area, mono), scalar in _as_poly(c).terms.items())))
+        for g, c in el.items()))
+
+
 class ModelOps:
     """Deformed operations of a local model plus the formal unit action.
 
@@ -604,6 +612,12 @@ class ModelOps:
     conventions m2(1, x) = x, m2(x, 1) = (-1)^{|x|} x, m_{>=3}(..., 1, ...) = 0
     are therefore added formally on full unit multiples.  A coordinate change
     (from ``solve_isomorphism``) is substituted into every output.
+
+    ``m`` is memoized per instance, so a memo lives as long as one model,
+    one coordinate change and the check that holds them.  Its key is
+    ``obj`` with each input as a sorted tuple of (generator, sorted
+    ((area coeffs, area const), monomial, scalar) terms), plain tuples that
+    hash no ``AreaExp``; every call returns a fresh dict.
     """
 
     def __init__(self, model: AInfLocalModel, change: CoordinateChange = None):
@@ -615,6 +629,7 @@ class ModelOps:
                 raise ValueError(
                     f"model {model.name} consumes unit generators in its table; "
                     "the formal unit action would double count")
+        self._m_memo: dict = {}
 
     # -- elements -------------------------------------------------------------
 
@@ -678,6 +693,13 @@ class ModelOps:
     def m(self, inputs, obj: str = None) -> dict:
         """m_k^{b,...,b} with the formal unit action in m2."""
         inputs = [dict(e) for e in inputs]
+        key = (obj, tuple(_element_key(e) for e in inputs))
+        if key not in self._m_memo:
+            self._m_memo[key] = self._m(inputs, obj)
+        return dict(self._m_memo[key])
+
+    def _m(self, inputs, obj) -> dict:
+        """``m`` computed from the table, past the memo."""
         total: dict = {}
 
         def add(el, coeff=1):

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from tropmirror import ainf
+from tropmirror import ainf, dgcat
 from tropmirror.symbolic import AreaExp, SymPoly
 
 
@@ -225,3 +225,55 @@ class TestDegreeRule:
         bad = Entry(("a", "a"), "u", SymPoly.scalar(1))
         with pytest.raises(ValueError):
             _check_entry_degrees(bad, gens, "test")
+
+
+def _full_scan(model, seq, slots):
+    """m of one basis sequence by matching every table entry (no index)."""
+    out = {}
+    for entry in model.entries:
+        for match in model._match_entry(entry, seq, slots):
+            term = entry.coeff
+            for var in match:
+                term = term * SymPoly.var(var)
+            out[entry.output] = out.get(entry.output, SymPoly.zero()) + term
+    return {g: c for g, c in ((g, model.normalize(c)) for g, c in out.items())
+            if not c.is_zero()}
+
+
+INDEX_ORACLE_MODELS = [ainf.load_model(name) for name in
+                       ("seidel_pants", "two_pants", "isotopy_pair", "circle_seidel")] + \
+    [dgcat._two_circle_model()]
+
+
+class TestEntryIndex:
+    @pytest.mark.parametrize("model", INDEX_ORACLE_MODELS, ids=lambda m: m.name)
+    def test_indexed_lookup_equals_full_scan(self, model):
+        units = {u for us in model.units.values() for u in us}
+        gens = [g for g in model.generators.values() if g.name not in units]
+        deformation_gens = {g for defs in model.deformations.values() for g in defs}
+
+        def chains(k, pool):
+            if k == 0:
+                yield ()
+                return
+            for prefix in chains(k - 1, pool):
+                for g in pool:
+                    if not prefix or prefix[-1].target == g.source:
+                        yield prefix + (g,)
+
+        def shown(el):
+            return [(g, str(c)) for g, c in el.items()]
+
+        for obj in model.objects:
+            assert shown(model.deformed_m([], obj=obj)) == shown(_full_scan(model, (), (obj,)))
+        tuples = [seq for k in (1, 2, 3) for seq in chains(k, gens)]
+        # deformation generators passed as real inputs, past the arity-3 tuples
+        tuples += list(chains(4, [g for g in gens if g.name in deformation_gens]))
+        passing_deformation = 0
+        for seq in tuples:
+            names = tuple(g.name for g in seq)
+            slots = (seq[0].source,) + tuple(g.target for g in seq)
+            got = model.deformed_m([{g: SymPoly.scalar(1)} for g in names])
+            assert shown(got) == shown(_full_scan(model, names, slots)), names
+            passing_deformation += bool(got) and bool(deformation_gens & set(names))
+        assert passing_deformation > 0

@@ -107,6 +107,73 @@ class TestModelOps:
         assert ops.m([x, unit]) == {"X": SymPoly.scalar(-1)}
         assert ops.m([unit, unit]) == ops.clean(unit)
 
+    def test_mutating_a_result_leaves_the_next_call_unchanged(self):
+        ops, alpha, beta_n, _ = dgcat.iso_setup("two_pants")
+        first = ops.m([alpha, beta_n])
+        expected = {g: str(c) for g, c in first.items()}
+        first["v1"] = SymPoly.var("x")
+        first.pop("v2")
+        first["P1"] = SymPoly.scalar(5)
+        assert {g: str(c) for g, c in ops.m([alpha, beta_n]).items()} == expected
+        # a matrix-factorization morphism's entries, mutated as in test_mf
+        model = mf.infinite_edge_model(2)
+        obj = mf.transform_object(model, "L", "S")
+        phi = mf.transform_morphism(model, "P1", obj, obj)
+        before = {g: {h: str(c) for h, c in col.items()} for g, col in phi.entries.items()}
+        phi.entries["A"]["A"] = SymPoly.var("y")
+        again = mf.transform_morphism(model, "P1", obj, obj)
+        assert {g: {h: str(c) for h, c in col.items()}
+                for g, col in again.entries.items()} == before
+
+    def test_repeated_call_does_not_recompute(self, monkeypatch):
+        model = ainf.load_model("two_pants")
+        calls = []
+        table_m = model.deformed_m
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return table_m(*args, **kwargs)
+
+        monkeypatch.setattr(model, "deformed_m", counted)
+        ops = dgcat.ModelOps(model)
+        alpha = model.element([("P4", 1), ("Q4", -1)])
+        first = ops.m([alpha])
+        assert len(calls) == 1
+        # equal inputs hit the memo whatever their insertion order
+        assert ops.m([{"Q4": SymPoly.scalar(-1), "P4": SymPoly.scalar(1)}]) == first
+        assert ops.m([alpha]) == first
+        assert len(calls) == 1
+        ops.m([model.element([("P4", 1)])])
+        ops.m([], obj="L")
+        assert len(calls) == 3
+
+    def test_memo_is_per_coordinate_change(self):
+        model = ainf.load_model("two_pants")
+        changed, alpha, beta_n, _ = dgcat.iso_setup(model)
+        plain = dgcat.ModelOps(model)
+        assert changed.model is plain.model
+
+        def shown(el):
+            return {g: str(c) for g, c in sorted(el.items())}
+
+        # m1(alpha) before the coordinate change, as computed without a memo
+        m1_plain = {
+            "P1": "T^(4*k1 + 2*k2 + 2*k3 + k4) - 1*T^(k4 + k5 + k6)*x*x'",
+            "P3": "T^(k2 + k4 + k6)*x*y - 1*T^(2*k1 + k2 + 2*k3 + k4)*y'",
+            "P5": "T^(k3 + k4 + k5)*x'*z' - 1*T^(2*k1 + 2*k2 + k3 + k4)*z",
+            "Q1": "T^(4*k1 + 2*k2 + 2*k3 + k4) - 1*T^(k4 + k5 + k6)*x*x'",
+            "Q3": "T^(k2 + k4 + k6)*x*z - 1*T^(2*k1 + k2 + 2*k3 + k4)*z'",
+            "Q5": "T^(k3 + k4 + k5)*x'*y' - 1*T^(2*k1 + 2*k2 + k3 + k4)*y",
+        }
+        for _ in range(2):
+            for obj in model.objects:  # m0 differs between the objects
+                assert shown(plain.m([], obj=obj)) == shown(model.deformed_m([], obj=obj))
+            assert shown(plain.m([alpha])) == m1_plain
+            assert shown(changed.m([alpha])) == {}
+            assert shown(plain.m([alpha, beta_n])) == {
+                "v1": "1", "v2": "-1 + 2*T^(-4*k1 - 2*k2 - 2*k3 + k5 + k6)*x*x'"}
+            assert shown(changed.m([alpha, beta_n])) == {"v1": "1", "v2": "1"}
+
     def test_table_closure_all_models(self):
         for name in ("two_pants", "isotopy_pair", "circle_seidel"):
             model = ainf.load_model(name)
@@ -114,6 +181,15 @@ class TestModelOps:
                                             sample_arities=(3,), samples=15, seed=1)
             assert report["ok"], report["failures"][:3]
             assert report["checked"] > 0
+
+    @pytest.mark.parametrize("name,checked", [
+        ("seidel_pants", 308), ("two_pants", 948),
+        ("isotopy_pair", 398), ("circle_seidel", 603)])
+    def test_table_closure_to_arity_3_and_sampled_arity_4(self, name, checked):
+        report = dgcat.model_ainf_check(ainf.load_model(name), max_arity=3,
+                                        sample_arities=(4,), samples=50, seed=1)
+        assert report["ok"], report["failures"][:3]
+        assert report["checked"] == checked
 
 
 class TestYonedaEquivalence:
