@@ -232,9 +232,6 @@ class CoordinateChange:
             out.append({"variable": v, "exponents": dict(mono), "area": area, "relation": rel})
         return out
 
-    def __str__(self) -> str:
-        return "\n".join(f"{v} <- {self.solved[v]}" for v in sorted(self.solved))
-
 
 def solve_isomorphism(model: AInfLocalModel, alpha: dict, unknowns) -> CoordinateChange:
     """Coordinate change making the candidate alpha a Floer cocycle.

@@ -78,20 +78,6 @@ class MatrixFactorization:
                 out[h] = out.get(h, SymPoly.zero()) + c * d
         return {h: v for h, v in out.items() if not v.is_zero()}
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "variables": list(self.variables),
-            "even": list(self.even),
-            "odd": list(self.odd),
-            "potential": str(self.potential),
-            "delta": {
-                g: {h: str(c) for h, c in sorted(self.delta.get(g, {}).items())}
-                for g in self.generators
-                if self.delta.get(g)
-            },
-        }
-
 
 def check_mf(mf: MatrixFactorization, assignment: dict = None):
     """delta^2 - W * Id, computed exactly; returns (ok, residual).
@@ -179,15 +165,6 @@ class DSingClass:
 
     def ideal_multiset(self):
         return sorted(s.ideal for s in self.summands)
-
-    def to_dict(self) -> dict:
-        return {
-            "variables": list(self.variables),
-            "summands": [
-                {"generator": s.generator, "ideal": list(s.ideal), "trivial": s.trivial}
-                for s in self.summands
-            ],
-        }
 
 
 def _is_unit(poly: SymPoly) -> bool:
@@ -545,9 +522,8 @@ def different_face_hom_model(depth: int = 3) -> AInfLocalModel:
 
     L circulates the z-face and Lp the y-face of the shared vertex chart, so
     the Lp factorization is A' -> -xz B', B' -> -y A' (parities swapped); the
-    strip counts send H_i to A' -> x^i A, B' -> x^{i-1} B.  Signs on the Lp
-    differential are fixed by the chain-map condition (identities hold up to
-    unit sign).
+    strip counts send H_i to A' -> x^i A, B' -> x^{i-1} B.  The signs of the
+    Lp differential are forced: flipping either breaks delta^2 = W.
     """
     gens = _corner_gens("S") + [
         Generator("A", "L", "S", 1), Generator("B", "L", "S", 0),
@@ -559,8 +535,8 @@ def different_face_hom_model(depth: int = 3) -> AInfLocalModel:
         Entry(("X", "Y", "Z"), "e", SymPoly.scalar(1)),
         Entry(("A", "Z"), "B", SymPoly.scalar(-1)),
         Entry(("B", "X", "Y"), "A", SymPoly.scalar(-1)),
-        Entry(("Ap", "X", "Z"), "Bp", SymPoly.scalar(1), True),
-        Entry(("Bp", "Y"), "Ap", SymPoly.scalar(1), True),
+        Entry(("Ap", "X", "Z"), "Bp", SymPoly.scalar(1)),
+        Entry(("Bp", "Y"), "Ap", SymPoly.scalar(1)),
     ]
     for i in range(1, depth + 1):
         entries.append(Entry((f"H{i}", "Ap") + ("X",) * i, "A", SymPoly.scalar(1)))
@@ -580,8 +556,7 @@ def infinite_edge_q_model() -> AInfLocalModel:
     """Q_0 between paths around the two faces adjacent to an infinite edge.
 
     L circulates the z-face and Lp the y-face; the strips send A to B' and B
-    to -x A' (the sign fixed by the chain-map condition, identities up to
-    unit sign).
+    to -x A', the sign forced by the chain-map condition.
     """
     gens = _corner_gens("S") + [
         Generator("A", "L", "S", 1), Generator("B", "L", "S", 0),
@@ -595,7 +570,7 @@ def infinite_edge_q_model() -> AInfLocalModel:
         Entry(("Ap", "Y"), "Bp", SymPoly.scalar(-1)),
         Entry(("Bp", "X", "Z"), "Ap", SymPoly.scalar(-1)),
         Entry(("Q0", "A"), "Bp", SymPoly.scalar(1)),
-        Entry(("Q0", "B", "X"), "Ap", SymPoly.scalar(-1), True),
+        Entry(("Q0", "B", "X"), "Ap", SymPoly.scalar(-1)),
     ]
     return _build_model(
         "infinite_edge_q",
@@ -731,7 +706,7 @@ def transform_morphism(model: AInfLocalModel, morphism, source_mf: MatrixFactori
 
 
 def composition_check(model: AInfLocalModel, i: int, j: int) -> bool:
-    """transform(m_2(P_i, P_j)) equals transform(P_i) o transform(P_j), up to unit sign.
+    """transform(m_2(P_i, P_j)) equals transform(P_i) o transform(P_j).
 
     The comparison is made on the glued annular chart of the non-compact
     divisor component carrying the endomorphisms, where the coordinates at
@@ -759,4 +734,4 @@ def composition_check(model: AInfLocalModel, i: int, j: int) -> bool:
 
     lhs = reduced(piece.compose(phi_i, phi_j))
     rhs = reduced(phi_sum)
-    return any(piece.equal(lhs, piece.scale(rhs, sign)) for sign in (1, -1))
+    return piece.equal(lhs, rhs)

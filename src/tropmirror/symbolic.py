@@ -93,9 +93,6 @@ class AreaExp:
             total += c * _frac(assignment[sym])
         return total
 
-    def symbols(self) -> set:
-        return {s for s, _ in self.coeffs}
-
     def __str__(self) -> str:
         parts = []
         if self.const:
@@ -234,9 +231,6 @@ class SymPoly:
                 term = term * (base ** e)
             out = out + term
         return out
-
-    def variables(self) -> set:
-        return {v for (_, mono) in self.terms for v, _ in mono}
 
     def sorted_terms(self):
         return sorted(

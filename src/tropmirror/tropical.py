@@ -296,7 +296,6 @@ class TropicalCurve:
             e = self.edges[start]
             if e.finite:
                 other = e.ends[1] if vid == e.ends[0] else e.ends[0]
-                far = self._gaps[other]
                 # right gap of the dart (other, -w) = gap ending at `start` there
                 queue += setp(end_of[(other, start)], p)
         for vid in self.vertices:
@@ -314,14 +313,12 @@ class TropicalCurve:
         self._faces = faces
         bounded = {}
         for p, nodes in faces.items():
-            edges_touched = set()
             ok = True
             for vid, s in nodes:
                 t = next(g[1] for g in self._gaps[vid] if g[0] == s)
                 for eid in (s, t):
                     if not self.edges[eid].finite:
                         ok = False
-                    edges_touched.add(eid)
             if ok:
                 bounded[p] = nodes
         self._bounded_faces = bounded
@@ -685,9 +682,8 @@ def global_potential_check(curve, exact=True, split="half") -> dict:
 class Chart:
     """A vertex chart with an accumulated stack of deformations.
 
-    Each deformation is (letter, shift, style): style "tilde" lowers the
-    valuation bound of the named variable by the shift and raises the other
-    two by it; style "prime" lowers it by twice the shift.
+    Each deformation is (letter, shift): it lowers the valuation bound of
+    the named variable by the shift and raises the other two by it.
     """
 
     vertex: str
@@ -695,22 +691,18 @@ class Chart:
 
     @property
     def label(self) -> str:
-        mark = {"tilde": "~", "prime": "'"}
-        tags = "".join(
-            f"{mark[style]}{letter}[{shift}]" for letter, shift, style in self.deformations
-        )
+        tags = "".join(f"~{letter}[{shift}]" for letter, shift in self.deformations)
         return f"S({self.vertex}){tags}"
 
     def deltas(self):
         d = {l: Fraction(0) for l in LETTERS}
-        for letter, shift, style in self.deformations:
-            drop = 2 * shift if style == "prime" else shift
+        for letter, shift in self.deformations:
             for l in LETTERS:
-                d[l] += shift if l != letter else -drop
+                d[l] += shift if l != letter else -shift
         return d
 
-    def deformed(self, letter, shift, style="tilde") -> "Chart":
-        return Chart(self.vertex, self.deformations + ((letter, Fraction(shift), style),))
+    def deformed(self, letter, shift) -> "Chart":
+        return Chart(self.vertex, self.deformations + ((letter, Fraction(shift)),))
 
 
 def _mat_mul(A, B):
@@ -905,7 +897,7 @@ def _edge_between(curve, u, w):
     return None
 
 
-def covering_collection(curve, style="tilde"):
+def covering_collection(curve):
     """Build a chart collection covering the critical strata with pairwise overlaps.
 
     Starts with undeformed charts at vertices touching an infinite edge,
@@ -950,7 +942,7 @@ def covering_collection(curve, style="tilde"):
                 prev_chart = cands[-1]
             placed = False
             for h in shifts:
-                cand = base.deformed(letter, h, style)
+                cand = base.deformed(letter, h)
                 if _admissible(curve, charts, cand, prev_chart, shared, matrices):
                     charts.append(cand)
                     placed = True

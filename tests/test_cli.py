@@ -12,6 +12,7 @@ from tropmirror import cli
 GOLDEN_CONIFOLD_STRUCTURED = "fa19dd1fa2786b74d3a26762a2ecfbd80563d4e5c335211cba832267e794959f"
 GOLDEN_PANTS_TEXT = "c6e2f0dedaffd242aa7432247e18238ad2e097c8f88a5cff4197071914a94a60"
 GOLDEN_TORICCYEG_SVG = "aac3eb3d3add99c5c4bf5e06134abd6461842d362255f83609731e6ef72f3aa1"
+GOLDEN_VERIFY_ALL_SEED_7 = "85b0acdac89949bf5084ba3b5fa2e97e3d95261952896e71d51ce95632822a36"
 
 
 def sha256(text):
@@ -151,6 +152,8 @@ class TestFlags:
     @pytest.mark.parametrize("argv", [
         ["mirror", "--seed", "3", "--arity", "3"],
         ["verify", "flop", "--curve", "nosuch", "--a1", "nope=1", "--models", "/nonexistent"],
+        # no subcommand has --models: --curve PATH names a curve document
+        ["mirror", "--curve", "kp2", "--models", "/nonexistent"],
     ])
     def test_flag_of_another_subcommand_is_usage_error(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
@@ -166,13 +169,6 @@ class TestVerify:
         assert code == 2
         assert "unknown suite" in err
 
-    def test_fiberproduct_seed_7_deterministic(self, capsys):
-        code1, rep1 = run_json(capsys, "verify", "fiberproduct", "--seed", "7")
-        code2, rep2 = run_json(capsys, "verify", "fiberproduct", "--seed", "7")
-        assert code1 == code2 == 0
-        assert rep1 == rep2
-        assert rep1["suites"]["fiberproduct"]["instances"] == 200
-
     def test_coordinate_changes_suite(self, capsys):
         code, report = run_json(capsys, "verify", "coordinate-changes")
         assert code == 0
@@ -180,10 +176,31 @@ class TestVerify:
         assert cases == {"section5": True, "section6": True, "section7": True}
 
     def test_all_suites_pass(self, capsys):
-        code, report = run_json(capsys, "verify", "all", "--seed", "7")
+        code, out = run(capsys, "verify", "all", "--seed", "7", "--format", "structured")
+        report = json.loads(out)
         assert code == 0, {k: v["ok"] for k, v in report["suites"].items()}
         assert report["ok"]
         assert set(report["suites"]) == set(cli.SUITE_ORDER)
+        assert report["suites"]["fiberproduct"]["instances"] == 200
+        assert sha256(out) == GOLDEN_VERIFY_ALL_SEED_7
+
+    def test_raising_suite_fails_and_the_rest_run(self, capsys, monkeypatch):
+        def inconsistent(cfg):
+            raise ValueError("model data inconsistency")
+
+        def unknown_generator(cfg):
+            raise KeyError("unknown generator P9")
+
+        monkeypatch.setattr(cli, "SUITE_ORDER", ("mf", "flop", "conifold"))
+        monkeypatch.setitem(cli.SUITES, "mf", inconsistent)
+        monkeypatch.setitem(cli.SUITES, "flop", unknown_generator)
+        code, report = run_json(capsys, "verify", "all")
+        assert code == 1 and report["ok"] is False
+        assert report["suites"]["mf"] == {
+            "ok": False, "error": "ValueError: model data inconsistency"}
+        assert report["suites"]["flop"] == {
+            "ok": False, "error": "KeyError: 'unknown generator P9'"}
+        assert report["suites"]["conifold"]["ok"] is True
 
     def test_report_file_written(self, capsys, tmp_path):
         out = tmp_path / "reports"

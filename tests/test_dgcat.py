@@ -1,6 +1,7 @@
 """Tests for the dg/A-infinity layer: fiber products, transformations, functor."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -257,7 +258,7 @@ class TestGlobalFunctor:
     @pytest.mark.parametrize("a1,a2", [(0, 0), (1, 0), (0, 2)])
     def test_gluemf_triple(self, m, a1, a2):
         report = dgcat.gluemf_triple(m, a1, a2)
-        assert report["chain_map_up_to_sign"]
+        assert report["chain_map"]
         assert report["potential_match"]
         assert report["entries_unit_monomials"]
         assert report["section_vanishing_order"] == a2 + m
@@ -277,3 +278,21 @@ class TestFlop:
         assert report["d(Y)=(xx'-T^(d+d'))Zb"]
         assert report["alpha_closed_on_gluing_locus"]
         assert report["alpha_not_closed_off_locus"]
+
+    def test_sign_ledger(self, monkeypatch):
+        # flipping any two-circle strip fails some check, except the two
+        # strips flagged sign_unknown, which no identity here constrains
+        model = dgcat._two_circle_model()
+        assert len(model.entries) == 12
+        flagged = {(e.inputs, e.output) for e in model.entries if e.sign_unknown}
+        assert flagged == {(("Xb", "Bx2"), "pt2"), (("Bxp1", "Xpb"), "pt1")}
+        assert dgcat.flop_check()["unconstrained_signs"] == [
+            "Bxp1 Xpb -> pt1", "Xb Bx2 -> pt2"]
+        for i, entry in enumerate(model.entries):
+            entries = list(model.entries)
+            entries[i] = replace(entry, coeff=-entry.coeff)
+            flipped = replace(model, entries=entries)
+            monkeypatch.setattr(dgcat, "_two_circle_model", lambda: flipped)
+            report = dgcat.flop_check()
+            failing = [k for k, v in report.items() if not v]
+            assert bool(failing) != entry.sign_unknown, (entry, failing)

@@ -1,6 +1,7 @@
 """Tests for matrix factorizations, cokernels, gluing, and morphism transforms."""
 
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -240,8 +241,7 @@ class TestTransformMorphism:
         src = mf.transform_object(model, "L", "S")
         tgt = mf.transform_object(model, "Lp", "S")
         phi = mf.transform_morphism(model, "Q0", src, tgt)
-        assert phi.entries["A"]["Bp"] in (SymPoly.scalar(1), SymPoly.scalar(-1))
-        assert phi.entries["B"]["Ap"] in (SymPoly.var("x"), -SymPoly.var("x"))
+        assert phi.entries == {"A": {"Bp": SymPoly.scalar(1)}, "B": {"Ap": -SymPoly.var("x")}}
 
     def test_closed_generators_are_chain_maps(self):
         model = mf.infinite_edge_model(2)
@@ -259,6 +259,25 @@ class TestTransformMorphism:
         q = mf.infinite_edge_q_model()
         src, tgt = (mf.transform_object(q, o, "S") for o in ("L", "Lp"))
         assert is_chain_map(mf.transform_morphism(q, "Q0", src, tgt), src, tgt)
+
+    @pytest.mark.parametrize("build,inputs,src,tgt,gen", [
+        (mf.different_face_hom_model, ("Ap", "X", "Z"), "Lp", "L", "H1"),
+        (mf.different_face_hom_model, ("Bp", "Y"), "Lp", "L", "H1"),
+        (mf.infinite_edge_q_model, ("Q0", "B", "X"), "L", "Lp", "Q0"),
+    ])
+    def test_strip_signs_are_forced(self, build, inputs, src, tgt, gen):
+        # flipping one of these strips breaks delta^2 = W or the chain map
+        model = build()
+        entries = [replace(e, coeff=-e.coeff) if e.inputs == inputs else e
+                   for e in model.entries]
+        assert entries != model.entries
+        model = replace(model, entries=entries)
+        try:
+            s, t = (mf.transform_object(model, o, "S") for o in (src, tgt))
+            phi = mf.transform_morphism(model, gen, s, t)
+        except ValueError:
+            return
+        assert not is_chain_map(phi, s, t)
 
     def test_broken_strip_is_not_chain_map(self):
         model = mf.infinite_edge_model(2)

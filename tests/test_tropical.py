@@ -233,9 +233,9 @@ class TestCovering:
         assert {c.vertex for c in plain} == {"v0", "v1", "v2"}
         assert {c.vertex for c in tilde} == {"v0", "v1", "v2"}
         # the v1 chart deforms along the edge toward v0 past the edge length
-        (letter, shift, style), = next(
+        (letter, shift), = next(
             c for c in tilde if c.vertex == "v1").deformations
-        assert letter == "x" and style == "tilde"
+        assert letter == "x"
         assert shift == Fraction(13, 4) > curve.affine_length("e01")
 
     def test_kp2_undeformed_charts_do_not_cover(self):
@@ -259,16 +259,8 @@ class TestCovering:
         assert cert["ok"]
         assert any(len(c.deformations) == 2 for c in charts)
         for c in charts:
-            for _, shift, _ in c.deformations:
+            for _, shift in c.deformations:
                 assert shift.denominator <= 4
-
-    def test_prime_style(self):
-        curve = tr.load_curve("kp2")
-        charts, cert = tr.covering_collection(curve, style="prime")
-        assert cert["ok"]
-        assert all(
-            style == "prime" for c in charts for _, _, style in c.deformations
-        )
 
 
 class TestConeImage:
