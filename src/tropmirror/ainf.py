@@ -58,7 +58,6 @@ class AInfLocalModel:
     constraints: dict  # symbol -> AreaExp (eliminations among area symbols)
     area_symbols: tuple
     free_symbols: tuple
-    subrings: dict = field(default_factory=dict)  # variable -> subring name
     offsets: dict = field(default_factory=dict)  # generator -> AreaExp
     max_b_insertions: int = 3
 
@@ -205,9 +204,7 @@ class CoordinateChange:
     """Solved variables as monomials in the remaining ones."""
 
     solved: dict  # variable -> SymPoly monomial
-    unknowns: tuple
     constraints: dict
-    subrings: dict = field(default_factory=dict)
 
     def substitute(self, poly: SymPoly) -> SymPoly:
         return poly.substitute(self.solved).normalize(self.constraints)
@@ -215,22 +212,6 @@ class CoordinateChange:
     def apply(self, element: dict) -> dict:
         out = {g: self.substitute(c) for g, c in element.items()}
         return {g: c for g, c in out.items() if not c.is_zero()}
-
-    def gluing_region(self):
-        """Valuation inequalities cutting out the overlap of the two charts.
-
-        Each solved relation v = s*T^a*prod(w^e) yields the requirement that
-        val(v) stay in its declared subring; returned as records
-        (variable, {w: e}, AreaExp a, relation) with relation from the
-        subring of v (">" for Lambda+, ">=" for Lambda0, "==" for Lambda0x).
-        """
-        rels = {"Lambda+": ">", "Lambda0": ">=", "Lambda0x": "==", "Lambda": "any"}
-        out = []
-        for v, expr in self.solved.items():
-            _, area, mono = expr.normalize(self.constraints).single_term()
-            rel = rels[self.subrings.get(v, "Lambda+")]
-            out.append({"variable": v, "exponents": dict(mono), "area": area, "relation": rel})
-        return out
 
 
 def solve_isomorphism(model: AInfLocalModel, alpha: dict, unknowns) -> CoordinateChange:
@@ -270,7 +251,7 @@ def solve_isomorphism(model: AInfLocalModel, alpha: dict, unknowns) -> Coordinat
     if residuals:
         lines = ", ".join(f"{g}: {p}" for g, p in residuals)
         raise ValueError(f"isomorphism system not solvable by monomial relations ({lines})")
-    return CoordinateChange(solved, unknowns, model.constraints, dict(model.subrings))
+    return CoordinateChange(solved, model.constraints)
 
 
 def _solve_binomial(poly: SymPoly, unknowns, solved):
@@ -297,9 +278,9 @@ def _solve_binomial(poly: SymPoly, unknowns, solved):
 def verify_isomorphism(model: AInfLocalModel, alpha: dict, beta: dict, change: CoordinateChange):
     """Check m1(alpha) = m1(beta) = 0 and m2(alpha,beta) = c * unit both ways.
 
-    Returns {"scalar": c, "scalar_rev": c', "gamma": 0, "gamma_rev": 0};
-    raises with the residual otherwise (nonzero homotopies are out of scope
-    for the shipped models, which satisfy the identities on the nose).
+    Returns {"scalar": c, "scalar_rev": c'}; raises with the residual
+    otherwise (nonzero homotopies are out of scope for the shipped models,
+    which satisfy the identities on the nose).
     """
     src, mid = model.hom_pair(alpha)
     mid2, src2 = model.hom_pair(beta)
@@ -324,8 +305,6 @@ def verify_isomorphism(model: AInfLocalModel, alpha: dict, beta: dict, change: C
             if not (c - coeffs[0]).is_zero():
                 raise ValueError(f"m2 product is not a multiple of the unit: {prod}")
         out[tag] = coeffs[0]
-    out["gamma"] = {}
-    out["gamma_rev"] = {}
     return out
 
 
@@ -336,11 +315,10 @@ def potential_invariance(model: AInfLocalModel, obj_from: str, obj_to: str, chan
     return (model.normalize(w_from) - w_to).is_zero()
 
 
-def variant_isomorphism(model: AInfLocalModel, a: int, base: str = "P4", other: str = "Q4",
-                        unknowns=("x'", "y'", "z'"), invert: str = "x") -> CoordinateChange:
+def variant_isomorphism(model: AInfLocalModel, a: int) -> CoordinateChange:
     """Coordinate change from the twisted candidate x^{a-1} P4 - Q4."""
-    alpha = model.element([(base, SymPoly.var(invert, a - 1)), (other, -1)])
-    return solve_isomorphism(model, alpha, unknowns)
+    alpha = model.element([("P4", SymPoly.var("x", a - 1)), ("Q4", -1)])
+    return solve_isomorphism(model, alpha, ("x'", "y'", "z'"))
 
 
 def gauge_change_steps(z1: int, z2: int, y1: int, y2: int):
@@ -361,7 +339,6 @@ def gauge_change_steps(z1: int, z2: int, y1: int, y2: int):
             "y": SymPoly.term(1, None, {"t": ypow, "y'": 1}),
             "t": SymPoly.var("t'"),
         },
-        ("z", "y", "t"),
         {},
     )
     rescale = {"A'": SymPoly.term(1, None, {"t": -z1}), "B'": SymPoly.term(1, None, {"t": -z2})}
@@ -392,7 +369,6 @@ def move_var(area_symbol: str = "A") -> CoordinateChange:
             "y~": SymPoly.term(1, -a, {"y": 1}),
             "z~": SymPoly.term(1, -a, {"z": 1}),
         },
-        ("x~", "y~", "z~"),
         {},
     )
 
@@ -424,7 +400,7 @@ def exact_reduce(model: AInfLocalModel) -> AInfLocalModel:
                 f"entry {entry.inputs} -> {entry.output} is not exact: residual T^({shifted})"
             )
         new_entries.append(
-            Entry(entry.inputs, entry.output, SymPoly.term(scalar, None, dict(mono)), entry.sign_unknown)
+            Entry(entry.inputs, entry.output, SymPoly.term(scalar, None, dict(mono)))
         )
     return AInfLocalModel(
         name=model.name + "_exact",
@@ -437,7 +413,6 @@ def exact_reduce(model: AInfLocalModel) -> AInfLocalModel:
         constraints=dict(model.constraints),
         area_symbols=model.area_symbols,
         free_symbols=model.free_symbols,
-        subrings=dict(model.subrings),
         offsets={},
         max_b_insertions=model.max_b_insertions,
     )
@@ -473,7 +448,7 @@ def load_model(name: str, apply_constraints: bool = True, spin: bool = True) -> 
         if spin and e.get("spin_parity", 0) % 2:
             sign = -sign
         coeff = SymPoly.term(sign, _area_from_json(e.get("area")), e.get("vars", {}))
-        entry = Entry(tuple(e["inputs"]), e["output"], coeff, bool(e.get("sign_unknown", False)))
+        entry = Entry(tuple(e["inputs"]), e["output"], coeff)
         _check_entry_degrees(entry, generators, doc["name"])
         entries.append(entry)
     constraints = (
@@ -492,7 +467,6 @@ def load_model(name: str, apply_constraints: bool = True, spin: bool = True) -> 
         constraints=constraints,
         area_symbols=tuple(doc.get("area_symbols", ())),
         free_symbols=tuple(doc.get("free_symbols", ())),
-        subrings=dict(doc.get("subrings", {})),
         offsets={k: _area_from_json(v) for k, v in doc.get("offsets", {}).items()},
         max_b_insertions=int(doc.get("max_b_insertions", 3)),
     )

@@ -115,7 +115,9 @@ def _fmt(x) -> str:
     return f"{float(x):.2f}"
 
 
-def _scaled(points, size=400, margin=40):
+def _scaled(points):
+    """Map plane points into the 400 x 400 SVG canvas with a 40 margin."""
+    size, margin = 400, 40
     xs = [p[0] for p in points]
     ys = [p[1] for p in points]
     lo_x, hi_x = min(xs), max(xs)
@@ -197,7 +199,7 @@ def fan_svg(curve) -> str:
 def cones_svg(curve) -> str:
     """Chart cone images in the valuation plane (Section 8/9 pictures)."""
     matrices = tropical.chart_matrices(curve)
-    charts, _ = dgcat.stretched_covering(curve)
+    charts, _ = tropical.covering_collection(curve)
     images = [(c.label, tropical.cone_image(curve, c, matrices=matrices))
               for c in charts]
     pts = []
@@ -308,7 +310,7 @@ def cmd_mirror(cfg: RunConfig, curve) -> int:
     report["cocycle_check"] = cocycle
     report["potential_check"] = potential
 
-    charts, certificate = dgcat.stretched_covering(curve)
+    charts, certificate = tropical.covering_collection(curve)
     report["covering"] = {"charts": [c.label for c in charts],
                           "certificate": certificate}
 

@@ -606,26 +606,30 @@ class DivisorLineBundle:
         }
 
 
+def finite_edge_column(x: str, y: str, m: int, a2: int) -> dict:
+    """B's column of the finite-edge gluing: B -> -x^{a2} x (-y D_{2m} + D_{2m-1}).
+
+    For m = 0 both factorizations are two-by-two and the column is
+    B -> -x^{a2} D0.  The -1 is the sign relative to A's column that the
+    chain map of ``dgcat.gluemf_triple`` pins.
+    """
+    if m == 0:
+        return {"D0": SymPoly.term(-1, None, {x: a2})}
+    return {f"D{2*m}": SymPoly.term(1, None, {x: a2 + 1, y: 1}),
+            f"D{2*m-1}": SymPoly.term(-1, None, {x: a2 + 1})}
+
+
 def section_vanishing_order(mf: MatrixFactorization, m: int, a2: int) -> int:
     """Order of vanishing at x1 = 0 of the glued section of the cokernel.
 
-    Traces the edge gluing B -> x1^{a2} * x1 (-y1 D_{2m} + D_{2m-1}) through
-    the cokernel reduction of the winding factorization, projecting away the
-    trivial summands; the result is the exponent of the surviving multiple
-    of D0 (the divisor integer, independent of any Novikov unit).  For
-    m = 0 both factorizations are two-by-two and the gluing is B -> x1^{a2} D0.
+    Traces ``finite_edge_column`` through the cokernel reduction of the
+    winding factorization, projecting away the trivial summands; the result
+    is the exponent of the surviving multiple of D0 (the divisor integer,
+    independent of the sign and of any Novikov unit).
     """
     _, _, subs, trivial = _reduce_presentation(mf)
-    x = mf.variables[0]
-    if m == 0:
-        element = {"D0": SymPoly.term(1, None, {x: a2})}
-    else:
-        y = mf.variables[1]
-        element = {
-            f"D{2*m}": SymPoly.term(-1, None, {x: a2 + 1, y: 1}),
-            f"D{2*m-1}": SymPoly.term(1, None, {x: a2 + 1}),
-        }
-    out = _expand(element, subs, drop=trivial)
+    x, y = mf.variables[:2]
+    out = _expand(finite_edge_column(x, y, m, a2), subs, drop=trivial)
     if set(out) != {"D0"}:
         raise ValueError(f"glued section does not land on D0: {sorted(out)}")
     exps = _mono_exponents(out["D0"])

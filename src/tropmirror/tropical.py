@@ -588,15 +588,12 @@ def absorbs_offsets(curve, edge_id, split="geometric") -> bool:
     )
 
 
-def _step_map(curve, edge_id, src_vertex, exact=True, split="half"):
-    """Transition with source the chart at ``src_vertex``."""
-    e = curve.edges[edge_id]
-    return transition_map(
-        curve, edge_id, exact=exact, split=split, reverse=(src_vertex != e.ends[1])
-    )
+def _step_map(curve, edge_id, src_vertex):
+    """Exact transition with source the chart at ``src_vertex``."""
+    return transition_map(curve, edge_id, reverse=(src_vertex != curve.edges[edge_id].ends[1]))
 
 
-def cocycle_check(curve, exact=True, split="half") -> dict:
+def cocycle_check(curve) -> dict:
     """Compose the transitions around every independent cycle of the curve."""
     incident = {v: [] for v in curve.vertices}
     for eid in sorted(curve.edges):
@@ -637,7 +634,7 @@ def cocycle_check(curve, exact=True, split="half") -> dict:
         for step_edge, u in steps:
             # each map has source = chart at u, target = the next chart;
             # folding forward expresses the start chart in itself at the end
-            m = _step_map(curve, step_edge, u, exact=exact, split=split)
+            m = _step_map(curve, step_edge, u)
             composite = m if composite is None else composite.compose(m)
         ident = composite.is_identity()
         cycles.append({
@@ -744,7 +741,7 @@ def chart_matrices(curve) -> dict:
             w = e.ends[1] if u == e.ends[0] else e.ends[0]
             if w in mats:
                 continue
-            mm = _step_map(curve, eid, w, exact=True)
+            mm = _step_map(curve, eid, w)
             E = [[Fraction(0)] * 3 for _ in range(3)]
             for i, name in enumerate(curve.chart_vars(w)):
                 exps, _ = mm.image_of(name).single_term()
@@ -904,7 +901,11 @@ def covering_collection(curve):
     then walks the bounded faces in increasing order of their dual point,
     deforming each ring chart toward its clockwise predecessor with the
     smallest shift n/d (1 <= d <= 4, 1 <= n <= 400) that keeps a genuine
-    overlap and creates no triple overlap.  Returns (charts, certificate).
+    overlap and creates no triple overlap.  That walk leaves a finite edge
+    that borders no bounded face (the conifold's) uncovered, so a stretched
+    chart -- the winding-strip chart of Section 8 in tropical terms -- is
+    added across it, deformed from the edge's first end by the edge length
+    plus 1/2.  Returns (charts, certificate).
     """
     matrices = chart_matrices(curve)
     charts = []
@@ -951,6 +952,15 @@ def covering_collection(curve):
                 failures.append({"face": [str(c) for c in point], "vertex": v,
                                  "edge": shared})
     cert = covering_certificate(curve, charts, matrices)
+    if not cert["ok"]:
+        for stratum in cert["strata"]:
+            edge = curve.edges[stratum["edge"]]
+            if not stratum["covered"] and edge.finite:
+                vid = edge.ends[0]
+                charts.append(Chart(vid).deformed(
+                    curve.letter(vid, stratum["edge"]),
+                    curve.affine_length(stratum["edge"]) + Fraction(1, 2)))
+        cert = covering_certificate(curve, charts, matrices)
     if failures:
         cert = dict(cert)
         cert["ok"] = False

@@ -85,9 +85,7 @@ class TestIsotopyPair:
         beta = self.model.element([("P4", 1)])
         out = ainf.verify_isomorphism(self.model, self.alpha, beta, self.change)
         k = area(k1=4, k5=8, k6=6, k7=7)  # 4k1 + k2 + k3 + k5 + k6 + k7
-        assert out["scalar"] == SymPoly.term(1, k)
-        assert out["scalar_rev"] == SymPoly.term(1, k)
-        assert out["gamma"] == {} and out["gamma_rev"] == {}
+        assert out == {"scalar": SymPoly.term(1, k), "scalar_rev": SymPoly.term(1, k)}
 
     def test_potential_invariance(self):
         assert ainf.potential_invariance(self.model, "L0", "L1", self.change)
@@ -138,11 +136,6 @@ class TestTwoPants:
         assert change.solved["y'"] == SymPoly.term(1, -e, {"x": a, "y": 1})
         assert change.solved["z'"] == SymPoly.term(1, -e, {"x": 2 - a, "z": 1})
 
-    def test_gluing_region_relations(self):
-        region = self.change.gluing_region()
-        rels = {r["variable"]: r["relation"] for r in region}
-        assert rels == {"x'": ">", "y'": ">", "z'": ">"}
-
 
 class TestCircleSeidel:
     """Circle chart against a Seidel chart: x1 = t T^d, y1 = y0 T^{-h1}, z1 = z0 T^{-h2}."""
@@ -168,11 +161,6 @@ class TestCircleSeidel:
 
     def test_potential_invariance(self):
         assert ainf.potential_invariance(self.model, "C", "S1", self.change)
-
-    def test_holonomy_subring(self):
-        region = self.change.gluing_region()
-        rels = {r["variable"]: r["relation"] for r in region}
-        assert rels["x1"] == ">"  # x1 lands in Lambda+; t itself is a unit
 
 
 class TestGaugeChange:

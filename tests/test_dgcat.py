@@ -176,21 +176,22 @@ class TestModelOps:
             assert shown(changed.m([alpha, beta_n])) == {"v1": "1", "v2": "1"}
 
     def test_table_closure_all_models(self):
-        for name in ("two_pants", "isotopy_pair", "circle_seidel"):
-            model = ainf.load_model(name)
-            report = dgcat.model_ainf_check(model, max_arity=2,
-                                            sample_arities=(3,), samples=15, seed=1)
-            assert report["ok"], report["failures"][:3]
-            assert report["checked"] > 0
+        models = [ainf.load_model(name) for name in
+                  ("seidel_pants", "two_pants", "isotopy_pair", "circle_seidel")]
+        for model in models + [dgcat._two_circle_model()]:
+            assert dgcat.model_ainf_check(model) == {"ok": True, "consumed": []}, model.name
 
-    @pytest.mark.parametrize("name,checked", [
-        ("seidel_pants", 308), ("two_pants", 948),
-        ("isotopy_pair", 398), ("circle_seidel", 603)])
-    def test_table_closure_to_arity_3_and_sampled_arity_4(self, name, checked):
-        report = dgcat.model_ainf_check(ainf.load_model(name), max_arity=3,
-                                        sample_arities=(4,), samples=50, seed=1)
-        assert report["ok"], report["failures"][:3]
-        assert report["checked"] == checked
+    def test_entry_reading_an_output_is_not_certified(self):
+        model = ainf.load_model("two_pants")
+        # m2(P1, P1r) -> X' passes the degree rule and reads the output P1;
+        # its own output X' is consumed too, as the deformation token of b
+        extra = ainf.Entry(("P1", "P1r"), "X'", SymPoly.scalar(1))
+        model = replace(model, entries=model.entries + [extra])
+        assert dgcat.model_ainf_check(model) == {"ok": False, "consumed": ["P1", "X'"]}
+
+    def test_strip_model_outputs_are_consumed(self):
+        report = dgcat.model_ainf_check(mf.pants_strip_model())
+        assert report == {"ok": False, "consumed": ["A", "B"]}
 
 
 class TestYonedaEquivalence:
@@ -259,8 +260,6 @@ class TestGlobalFunctor:
     def test_gluemf_triple(self, m, a1, a2):
         report = dgcat.gluemf_triple(m, a1, a2)
         assert report["chain_map"]
-        assert report["potential_match"]
-        assert report["entries_unit_monomials"]
         assert report["section_vanishing_order"] == a2 + m
         assert report["ok"]
 

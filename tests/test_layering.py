@@ -80,3 +80,51 @@ def test_module_level_imports_form_no_cycle():
 
     for module in sorted(graph):
         visit(module)
+
+
+def defaulted_parameters(path):
+    """(function, parameter, position or None) for each defaulted parameter
+    of a module-level function; keyword-only parameters have no position."""
+    out = []
+    for node in ast.parse(path.read_text()).body:
+        if not isinstance(node, ast.FunctionDef):
+            continue
+        args = node.args
+        positional = args.posonlyargs + args.args
+        first = len(positional) - len(args.defaults)
+        out += [(node.name, p.arg, i) for i, p in enumerate(positional) if i >= first]
+        out += [(node.name, p.arg, None)
+                for p, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+    return out
+
+
+def calls_by_name(roots):
+    """Call nodes under the given directories, keyed by the called name."""
+    calls = {}
+    for root in roots:
+        for path in root.rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Call):
+                    func = node.func
+                    name = getattr(func, "id", None) or getattr(func, "attr", None)
+                    calls.setdefault(name, []).append(node)
+    return calls
+
+
+def passes(call, name, position):
+    if any(isinstance(a, ast.Starred) for a in call.args):
+        return True
+    if position is not None and len(call.args) > position:
+        return True
+    return any(k.arg in (name, None) for k in call.keywords)
+
+
+def test_every_defaulted_parameter_is_passed_somewhere():
+    # a default that no call overrides is a constant spelled as an option
+    repo = PACKAGE.parent.parent
+    calls = calls_by_name([PACKAGE, repo / "tests", repo / "bench"])
+    unpassed = [f"{path.name}:{fn}({name})"
+                for path in sorted(PACKAGE.glob("*.py"))
+                for fn, name, position in defaulted_parameters(path)
+                if not any(passes(c, name, position) for c in calls.get(fn, ()))]
+    assert not unpassed

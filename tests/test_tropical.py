@@ -223,6 +223,12 @@ class TestCovering:
         assert [c.label for c in charts] == ["S(v)"]
         assert cert["ok"]
 
+    def test_conifold_finite_edge_gets_stretched_chart(self):
+        # no bounded face borders the conifold's finite edge
+        charts, cert = tr.covering_collection(tr.load_curve("conifold"))
+        assert [c.label for c in charts] == ["S(v1)", "S(v2)", "S(v1)~x[3/2]"]
+        assert cert["ok"]
+
     def test_kp2_collection(self):
         curve = tr.load_curve("kp2")
         charts, cert = tr.covering_collection(curve)
