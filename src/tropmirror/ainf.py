@@ -59,7 +59,6 @@ class AInfLocalModel:
     area_symbols: tuple
     free_symbols: tuple
     offsets: dict = field(default_factory=dict)  # generator -> AreaExp
-    max_b_insertions: int = 3
 
     def __post_init__(self):
         self._deformation_gens = frozenset(
@@ -102,12 +101,9 @@ class AInfLocalModel:
     def _match_entry(self, entry: Entry, seq, slots):
         """All ways to read an entry as (b-insertions interleaved with seq).
 
-        Returns a list of variable-name tuples, one per match; each match
-        also certifies the b-insertion budget.
+        Returns a list of variable-name tuples, one per match.
         """
         tokens = entry.inputs
-        if len(tokens) - len(seq) > self.max_b_insertions:
-            return []
         results = []
 
         def go(ti, si, acc):
@@ -414,7 +410,6 @@ def exact_reduce(model: AInfLocalModel) -> AInfLocalModel:
         area_symbols=model.area_symbols,
         free_symbols=model.free_symbols,
         offsets={},
-        max_b_insertions=model.max_b_insertions,
     )
 
 
@@ -468,7 +463,6 @@ def load_model(name: str, apply_constraints: bool = True, spin: bool = True) -> 
         area_symbols=tuple(doc.get("area_symbols", ())),
         free_symbols=tuple(doc.get("free_symbols", ())),
         offsets={k: _area_from_json(v) for k, v in doc.get("offsets", {}).items()},
-        max_b_insertions=int(doc.get("max_b_insertions", 3)),
     )
 
 

@@ -200,7 +200,7 @@ def cones_svg(curve) -> str:
     """Chart cone images in the valuation plane (Section 8/9 pictures)."""
     matrices = tropical.chart_matrices(curve)
     charts, _ = tropical.covering_collection(curve)
-    images = [(c.label, tropical.cone_image(curve, c, matrices=matrices))
+    images = [(c.label, tropical.cone_image(curve, c, matrices))
               for c in charts]
     pts = []
     for _, img in images:

@@ -1454,7 +1454,6 @@ def _two_circle_model() -> AInfLocalModel:
         constraints={},
         area_symbols=(),
         free_symbols=(),
-        max_b_insertions=2,
     )
 
 

@@ -321,7 +321,7 @@ def cokernel_dsing(mf: MatrixFactorization) -> DSingClass:
 
 
 def _build_model(name, gens, units, variables, deformations, entries,
-                 area_symbols=(), free_symbols=(), max_b_insertions=3) -> AInfLocalModel:
+                 area_symbols=(), free_symbols=()) -> AInfLocalModel:
     generators = {g.name: g for g in gens}
     for entry in entries:
         _check_entry_degrees(entry, generators, name)
@@ -337,7 +337,6 @@ def _build_model(name, gens, units, variables, deformations, entries,
         constraints={},
         area_symbols=tuple(area_symbols),
         free_symbols=tuple(free_symbols),
-        max_b_insertions=max_b_insertions,
     )
 
 
@@ -479,7 +478,6 @@ def infinite_edge_model(depth: int = 3) -> AInfLocalModel:
         variables={"S": ("x", "y", "z")},
         deformations={"S": {"X": "x", "Y": "y", "Z": "z"}},
         entries=entries,
-        max_b_insertions=2 * depth + 1,
     )
 
 
@@ -513,7 +511,6 @@ def same_face_hom_model(depth: int = 3) -> AInfLocalModel:
         variables={"S": ("x", "y", "z")},
         deformations={"S": {"X": "x", "Y": "y", "Z": "z"}},
         entries=entries,
-        max_b_insertions=depth + 2,
     )
 
 
@@ -548,7 +545,6 @@ def different_face_hom_model(depth: int = 3) -> AInfLocalModel:
         variables={"S": ("x", "y", "z")},
         deformations={"S": {"X": "x", "Y": "y", "Z": "z"}},
         entries=entries,
-        max_b_insertions=depth + 2,
     )
 
 
@@ -650,13 +646,19 @@ def glue_objects(curve, face_point, windings, models: dict = None, exact: bool =
     area bookkeeping and of how the edge area is split.
     """
     point = tuple(Fraction(str(c)) for c in face_point)
+    where = ",".join(str(c) for c in point)
     faces = curve.faces()
     if point not in faces:
-        raise ValueError(f"no face with dual point {point}")
+        raise ValueError(f"no face with dual point {where}")
+    finite = sorted({eid for _, eid in faces[point] if curve.edges[eid].finite})
+    errors = [f"winding {eid!r}: names no finite edge of face {where}"
+              for eid in sorted(set(windings) - set(finite))]
+    errors += [f"no winding for finite edge {eid} of face {where}"
+               for eid in finite if eid not in windings]
+    if errors:
+        raise ValueError("; ".join(errors))
     coefficients = {}
-    for _, eid in sorted(faces[point]):
-        if not curve.edges[eid].finite or eid in coefficients:
-            continue
+    for eid in finite:
         m = int(windings[eid])
         a2 = curve.a2(eid)
         if models and eid in models:

@@ -145,9 +145,6 @@ class SymPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def is_monomial(self) -> bool:
-        return len(self.terms) == 1
-
     def single_term(self):
         """(scalar, AreaExp, vars tuple) of the unique term."""
         if len(self.terms) != 1:

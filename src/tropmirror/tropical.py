@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key
+from functools import cache, cmp_to_key
 from importlib import resources
 from math import gcd, inf
 from pathlib import Path
@@ -332,6 +332,10 @@ class TropicalCurve:
     def face_boundary(self, point):
         """Counterclockwise boundary darts (vertex, edge) of a bounded face."""
         point = tuple(Fraction(str(c)) for c in point)
+        if point not in self._bounded_faces:
+            where = ",".join(str(c) for c in point)
+            raise ValueError(f"face {where} is not bounded" if point in self._faces
+                             else f"no face with dual point {where}")
         return sorted(self._bounded_faces[point])
 
     def face_vertices(self, point):
@@ -506,16 +510,18 @@ def _split_area(curve, edge_id, split):
     raise ValueError(f"unknown area split {split!r}")
 
 
-def _invert(mm: MonomialMap) -> MonomialMap:
-    n = len(mm.source)
-    M = [[Fraction(0)] * n for _ in range(n)]
-    units = []
-    for i, src in enumerate(mm.source):
-        img = mm.image_of(src)
-        exps, unit = img.single_term()
-        for j, e in enumerate(exps):
-            M[i][j] = Fraction(e)
+def _exponents(mm: MonomialMap):
+    """Exponent rows and units: source i goes to units[i] * prod_j target_j^rows[i][j]."""
+    rows, units = [], []
+    for src in mm.source:
+        exps, unit = mm.image_of(src).single_term()
+        rows.append(exps)
         units.append(unit)
+    return rows, units
+
+
+def _invert(mm: MonomialMap) -> MonomialMap:
+    M, units = _exponents(mm)
     N = _mat_inv(M)
     table = {}
     for j, tgt in enumerate(mm.target):
@@ -593,32 +599,40 @@ def _step_map(curve, edge_id, src_vertex):
     return transition_map(curve, edge_id, reverse=(src_vertex != curve.edges[edge_id].ends[1]))
 
 
-def cocycle_check(curve) -> dict:
-    """Compose the transitions around every independent cycle of the curve."""
+def _spanning_tree(curve, root):
+    """Breadth-first spanning tree of the finite edges from ``root``.
+
+    Each vertex visits its finite edges in sorted order.  Returns (parent,
+    non_tree): parent maps each reached vertex but the root, in the order
+    reached, to (parent vertex, tree edge); non_tree lists the other finite
+    edges in the order met.
+    """
     incident = {v: [] for v in curve.vertices}
     for eid in sorted(curve.edges):
         if curve.edges[eid].finite:
             for v in curve.edges[eid].ends:
                 incident[v].append(eid)
-    root = sorted(curve.vertices)[0]
-    parent = {}  # vertex -> (parent vertex, tree edge)
-    seen = {root}
-    queue = [root]
+    parent = {}
     tree_edges = set()
     non_tree = []
-    while queue:
-        v = queue.pop(0)
+    queue = [root]
+    for v in queue:
         for eid in incident[v]:
             a, b = curve.edges[eid].ends
             other = b if v == a else a
-            if other in seen:
+            if other == root or other in parent:
                 if eid not in tree_edges and eid not in non_tree:
                     non_tree.append(eid)
                 continue
-            seen.add(other)
             parent[other] = (v, eid)
             tree_edges.add(eid)
             queue.append(other)
+    return parent, non_tree
+
+
+def cocycle_check(curve) -> dict:
+    """Compose the transitions around every independent cycle of the curve."""
+    parent, non_tree = _spanning_tree(curve, sorted(curve.vertices)[0])
     cycles = []
     for eid in non_tree:
         a, b = curve.edges[eid].ends
@@ -729,72 +743,56 @@ def _mat_inv(M):
 def chart_matrices(curve) -> dict:
     """Integer matrices expressing each chart's exact variables in base-chart ones."""
     base = curve.edges[curve.anchor["edge"]].ends[0]
-    mats = {base: [[Fraction(int(i == j)) for j in range(3)] for i in range(3)]}
-    queue = [base]
-    finite = [e for e in sorted(curve.edges) if curve.edges[e].finite]
-    while queue:
-        u = queue.pop(0)
-        for eid in finite:
-            e = curve.edges[eid]
-            if u not in e.ends:
-                continue
-            w = e.ends[1] if u == e.ends[0] else e.ends[0]
-            if w in mats:
-                continue
-            mm = _step_map(curve, eid, w)
-            E = [[Fraction(0)] * 3 for _ in range(3)]
-            for i, name in enumerate(curve.chart_vars(w)):
-                exps, _ = mm.image_of(name).single_term()
-                for j, c in enumerate(exps):
-                    E[i][j] = Fraction(c)
-            mats[w] = _mat_mul(E, mats[u])
-            queue.append(w)
+    mats = {base: [[int(i == j) for j in range(3)] for i in range(3)]}
+    parent, _ = _spanning_tree(curve, base)
+    for w, (u, eid) in parent.items():
+        E, _ = _exponents(_step_map(curve, eid, w))
+        mats[w] = _mat_mul(E, mats[u])
     return mats
 
 
-def _stratum_rows(curve, vertex_id, edge_id, matrices):
-    """Binding constraints of a vertex chart on an edge stratum, cached.
+def _stratum_rows(curve) -> dict:
+    """Binding constraints of every vertex chart on every edge stratum.
 
-    Returns None when the chart never meets the stratum, else a list of
-    (letter, m, a): the constraint reads delta_letter - a <= m * tau.
+    Maps (vertex, edge) to None when the chart never meets the stratum, else
+    to a list of (letter, m, offset): the constraint reads
+    delta_letter + offset <= m * tau.
     """
-    cache = curve.__dict__.setdefault("_stratum_rows", {})
-    key = (vertex_id, edge_id)
-    if key in cache:
-        return cache[key]
-    e = curve.edges[edge_id]
-    u = e.ends[0]
-    idx = curve.vertices[u].edges.index(edge_id)
-    N = _mat_mul(matrices[vertex_id], _mat_inv(matrices[u]))
-    cv = curve.vertices[vertex_id]
-    rows = []
-    for s in range(3):
-        vanish = [N[s][j] for j in range(3) if j != idx]
-        if any(c < 0 for c in vanish):
-            rows = None
-            break
-        if any(c > 0 for c in vanish):
-            continue
-        a = Fraction(_dot(curve.direction_at(cv.edges[s], vertex_id), cv.position))
-        rows.append((LETTERS[s], N[s][idx], a))
-    cache[key] = rows
-    return rows
+    matrices = chart_matrices(curve)
+    # the chart matrices are unimodular, so their inverses are integral
+    inverses = {v: [[int(c) for c in row] for row in _mat_inv(M)] for v, M in matrices.items()}
+    table = {}
+    for eid, e in curve.edges.items():
+        u = e.ends[0]
+        idx = curve.vertices[u].edges.index(eid)
+        for vid, cv in curve.vertices.items():
+            N = _mat_mul(matrices[vid], inverses[u])
+            rows = []
+            for s in range(3):
+                vanish = [N[s][j] for j in range(3) if j != idx]
+                if any(c < 0 for c in vanish):
+                    rows = None
+                    break
+                if not any(c > 0 for c in vanish):
+                    rows.append((LETTERS[s], N[s][idx], curve.exact_offset(vid, cv.edges[s])))
+            table[(vid, eid)] = rows
+    return table
 
 
-def stratum_interval(curve, chart, edge_id, matrices):
-    """Closed interval of the stratum covered by a chart, or None.
+def stratum_interval(chart, rows):
+    """Closed interval of an edge stratum covered by a chart, or None.
 
     The stratum of an edge is parameterized by the valuation tau of the
     reference chart's exact edge variable; the other two reference
-    variables vanish there.
+    variables vanish there.  ``rows`` are the chart vertex's constraints on
+    the stratum, as ``_stratum_rows`` gives them.
     """
-    rows = _stratum_rows(curve, chart.vertex, edge_id, matrices)
     if rows is None:
         return None
     deltas = chart.deltas()
     lo, hi = NEG_INF, POS_INF
-    for letter, m, a in rows:
-        rhs = deltas[letter] - a
+    for letter, m, offset in rows:
+        rhs = deltas[letter] + offset
         if m > 0:
             lo = max(lo, rhs / m)
         elif m < 0:
@@ -804,6 +802,12 @@ def stratum_interval(curve, chart, edge_id, matrices):
     if lo > hi:
         return None
     return (lo, hi)
+
+
+def _intervals(curve):
+    """(chart, edge) -> stratum interval, each computed once."""
+    rows = _stratum_rows(curve)
+    return cache(lambda chart, eid: stratum_interval(chart, rows[(chart.vertex, eid)]))
 
 
 def required_interval(curve, edge_id):
@@ -827,9 +831,9 @@ def _covers(intervals, required):
     return covered >= hi
 
 
-def _triple_violations(per_chart):
-    """Chart triples with a common point on the stratum."""
-    items = [(label, iv) for label, iv in per_chart if iv is not None]
+def _triple_violations(charts, ivs):
+    """Chart triples with a common point on a stratum, given their intervals."""
+    items = [(c, iv) for c, iv in zip(charts, ivs) if iv is not None]
     bad = []
     for i in range(len(items)):
         for j in range(i + 1, len(items)):
@@ -841,26 +845,31 @@ def _triple_violations(per_chart):
     return bad
 
 
-def covering_certificate(curve, charts, matrices=None) -> dict:
+def _stratum(curve, interval, charts, edge_id):
+    """The charts' intervals on an edge stratum, whether they cover it, and their triple overlaps."""
+    ivs = [interval(c, edge_id) for c in charts]
+    return ivs, _covers(ivs, required_interval(curve, edge_id)), _triple_violations(charts, ivs)
+
+
+def covering_certificate(curve, charts) -> dict:
     """Exact coverage and pairwise-only-overlap certificate for a chart list."""
-    matrices = matrices or chart_matrices(curve)
+    return _certificate(curve, charts, _intervals(curve))
+
+
+def _certificate(curve, charts, interval) -> dict:
     strata = []
     ok = True
     for eid in sorted(curve.edges):
-        per_chart = [
-            (c.label, stratum_interval(curve, c, eid, matrices)) for c in charts
-        ]
-        covered = _covers([iv for _, iv in per_chart], required_interval(curve, eid))
-        triples = _triple_violations(per_chart)
+        ivs, covered, triples = _stratum(curve, interval, charts, eid)
         ok = ok and covered and not triples
         strata.append({
             "edge": eid,
             "covered": covered,
             "intervals": [
-                {"chart": label, "lo": _fmt_end(iv[0]), "hi": _fmt_end(iv[1])}
-                for label, iv in per_chart if iv is not None
+                {"chart": c.label, "lo": _fmt_end(iv[0]), "hi": _fmt_end(iv[1])}
+                for c, iv in zip(charts, ivs) if iv is not None
             ],
-            "triple_overlaps": [list(t) for t in triples],
+            "triple_overlaps": [[c.label for c in t] for t in triples],
         })
     return {"ok": ok, "strata": strata}
 
@@ -894,6 +903,12 @@ def _edge_between(curve, u, w):
     return None
 
 
+@cache
+def _shifts() -> tuple:
+    """Deformation shifts n/d, 1 <= d <= 4, 1 <= n <= 400, smallest first."""
+    return tuple(sorted({Fraction(n, d) for d in range(1, 5) for n in range(1, 401)}))
+
+
 def covering_collection(curve):
     """Build a chart collection covering the critical strata with pairwise overlaps.
 
@@ -907,14 +922,11 @@ def covering_collection(curve):
     added across it, deformed from the edge's first end by the edge length
     plus 1/2.  Returns (charts, certificate).
     """
-    matrices = chart_matrices(curve)
+    interval = _intervals(curve)
     charts = []
     for vid in sorted(curve.vertices, key=lambda v: (curve.vertices[v].position, v)):
         if any(not curve.edges[e].finite for e in curve.vertices[vid].edges):
             charts.append(Chart(vid))
-    shifts = sorted(
-        {Fraction(n, d) for d in range(1, 5) for n in range(1, 401)}
-    )
     failures = []
     for point in sorted(curve.bounded_faces()):
         ring = _ring(curve, point)
@@ -930,8 +942,10 @@ def covering_collection(curve):
             if shared is None:
                 continue
             existing_here = [c for c in charts if c.vertex == v]
-            if existing_here and _stratum_settled(curve, charts, shared, matrices):
-                continue
+            if existing_here:
+                _, covered, triples = _stratum(curve, interval, charts, shared)
+                if covered and not triples:
+                    continue
             base = existing_here[-1] if existing_here else Chart(v)
             letter = curve.letter(v, shared)
             if pre_face.get(prev_v):
@@ -942,16 +956,16 @@ def covering_collection(curve):
                     continue
                 prev_chart = cands[-1]
             placed = False
-            for h in shifts:
+            for h in _shifts():
                 cand = base.deformed(letter, h)
-                if _admissible(curve, charts, cand, prev_chart, shared, matrices):
+                if _admissible(curve, interval, charts, cand, prev_chart, shared):
                     charts.append(cand)
                     placed = True
                     break
             if not placed:
                 failures.append({"face": [str(c) for c in point], "vertex": v,
                                  "edge": shared})
-    cert = covering_certificate(curve, charts, matrices)
+    cert = _certificate(curve, charts, interval)
     if not cert["ok"]:
         for stratum in cert["strata"]:
             edge = curve.edges[stratum["edge"]]
@@ -960,7 +974,7 @@ def covering_collection(curve):
                 charts.append(Chart(vid).deformed(
                     curve.letter(vid, stratum["edge"]),
                     curve.affine_length(stratum["edge"]) + Fraction(1, 2)))
-        cert = covering_certificate(curve, charts, matrices)
+        cert = _certificate(curve, charts, interval)
     if failures:
         cert = dict(cert)
         cert["ok"] = False
@@ -968,45 +982,30 @@ def covering_collection(curve):
     return charts, cert
 
 
-def _stratum_settled(curve, charts, edge_id, matrices):
-    per_chart = [(c.label, stratum_interval(curve, c, edge_id, matrices)) for c in charts]
-    return (
-        _covers([iv for _, iv in per_chart], required_interval(curve, edge_id))
-        and not _triple_violations(per_chart)
-    )
-
-
-def _admissible(curve, charts, cand, prev_chart, shared, matrices):
-    new_iv = stratum_interval(curve, cand, shared, matrices)
-    prev_iv = stratum_interval(curve, prev_chart, shared, matrices)
+def _admissible(curve, interval, charts, cand, prev_chart, shared):
+    new_iv = interval(cand, shared)
+    prev_iv = interval(prev_chart, shared)
     if new_iv is None or prev_iv is None:
         return False
     if max(new_iv[0], prev_iv[0]) >= min(new_iv[1], prev_iv[1]):
         return False  # overlap must have nonempty interior
     trial = charts + [cand]
-    for eid in curve.edges:
-        per_chart = [(c.label, stratum_interval(curve, c, eid, matrices)) for c in trial]
-        if _triple_violations(per_chart):
-            return False
-    return True
+    return not any(_triple_violations(trial, [interval(c, eid) for c in trial])
+                   for eid in curve.edges)
 
 
-def cone_image(curve, chart, matrices=None) -> dict:
+def cone_image(curve, chart, matrices) -> dict:
     """Projected valuation cone of a chart: apex and rays in the plane.
 
     The chart region in global exact-valuation coordinates is
-    {V : M V >= delta - a}; its apex is M^{-1}(delta - a) and its rays the
-    columns of M^{-1}.  Projection drops the last base coordinate.
+    {V : M V >= delta + offset}; its apex is M^{-1}(delta + offset) and its
+    rays the columns of M^{-1}.  Projection drops the last base coordinate.
     """
-    matrices = matrices or chart_matrices(curve)
-    M = matrices[chart.vertex]
-    Minv = _mat_inv(M)
+    Minv = _mat_inv(matrices[chart.vertex])
     deltas = chart.deltas()
     cv = curve.vertices[chart.vertex]
-    rhs = []
-    for s in range(3):
-        a = Fraction(_dot(curve.direction_at(cv.edges[s], chart.vertex), cv.position))
-        rhs.append(deltas[LETTERS[s]] - a)
+    rhs = [deltas[LETTERS[s]] + curve.exact_offset(chart.vertex, cv.edges[s])
+           for s in range(3)]
     apex = [sum(Minv[i][j] * rhs[j] for j in range(3)) for i in range(3)]
     keep = [0, 1]
     rays = []

@@ -139,12 +139,25 @@ class TestTransform:
         code, report = run_json(capsys, "transform", "--curve", "kp2",
                                 "--face", "5,5", "--windings", "e01=0")
         assert code == 2
-        assert report["errors"]
+        assert report["errors"] == ["no face with dual point 5,5"]
 
     def test_missing_winding_errors(self, capsys):
         code, report = run_json(capsys, "transform", "--curve", "kp2",
                                 "--face", "0,0", "--windings", "e01=0")
         assert code == 2
+        assert "no winding for finite edge e02 of face 0,0" in report["errors"][0]
+
+    def test_winding_for_no_edge_of_the_face_errors(self, capsys):
+        code, report = run_json(capsys, "transform", "--curve", "kp2", "--face", "0,0",
+                                "--windings", "e01=1,e02=1,e12=1,zz=3")
+        assert code == 2 and not report["ok"]
+        assert report["errors"] == ["winding 'zz': names no finite edge of face 0,0"]
+
+    def test_unbounded_face_errors(self, capsys):
+        code, report = run_json(capsys, "transform", "--curve", "conifold",
+                                "--face", "0,0", "--windings", "e=1")
+        assert code == 2
+        assert report["errors"] == ["face 0,0 is not bounded"]
 
 
 class TestFlags:

@@ -1,6 +1,8 @@
-"""The package's import layering, read from the source with ``ast``."""
+"""The package's structure, read from the source with ``ast``: import layering,
+options, unreferenced definitions and the benchmark tracer's targets."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import tropmirror
@@ -128,3 +130,55 @@ def test_every_defaulted_parameter_is_passed_somewhere():
                 for fn, name, position in defaulted_parameters(path)
                 if not any(passes(c, name, position) for c in calls.get(fn, ()))]
     assert not unpassed
+
+
+def referenced_names(roots):
+    """Every name a Name or Attribute node spells under the given directories."""
+    names = set()
+    for root in roots:
+        for path in root.rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Name):
+                    names.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    names.add(node.attr)
+    return names
+
+
+def test_every_definition_is_referenced():
+    # a function, class or method that nothing names is dead code
+    repo = PACKAGE.parent.parent
+    used = referenced_names([PACKAGE, repo / "tests", repo / "bench"])
+    unused = [f"{path.name}:{node.name}"
+              for path in sorted(PACKAGE.glob("*.py"))
+              for node in ast.walk(ast.parse(path.read_text()))
+              if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+              and not (node.name.startswith("__") and node.name.endswith("__"))
+              and node.name not in used]
+    assert not unused
+
+
+def tracer_targets():
+    """(module, attribute path) pairs of the benchmark tracer's SPANS and COUNTS."""
+    tracer = PACKAGE.parent.parent / "bench" / "tracer.py"
+    tables = {}
+    for node in ast.parse(tracer.read_text()).body:
+        if isinstance(node, ast.Assign):
+            for target in node.targets:
+                if isinstance(target, ast.Name) and target.id in ("SPANS", "COUNTS"):
+                    tables[target.id] = ast.literal_eval(node.value)
+    assert set(tables) == {"SPANS", "COUNTS"}
+    return [(mod, path) for table in tables.values() for mod, path, _ in table]
+
+
+def test_tracer_targets_resolve():
+    # the tracer patches each target in the owner's own namespace, by name
+    unresolved = []
+    for mod, path in tracer_targets():
+        owner = importlib.import_module(f"tropmirror.{mod}")
+        *parents, name = path.split(".")
+        for part in parents:
+            owner = getattr(owner, part, None)
+        if owner is None or name not in vars(owner):
+            unresolved.append(f"{mod}.{path}")
+    assert not unresolved

@@ -183,9 +183,12 @@ class TestCocycle:
 
     @pytest.mark.parametrize("name", ["kp2", "toriccyeg"])
     def test_shipped_curves_pass(self, name):
+        # the cycles follow the breadth-first tree from the first vertex
+        cycles = {"kp2": [["e01", "e02", "e12"]],
+                  "toriccyeg": [["e12", "e13", "e23"], ["e24", "e12", "e13", "e35", "e45"]]}
         report = tr.cocycle_check(tr.load_curve(name))
         assert report["ok"]
-        assert len(report["cycles"]) == (1 if name == "kp2" else 2)
+        assert [c["edges"] for c in report["cycles"]] == cycles[name]
 
     def test_perturbed_a1_fails(self):
         curve = tr.load_curve("kp2", a1_overrides={"e01": 1})
@@ -233,7 +236,8 @@ class TestCovering:
         curve = tr.load_curve("kp2")
         charts, cert = tr.covering_collection(curve)
         assert cert["ok"]
-        assert len(charts) == 6
+        assert [c.label for c in charts] == [
+            "S(v0)", "S(v1)", "S(v2)", "S(v1)~x[13/4]", "S(v2)~y[25/4]", "S(v0)~y[13/4]"]
         plain = [c for c in charts if not c.deformations]
         tilde = [c for c in charts if c.deformations]
         assert {c.vertex for c in plain} == {"v0", "v1", "v2"}
@@ -263,10 +267,20 @@ class TestCovering:
         curve = tr.load_curve("toriccyeg")
         charts, cert = tr.covering_collection(curve)
         assert cert["ok"]
-        assert any(len(c.deformations) == 2 for c in charts)
+        assert [c.label for c in charts] == [
+            "S(t5)", "S(t1)", "S(t4)", "S(t4)~y[17/4]", "S(t2)~z[21/4]", "S(t3)~y[19/3]",
+            "S(t5)~x[17/2]", "S(t3)~y[19/3]~x[15/2]", "S(t1)~x[22/3]"]
         for c in charts:
             for _, shift in c.deformations:
                 assert shift.denominator <= 4
+
+    @pytest.mark.parametrize("name", CURVES)
+    def test_search_stores_nothing_on_the_curve(self, name):
+        curve = tr.load_curve(name)
+        before = set(vars(curve))
+        charts, _ = tr.covering_collection(curve)
+        tr.covering_certificate(curve, charts)
+        assert set(vars(curve)) == before
 
 
 class TestConeImage:
@@ -274,7 +288,7 @@ class TestConeImage:
         curve = tr.load_curve("kp2")
         mats = tr.chart_matrices(curve)
         apex = {
-            v: tr.cone_image(curve, tr.Chart(v), matrices=mats)["apex"]
+            v: tr.cone_image(curve, tr.Chart(v), mats)["apex"]
             for v in curve.vertices
         }
         assert apex == {"v0": (0, 0), "v1": (-3, 0), "v2": (0, -3)}
@@ -283,8 +297,8 @@ class TestConeImage:
         curve = tr.load_curve("kp2")
         mats = tr.chart_matrices(curve)
         h = Fraction(13, 4)
-        before = tr.cone_image(curve, tr.Chart("v1"), matrices=mats)
-        after = tr.cone_image(curve, tr.Chart("v1").deformed("x", h), matrices=mats)
+        before = tr.cone_image(curve, tr.Chart("v1"), mats)
+        after = tr.cone_image(curve, tr.Chart("v1").deformed("x", h), mats)
         assert after["rays"] == before["rays"]
         move = tuple(a - b for a, b in zip(after["apex"], before["apex"]))
         assert move == (h, 2 * h)
