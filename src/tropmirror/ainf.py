@@ -16,7 +16,7 @@ changes on a pair-of-circles, and reduction to exact (T-free) models.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from importlib import resources
 
@@ -43,7 +43,9 @@ class Entry:
 class AInfLocalModel:
     """A curated local model with its table of structure-constant entries.
 
-    ``__post_init__`` indexes the entries once by their real inputs (the
+    ``__post_init__`` checks every entry against the degree rule, so every
+    way of building a model (``dataclasses.replace`` included) yields a
+    valid table.  It then indexes the entries once by their real inputs (the
     input tokens with every deformation generator dropped), so ``entries``
     and ``deformations`` must not change after construction.
     """
@@ -55,12 +57,14 @@ class AInfLocalModel:
     variables: dict  # object -> tuple of deformation/holonomy variable names
     deformations: dict  # object -> {generator name: variable name}
     entries: list
-    constraints: dict  # symbol -> AreaExp (eliminations among area symbols)
-    area_symbols: tuple
-    free_symbols: tuple
+    constraints: dict = field(default_factory=dict)  # symbol -> AreaExp elimination
+    area_symbols: tuple = ()
+    free_symbols: tuple = ()
     offsets: dict = field(default_factory=dict)  # generator -> AreaExp
 
     def __post_init__(self):
+        for entry in self.entries:
+            _check_entry_degrees(entry, self.generators, self.name)
         self._deformation_gens = frozenset(
             g for gens in self.deformations.values() for g in gens)
         self._entries_by_inputs: dict = {}
@@ -398,19 +402,7 @@ def exact_reduce(model: AInfLocalModel) -> AInfLocalModel:
         new_entries.append(
             Entry(entry.inputs, entry.output, SymPoly.term(scalar, None, dict(mono)))
         )
-    return AInfLocalModel(
-        name=model.name + "_exact",
-        objects=model.objects,
-        generators=dict(model.generators),
-        units=dict(model.units),
-        variables=dict(model.variables),
-        deformations=dict(model.deformations),
-        entries=new_entries,
-        constraints=dict(model.constraints),
-        area_symbols=model.area_symbols,
-        free_symbols=model.free_symbols,
-        offsets={},
-    )
+    return replace(model, name=model.name + "_exact", entries=new_entries, offsets={})
 
 
 # -- loading ----------------------------------------------------------------
@@ -443,9 +435,7 @@ def load_model(name: str, apply_constraints: bool = True, spin: bool = True) -> 
         if spin and e.get("spin_parity", 0) % 2:
             sign = -sign
         coeff = SymPoly.term(sign, _area_from_json(e.get("area")), e.get("vars", {}))
-        entry = Entry(tuple(e["inputs"]), e["output"], coeff)
-        _check_entry_degrees(entry, generators, doc["name"])
-        entries.append(entry)
+        entries.append(Entry(tuple(e["inputs"]), e["output"], coeff))
     constraints = (
         {sym: _area_from_json(spec) for sym, spec in doc.get("constraints", {}).items()}
         if apply_constraints
@@ -468,11 +458,10 @@ def load_model(name: str, apply_constraints: bool = True, spin: bool = True) -> 
 
 def _check_entry_degrees(entry: Entry, generators: dict, model_name: str):
     """|output|' = 1 + sum |inputs|' over Z/2."""
-    degs = []
-    for g in entry.inputs:
+    for g in entry.inputs + (entry.output,):
         if g not in generators:
             raise KeyError(f"{model_name}: unknown generator {g} in entry")
-        degs.append(generators[g].degree)
+    degs = [generators[g].degree for g in entry.inputs]
     expected = (sum(degs) + 2 - len(degs)) % 2
     actual = generators[entry.output].degree % 2
     if expected != actual:

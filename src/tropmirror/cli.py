@@ -59,7 +59,11 @@ def _parse_face(text: str) -> tuple:
     parts = text.split(",")
     if len(parts) != 2:
         raise argparse.ArgumentTypeError(f"expected two coordinates, got {text!r}")
-    return tuple(Fraction(p.strip()) for p in parts)
+    try:
+        return tuple(Fraction(p.strip()) for p in parts)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(
+            f"expected two rational coordinates, got {text!r}") from None
 
 
 def parse_args(argv) -> RunConfig:
@@ -196,10 +200,9 @@ def fan_svg(curve) -> str:
     return "".join(lines)
 
 
-def cones_svg(curve) -> str:
-    """Chart cone images in the valuation plane (Section 8/9 pictures)."""
+def cones_svg(curve, charts) -> str:
+    """Cone images of the covering ``charts`` in the valuation plane (Sections 8/9)."""
     matrices = tropical.chart_matrices(curve)
-    charts, _ = tropical.covering_collection(curve)
     images = [(c.label, tropical.cone_image(curve, c, matrices))
               for c in charts]
     pts = []
@@ -257,13 +260,13 @@ def _emit(cfg: RunConfig, report: dict) -> None:
         (out_dir / f"{cfg.command}-report.{suffix}").write_text(text)
 
 
-def _write_svgs(curve, out_dir: Path) -> dict:
-    """Write the curve, fan and cone diagrams; returns {file name: path}."""
+def _write_svgs(curve, charts, out_dir: Path) -> dict:
+    """Write the curve, fan and covering-cone diagrams; returns {file name: path}."""
     out_dir.mkdir(parents=True, exist_ok=True)
     artifacts = {}
     for name, text in (("curve.svg", curve_svg(curve)),
                        ("fan.svg", fan_svg(curve)),
-                       ("cones.svg", cones_svg(curve))):
+                       ("cones.svg", cones_svg(curve, charts))):
         (out_dir / name).write_text(text)
         artifacts[name] = str(out_dir / name)
     return artifacts
@@ -323,7 +326,7 @@ def cmd_mirror(cfg: RunConfig, curve) -> int:
     report["ok"] = bool(cocycle["ok"] and potential["ok"] and certificate["ok"])
 
     if cfg.out:
-        report["artifacts"] = _write_svgs(curve, Path(cfg.out))
+        report["artifacts"] = _write_svgs(curve, charts, Path(cfg.out))
 
     _emit(cfg, report)
     return 0 if report["ok"] else 1
@@ -339,7 +342,7 @@ def cmd_transform(cfg: RunConfig, curve) -> int:
               "face": [str(c) for c in cfg.face],
               "windings": dict(sorted(cfg.windings.items()))}
     try:
-        bundle = mf.glue_objects(curve, cfg.face, cfg.windings, exact=True)
+        bundle = mf.glue_objects(curve, cfg.face, cfg.windings)
         data = tropical.divisor_data(curve, cfg.face, cfg.windings) \
             if bundle.coefficients else []
     except (ValueError, KeyError) as err:
@@ -491,7 +494,7 @@ def _suite_divisor(cfg) -> dict:
                 break
             windings[eid] = int(m)
         else:
-            bundle = mf.glue_objects(curve, face, windings, exact=True)
+            bundle = mf.glue_objects(curve, face, windings)
             expected = {eid: k * curve.affine_length(eid) for eid in finite}
             cases[f"k={k}"] = (
                 tropical.line_bundle_degree(curve, face, windings) == k
@@ -539,7 +542,7 @@ def _suite_flop(cfg) -> dict:
 
 def _suite_morphisms(cfg) -> dict:
     """Criterion 11: Section 10.2 morphism tables and compositions."""
-    model = mf.infinite_edge_model(3)
+    model = mf.infinite_edge_model()
     obj = mf.transform_object(model, "L", "S")
     images = {"P0": "1", "P1": "x", "P2": "x^2", "P3": "x^3",
               "P-1": "y", "P-2": "y^2", "P-3": "y^3"}
@@ -602,7 +605,8 @@ def cmd_verify(cfg: RunConfig) -> int:
 
 
 def cmd_render(cfg: RunConfig, curve) -> int:
-    written = list(_write_svgs(curve, Path(cfg.out or ".")).values())
+    charts, _ = tropical.covering_collection(curve)
+    written = list(_write_svgs(curve, charts, Path(cfg.out or ".")).values())
     _emit(cfg, {"config": _config_echo(cfg), "curve": curve.name,
                 "artifacts": written, "ok": True})
     return 0

@@ -1441,19 +1441,15 @@ def _two_circle_model() -> AInfLocalModel:
         Entry(("Xpb", "Bxp2"), "pt2", SymPoly.scalar(1)),
         Entry(("Bxp1", "Xpb"), "pt1", SymPoly.scalar(1), sign_unknown=True),
     ]
-    generators = {g.name: g for g in gens}
     return AInfLocalModel(
         name="two_circle",
         objects=("O1", "O2"),
-        generators=generators,
+        generators={g.name: g for g in gens},
         units={"O1": (), "O2": ()},
         variables={"O1": ("x", "u"), "O2": ("xp", "v")},
         deformations={"O1": {"Bx1": "x", "Bxp1": "u"},
                       "O2": {"Bx2": "v", "Bxp2": "xp"}},
         entries=entries,
-        constraints={},
-        area_symbols=(),
-        free_symbols=(),
     )
 
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
-from .ainf import AInfLocalModel, Entry, Generator, _check_entry_degrees
+from .ainf import AInfLocalModel, Entry, Generator
 from .dgcat import DgMorphism, mf_dg_piece
 from .symbolic import AreaExp, SymPoly
 
@@ -319,34 +319,49 @@ def cokernel_dsing(mf: MatrixFactorization) -> DSingClass:
 # shipped strip models
 # ---------------------------------------------------------------------------
 
+# Floer products and Hom generators are shipped for indices up to DEPTH.
+DEPTH = 3
 
-def _build_model(name, gens, units, variables, deformations, entries,
-                 area_symbols=(), free_symbols=()) -> AInfLocalModel:
-    generators = {g.name: g for g in gens}
-    for entry in entries:
-        _check_entry_degrees(entry, generators, name)
+
+def _chart_model(name, paths, strips, *, area=None, suffix="", units=None) -> AInfLocalModel:
+    """Lagrangian paths against the vertex chart S<suffix>.
+
+    The chart supplies the unit e, the corners X, Y, Z deformed by the chart
+    variables x, y, z, and the W entry X Y Z -> e with T^{area}; the
+    ``paths`` generators and their ``strips`` follow.  The area and free
+    symbols are those of ``area``.  A path object has no unit unless
+    ``units`` names one.
+    """
+    chart = "S" + suffix
+    corners = tuple(c + suffix for c in "XYZ")
+    gens = [Generator("e" + suffix, chart, chart, 0)]
+    gens += [Generator(c, chart, chart, 1) for c in corners] + paths
     objects = tuple(dict.fromkeys(g.source for g in gens))
+    symbols = tuple(s for s, _ in area.coeffs) if area is not None else ()
+    units = {chart: ("e" + suffix,), **{obj: () for obj in objects[1:]}, **(units or {})}
     return AInfLocalModel(
         name=name,
         objects=objects,
-        generators=generators,
+        generators={g.name: g for g in gens},
         units=units,
-        variables=variables,
-        deformations=deformations,
-        entries=list(entries),
-        constraints={},
-        area_symbols=tuple(area_symbols),
-        free_symbols=tuple(free_symbols),
+        variables={chart: tuple(c.lower() for c in corners)},
+        deformations={chart: {c: c.lower() for c in corners}},
+        entries=[Entry(corners, "e" + suffix, SymPoly.term(1, area))] + strips,
+        area_symbols=symbols,
+        free_symbols=symbols,
     )
 
 
-def _corner_gens(obj: str, suffix: str = ""):
-    return [
-        Generator(f"e{suffix}", obj, obj, 0),
-        Generator(f"X{suffix}", obj, obj, 1),
-        Generator(f"Y{suffix}", obj, obj, 1),
-        Generator(f"Z{suffix}", obj, obj, 1),
-    ]
+def _z_face_path(prime="", area=None):
+    """Generators and strips of the path L<prime> around the z-face of S.
+
+    The generators are A<prime> (odd) and B<prime> (even); the strips give
+    delta: A -> z B, B -> xy A, the xy strip with T^{area}.
+    """
+    obj, a, b = "L" + prime, "A" + prime, "B" + prime
+    return ([Generator(a, obj, "S", 1), Generator(b, obj, "S", 0)],
+            [Entry((a, "Z"), b, SymPoly.scalar(-1)),
+             Entry((b, "X", "Y"), a, SymPoly.term(-1, area))])
 
 
 def pants_strip_model(exact: bool = True) -> AInfLocalModel:
@@ -357,22 +372,8 @@ def pants_strip_model(exact: bool = True) -> AInfLocalModel:
     piece carries the triangle area c.
     """
     area = None if exact else AreaExp.sym("c")
-    gens = _corner_gens("S") + [Generator("A", "L", "S", 1), Generator("B", "L", "S", 0)]
-    entries = [
-        Entry(("X", "Y", "Z"), "e", SymPoly.term(1, area)),
-        Entry(("A", "Z"), "B", SymPoly.scalar(-1)),
-        Entry(("B", "X", "Y"), "A", SymPoly.term(-1, area)),
-    ]
-    return _build_model(
-        "pants_strip" + ("" if exact else "_immersed"),
-        gens,
-        units={"S": ("e",), "L": ()},
-        variables={"S": ("x", "y", "z")},
-        deformations={"S": {"X": "x", "Y": "y", "Z": "z"}},
-        entries=entries,
-        area_symbols=() if exact else ("c",),
-        free_symbols=() if exact else ("c",),
-    )
+    return _chart_model("pants_strip" + ("" if exact else "_immersed"),
+                        *_z_face_path(area=area), area=area)
 
 
 def nonadjacent_strip_model() -> AInfLocalModel:
@@ -381,20 +382,11 @@ def nonadjacent_strip_model() -> AInfLocalModel:
     The strips either involve no corner or all three corners once, so the
     cokernel is a single trivial summand.
     """
-    gens = _corner_gens("S") + [Generator("A", "L", "S", 1), Generator("B", "L", "S", 0)]
-    entries = [
-        Entry(("X", "Y", "Z"), "e", SymPoly.scalar(1)),
-        Entry(("A", "X", "Y", "Z"), "B", SymPoly.scalar(-1)),
-        Entry(("B",), "A", SymPoly.scalar(-1)),
-    ]
-    return _build_model(
+    return _chart_model(
         "nonadjacent_strip",
-        gens,
-        units={"S": ("e",), "L": ()},
-        variables={"S": ("x", "y", "z")},
-        deformations={"S": {"X": "x", "Y": "y", "Z": "z"}},
-        entries=entries,
-    )
+        [Generator("A", "L", "S", 1), Generator("B", "L", "S", 0)],
+        [Entry(("A", "X", "Y", "Z"), "B", SymPoly.scalar(-1)),
+         Entry(("B",), "A", SymPoly.scalar(-1))])
 
 
 def winding_strip_model(m: int, exact: bool = False) -> AInfLocalModel:
@@ -407,11 +399,11 @@ def winding_strip_model(m: int, exact: bool = False) -> AInfLocalModel:
     if m < 0:
         raise ValueError("winding strip data is shipped for m >= 0")
     area = None if exact else AreaExp.sym("A")
-    gens = _corner_gens("S1", "1")
+    gens = []
     for i in range(2 * m + 1):
         gens.append(Generator(f"C{i}", "L", "S1", 1))
         gens.append(Generator(f"D{i}", "L", "S1", 0))
-    entries = [Entry(("X1", "Y1", "Z1"), "e1", SymPoly.term(1, area))]
+    entries = []
 
     def strip(inputs, output, sign, with_area=False):
         entries.append(Entry(tuple(inputs), output, SymPoly.term(-sign, area if with_area else None)))
@@ -435,86 +427,49 @@ def winding_strip_model(m: int, exact: bool = False) -> AInfLocalModel:
         strip((f"C{2*k+1}", "X1"), f"D{2*k-1}", -1)
         strip((f"D{2*k+1}", "X1", "Y1", "Z1"), f"C{2*k+1}", 1)
         strip((f"D{2*k+1}", "X1", "Y1"), f"C{2*k}", 1)
-    return _build_model(
-        f"winding_strip_m{m}" + ("_exact" if exact else ""),
-        gens,
-        units={"S1": ("e1",), "L": ()},
-        variables={"S1": ("x1", "y1", "z1")},
-        deformations={"S1": {"X1": "x1", "Y1": "y1", "Z1": "z1"}},
-        entries=entries,
-        area_symbols=() if exact else ("A",),
-        free_symbols=() if exact else ("A",),
-    )
+    return _chart_model(f"winding_strip_m{m}" + ("_exact" if exact else ""),
+                        gens, entries, area=area, suffix="1")
 
 
-def infinite_edge_model(depth: int = 3) -> AInfLocalModel:
+def infinite_edge_model() -> AInfLocalModel:
     """Endomorphisms of L at the infinite edges of a non-compact face.
 
     P_i (i in Z) are the wrapped endomorphism generators; the strip counts
     send P_0 to the identity, P_i to multiplication by x^i for i > 0 and by
     y^{|i|} for i <= 0.  Floer products m_2(P_i, P_j) = P_{i+j} are shipped
-    for |i|, |j| <= depth.  Exact convention: all strip areas vanish.
+    for |i|, |j| <= DEPTH.  Exact convention: all strip areas vanish.
     """
-    gens = _corner_gens("S") + [Generator("A", "L", "S", 1), Generator("B", "L", "S", 0)]
-    top = 2 * depth
-    for i in range(-top, top + 1):
-        gens.append(Generator(f"P{i}", "L", "L", 0))
-    entries = [
-        Entry(("X", "Y", "Z"), "e", SymPoly.scalar(1)),
-        Entry(("A", "Z"), "B", SymPoly.scalar(-1)),
-        Entry(("B", "X", "Y"), "A", SymPoly.scalar(-1)),
-    ]
+    top = 2 * DEPTH
+    gens, entries = _z_face_path()
+    gens += [Generator(f"P{i}", "L", "L", 0) for i in range(-top, top + 1)]
     for i in range(-top, top + 1):
         insert = ("X",) * i if i > 0 else ("Y",) * (-i)
         for psi in ("A", "B"):
             entries.append(Entry((f"P{i}", psi) + insert, psi, SymPoly.scalar(1)))
-    for i in range(-depth, depth + 1):
-        for j in range(-depth, depth + 1):
+    for i in range(-DEPTH, DEPTH + 1):
+        for j in range(-DEPTH, DEPTH + 1):
             entries.append(Entry((f"P{i}", f"P{j}"), f"P{i+j}", SymPoly.scalar(1)))
-    return _build_model(
-        f"infinite_edge_d{depth}",
-        gens,
-        units={"S": ("e",), "L": ("P0",)},
-        variables={"S": ("x", "y", "z")},
-        deformations={"S": {"X": "x", "Y": "y", "Z": "z"}},
-        entries=entries,
-    )
+    return _chart_model(f"infinite_edge_d{DEPTH}", gens, entries, units={"L": ("P0",)})
 
 
-def same_face_hom_model(depth: int = 3) -> AInfLocalModel:
+def same_face_hom_model() -> AInfLocalModel:
     """H_i between paths around the same face, differing windings m' > m.
 
     Both paths meet the vertex chart at two points; the strip counts send
-    H_i to A' -> x^{i-1} A, B' -> x^{i-1} B for i = 1..depth.
+    H_i to A' -> x^{i-1} A, B' -> x^{i-1} B for i = 1..DEPTH.
     """
-    gens = _corner_gens("S") + [
-        Generator("A", "L", "S", 1), Generator("B", "L", "S", 0),
-        Generator("Ap", "Lp", "S", 1), Generator("Bp", "Lp", "S", 0),
-    ]
-    for i in range(1, depth + 1):
-        gens.append(Generator(f"H{i}", "L", "Lp", 0))
-    entries = [
-        Entry(("X", "Y", "Z"), "e", SymPoly.scalar(1)),
-        Entry(("A", "Z"), "B", SymPoly.scalar(-1)),
-        Entry(("B", "X", "Y"), "A", SymPoly.scalar(-1)),
-        Entry(("Ap", "Z"), "Bp", SymPoly.scalar(-1)),
-        Entry(("Bp", "X", "Y"), "Ap", SymPoly.scalar(-1)),
-    ]
-    for i in range(1, depth + 1):
+    gens, entries = _z_face_path()
+    gens_p, strips_p = _z_face_path("p")
+    gens += gens_p + [Generator(f"H{i}", "L", "Lp", 0) for i in range(1, DEPTH + 1)]
+    entries += strips_p
+    for i in range(1, DEPTH + 1):
         insert = ("X",) * (i - 1)
         entries.append(Entry((f"H{i}", "Ap") + insert, "A", SymPoly.scalar(1)))
         entries.append(Entry((f"H{i}", "Bp") + insert, "B", SymPoly.scalar(1)))
-    return _build_model(
-        f"same_face_hom_d{depth}",
-        gens,
-        units={"S": ("e",), "L": (), "Lp": ()},
-        variables={"S": ("x", "y", "z")},
-        deformations={"S": {"X": "x", "Y": "y", "Z": "z"}},
-        entries=entries,
-    )
+    return _chart_model(f"same_face_hom_d{DEPTH}", gens, entries)
 
 
-def different_face_hom_model(depth: int = 3) -> AInfLocalModel:
+def different_face_hom_model() -> AInfLocalModel:
     """H_i between paths around the two faces adjacent to a finite edge.
 
     L circulates the z-face and Lp the y-face of the shared vertex chart, so
@@ -522,30 +477,15 @@ def different_face_hom_model(depth: int = 3) -> AInfLocalModel:
     strip counts send H_i to A' -> x^i A, B' -> x^{i-1} B.  The signs of the
     Lp differential are forced: flipping either breaks delta^2 = W.
     """
-    gens = _corner_gens("S") + [
-        Generator("A", "L", "S", 1), Generator("B", "L", "S", 0),
-        Generator("Ap", "Lp", "S", 0), Generator("Bp", "Lp", "S", 1),
-    ]
-    for i in range(1, depth + 1):
-        gens.append(Generator(f"H{i}", "L", "Lp", 1))
-    entries = [
-        Entry(("X", "Y", "Z"), "e", SymPoly.scalar(1)),
-        Entry(("A", "Z"), "B", SymPoly.scalar(-1)),
-        Entry(("B", "X", "Y"), "A", SymPoly.scalar(-1)),
-        Entry(("Ap", "X", "Z"), "Bp", SymPoly.scalar(1)),
-        Entry(("Bp", "Y"), "Ap", SymPoly.scalar(1)),
-    ]
-    for i in range(1, depth + 1):
+    gens, entries = _z_face_path()
+    gens += [Generator("Ap", "Lp", "S", 0), Generator("Bp", "Lp", "S", 1)]
+    gens += [Generator(f"H{i}", "L", "Lp", 1) for i in range(1, DEPTH + 1)]
+    entries += [Entry(("Ap", "X", "Z"), "Bp", SymPoly.scalar(1)),
+                Entry(("Bp", "Y"), "Ap", SymPoly.scalar(1))]
+    for i in range(1, DEPTH + 1):
         entries.append(Entry((f"H{i}", "Ap") + ("X",) * i, "A", SymPoly.scalar(1)))
         entries.append(Entry((f"H{i}", "Bp") + ("X",) * (i - 1), "B", SymPoly.scalar(1)))
-    return _build_model(
-        f"different_face_hom_d{depth}",
-        gens,
-        units={"S": ("e",), "L": (), "Lp": ()},
-        variables={"S": ("x", "y", "z")},
-        deformations={"S": {"X": "x", "Y": "y", "Z": "z"}},
-        entries=entries,
-    )
+    return _chart_model(f"different_face_hom_d{DEPTH}", gens, entries)
 
 
 def infinite_edge_q_model() -> AInfLocalModel:
@@ -554,28 +494,16 @@ def infinite_edge_q_model() -> AInfLocalModel:
     L circulates the z-face and Lp the y-face; the strips send A to B' and B
     to -x A', the sign forced by the chain-map condition.
     """
-    gens = _corner_gens("S") + [
-        Generator("A", "L", "S", 1), Generator("B", "L", "S", 0),
-        Generator("Ap", "Lp", "S", 1), Generator("Bp", "Lp", "S", 0),
-        Generator("Q0", "Lp", "L", 1),
-    ]
-    entries = [
-        Entry(("X", "Y", "Z"), "e", SymPoly.scalar(1)),
-        Entry(("A", "Z"), "B", SymPoly.scalar(-1)),
-        Entry(("B", "X", "Y"), "A", SymPoly.scalar(-1)),
+    gens, entries = _z_face_path()
+    gens += [Generator("Ap", "Lp", "S", 1), Generator("Bp", "Lp", "S", 0),
+             Generator("Q0", "Lp", "L", 1)]
+    entries += [
         Entry(("Ap", "Y"), "Bp", SymPoly.scalar(-1)),
         Entry(("Bp", "X", "Z"), "Ap", SymPoly.scalar(-1)),
         Entry(("Q0", "A"), "Bp", SymPoly.scalar(1)),
         Entry(("Q0", "B", "X"), "Ap", SymPoly.scalar(-1)),
     ]
-    return _build_model(
-        "infinite_edge_q",
-        gens,
-        units={"S": ("e",), "L": (), "Lp": ()},
-        variables={"S": ("x", "y", "z")},
-        deformations={"S": {"X": "x", "Y": "y", "Z": "z"}},
-        entries=entries,
-    )
+    return _chart_model("infinite_edge_q", gens, entries)
 
 
 # ---------------------------------------------------------------------------
@@ -634,11 +562,11 @@ def section_vanishing_order(mf: MatrixFactorization, m: int, a2: int) -> int:
     return exps.get(x, 0)
 
 
-def glue_objects(curve, face_point, windings, models: dict = None, exact: bool = False) -> DivisorLineBundle:
+def glue_objects(curve, face_point, windings) -> DivisorLineBundle:
     """Glue the local factorizations of L around a face into a divisor.
 
     For each finite edge adjacent to the face the section gluing
-    B -> x1^{a2+m} D0 is traced through the cokernel reduction of the
+    B -> x1^{a2+m} D0 is traced through the cokernel reduction of the exact
     winding factorization and the vanishing order recorded as the divisor
     coefficient; for negative windings the coefficient follows from the
     winding recursion (each extra turn multiplies the section by x1).  The
@@ -661,21 +589,13 @@ def glue_objects(curve, face_point, windings, models: dict = None, exact: bool =
     for eid in finite:
         m = int(windings[eid])
         a2 = curve.a2(eid)
-        if models and eid in models:
-            model = models[eid]
-        elif m >= 0:
-            model = winding_strip_model(m, exact=exact)
-        else:
-            model = None
-        if model is not None and m >= 0:
-            mf = transform_object(model, "L", model.objects[0])
+        if m >= 0:
+            mf = transform_object(winding_strip_model(m, exact=True), "L", "S1")
             k = section_vanishing_order(mf, m, a2)
             if k != a2 + m:
                 raise ValueError(
                     f"traced vanishing order {k} on edge {eid} disagrees with a2+m={a2+m}")
-        else:
-            k = a2 + m
-        coefficients[eid] = k
+        coefficients[eid] = a2 + m
     return DivisorLineBundle(point, coefficients)
 
 

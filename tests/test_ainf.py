@@ -1,11 +1,13 @@
 """Tests for the curated A-infinity local models and coordinate-change solving."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from tropmirror import ainf, dgcat
+from tropmirror import ainf, dgcat, mf
+from tropmirror.ainf import Entry, Generator
 from tropmirror.symbolic import AreaExp, SymPoly
 
 
@@ -203,16 +205,33 @@ class TestMoveVar:
 
 
 class TestDegreeRule:
+    # every model checks its entries on construction, however it is built
     def test_degree_mismatch_rejected(self):
-        from tropmirror.ainf import Entry, Generator, _check_entry_degrees
-
         gens = {
             "a": Generator("a", "L", "L", 1),
             "u": Generator("u", "L", "L", 1),
         }
         bad = Entry(("a", "a"), "u", SymPoly.scalar(1))
-        with pytest.raises(ValueError):
-            _check_entry_degrees(bad, gens, "test")
+        with pytest.raises(ValueError, match="degree mismatch"):
+            ainf.AInfLocalModel("test", ("L",), gens, {"L": ()}, {}, {}, [bad])
+        with pytest.raises(KeyError, match="unknown generator b"):
+            ainf.AInfLocalModel("test", ("L",), gens, {"L": ()}, {}, {},
+                                [Entry(("a", "b"), "u", SymPoly.scalar(1))])
+
+    @pytest.mark.parametrize("build", [
+        lambda: ainf.load_model("two_pants"), mf.pants_strip_model, dgcat._two_circle_model,
+    ], ids=["two_pants", "pants_strip", "two_circle"])
+    def test_replace_rejects_a_bad_entry(self, build):
+        model = build()
+        entry = model.entries[0]
+        parity = model.generators[entry.output].degree % 2
+        wrong = next(g.name for g in model.generators.values() if g.degree % 2 != parity)
+        for bad, error in ((replace(entry, output=wrong), ValueError),
+                           (replace(entry, inputs=entry.inputs + ("nosuch",)), KeyError),
+                           (replace(entry, output="nosuch"), KeyError)):
+            with pytest.raises(error):
+                replace(model, entries=model.entries + [bad])
+        assert replace(model, entries=model.entries[1:]).entries == model.entries[1:]
 
 
 def _full_scan(model, seq, slots):

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from tropmirror import cli
+from tropmirror import cli, tropical
 
 # SHA-256 of outputs that must stay byte-identical: a deliberate format
 # change re-records these.
@@ -105,11 +105,17 @@ class TestMirror:
                  "unknown_a1_key": "nope"}.get(kind, "")
         assert any(named in e for e in report["errors"])
 
-    def test_svg_artifacts(self, capsys, tmp_path):
+    def test_svg_artifacts(self, capsys, tmp_path, monkeypatch):
+        # the report and cones.svg share one covering search
+        searches = []
+        search = tropical.covering_collection
+        monkeypatch.setattr(tropical, "covering_collection",
+                            lambda curve: searches.append(curve) or search(curve))
         out = tmp_path / "art"
         code, report = run_json(capsys, "mirror", "--curve", "kp2",
                                 "--out", str(out))
         assert code == 0
+        assert len(searches) == 1
         for name in ("curve.svg", "fan.svg", "cones.svg"):
             text = (out / name).read_text()
             assert text.startswith("<svg ") and text.endswith("</svg>\n")
@@ -152,6 +158,14 @@ class TestTransform:
                                 "--windings", "e01=1,e02=1,e12=1,zz=3")
         assert code == 2 and not report["ok"]
         assert report["errors"] == ["winding 'zz': names no finite edge of face 0,0"]
+
+    def test_zero_denominator_face_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["transform", "--curve", "kp2", "--face", "1/0,0",
+                      "--windings", "e01=0"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage:") and "'1/0,0'" in err
 
     def test_unbounded_face_errors(self, capsys):
         code, report = run_json(capsys, "transform", "--curve", "conifold",

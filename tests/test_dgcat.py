@@ -117,7 +117,7 @@ class TestModelOps:
         first["P1"] = SymPoly.scalar(5)
         assert {g: str(c) for g, c in ops.m([alpha, beta_n]).items()} == expected
         # a matrix-factorization morphism's entries, mutated as in test_mf
-        model = mf.infinite_edge_model(2)
+        model = mf.infinite_edge_model()
         obj = mf.transform_object(model, "L", "S")
         phi = mf.transform_morphism(model, "P1", obj, obj)
         before = {g: {h: str(c) for h, c in col.items()} for g, col in phi.entries.items()}

@@ -96,7 +96,7 @@ class TestCheckMF:
             (mf.winding_strip_model(1), "L", "S1"),
             (mf.winding_strip_model(2), "L", "S1"),
             (mf.nonadjacent_strip_model(), "L", "S"),
-            (mf.infinite_edge_model(2), "L", "S"),
+            (mf.infinite_edge_model(), "L", "S"),
         ]
         for model, lag, ref in cases:
             obj = mf.transform_object(model, lag, ref)
@@ -189,24 +189,18 @@ class TestGlueObjects:
         bundle = mf.glue_objects(curve, face, windings)
         assert bundle.coefficients == {e: 3 * k for e in ("e01", "e02", "e12")}
 
-    def test_mode_independence(self):
-        curve = load_curve("kp2")
-        face = next(iter(curve.bounded_faces()))
-        windings = {"e01": 2, "e02": 0, "e12": 1}
-        immersed = mf.glue_objects(curve, face, windings, exact=False)
-        exact = mf.glue_objects(curve, face, windings, exact=True)
-        assert immersed.coefficients == exact.coefficients
-
-    def test_chart_mismatch_detected(self):
+    def test_chart_mismatch_detected(self, monkeypatch):
         curve = conifold_curve(2)
         face = face_with_edge(curve, "e")
-        with pytest.raises(ValueError):
-            mf.glue_objects(curve, face, {"e": 2}, models={"e": mf.winding_strip_model(1)})
+        one_turn = mf.winding_strip_model(1, exact=True)
+        monkeypatch.setattr(mf, "winding_strip_model", lambda m, exact: one_turn)
+        with pytest.raises(ValueError, match="does not land on D0"):
+            mf.glue_objects(curve, face, {"e": 2})
 
 
 class TestTransformMorphism:
     def test_endomorphism_table(self):
-        model = mf.infinite_edge_model(3)
+        model = mf.infinite_edge_model()
         obj = mf.transform_object(model, "L", "S")
         images = {
             "P0": "1", "P1": "x", "P2": "x^2", "P3": "x^3",
@@ -218,7 +212,7 @@ class TestTransformMorphism:
             assert (phi.src, phi.tgt, phi.degree) == (obj.name, obj.name, 0)
 
     def test_same_face_table(self):
-        model = mf.same_face_hom_model(3)
+        model = mf.same_face_hom_model()
         src = mf.transform_object(model, "Lp", "S")
         tgt = mf.transform_object(model, "L", "S")
         for i in (1, 2, 3):
@@ -227,7 +221,7 @@ class TestTransformMorphism:
             assert as_str(phi.entries) == {"Ap": {"A": image}, "Bp": {"B": image}}
 
     def test_different_face_table(self):
-        model = mf.different_face_hom_model(3)
+        model = mf.different_face_hom_model()
         src = mf.transform_object(model, "Lp", "S")
         tgt = mf.transform_object(model, "L", "S")
         for i in (1, 2, 3):
@@ -244,15 +238,15 @@ class TestTransformMorphism:
         assert phi.entries == {"A": {"Bp": SymPoly.scalar(1)}, "B": {"Ap": -SymPoly.var("x")}}
 
     def test_closed_generators_are_chain_maps(self):
-        model = mf.infinite_edge_model(2)
+        model = mf.infinite_edge_model()
         obj = mf.transform_object(model, "L", "S")
         for i in range(-4, 5):
             assert is_chain_map(mf.transform_morphism(model, f"P{i}", obj, obj), obj, obj)
-        sf = mf.same_face_hom_model(3)
+        sf = mf.same_face_hom_model()
         src, tgt = (mf.transform_object(sf, o, "S") for o in ("Lp", "L"))
         for i in (1, 2, 3):
             assert is_chain_map(mf.transform_morphism(sf, f"H{i}", src, tgt), src, tgt)
-        df = mf.different_face_hom_model(3)
+        df = mf.different_face_hom_model()
         src, tgt = (mf.transform_object(df, o, "S") for o in ("Lp", "L"))
         for i in (1, 2, 3):
             assert is_chain_map(mf.transform_morphism(df, f"H{i}", src, tgt), src, tgt)
@@ -280,7 +274,7 @@ class TestTransformMorphism:
         assert not is_chain_map(phi, s, t)
 
     def test_broken_strip_is_not_chain_map(self):
-        model = mf.infinite_edge_model(2)
+        model = mf.infinite_edge_model()
         obj = mf.transform_object(model, "L", "S")
         phi = mf.transform_morphism(model, "P1", obj, obj)
         phi.entries["A"]["A"] = SymPoly.var("y")
@@ -289,13 +283,13 @@ class TestTransformMorphism:
 
 class TestComposition:
     def test_all_low_compositions(self):
-        model = mf.infinite_edge_model(3)
+        model = mf.infinite_edge_model()
         for i in range(-3, 4):
             for j in range(-3, 4):
                 assert mf.composition_check(model, i, j), (i, j)
 
     def test_pure_power_composition_is_exact(self):
-        model = mf.infinite_edge_model(3)
+        model = mf.infinite_edge_model()
         obj = mf.transform_object(model, "L", "S")
         piece = mf_dg_piece([obj])
         phi1 = mf.transform_morphism(model, "P1", obj, obj)
@@ -305,7 +299,7 @@ class TestComposition:
         assert as_str(phi2.entries) == as_str(target.entries)
 
     def test_mixed_composition_is_not_a_pure_power(self):
-        model = mf.infinite_edge_model(3)
+        model = mf.infinite_edge_model()
         obj = mf.transform_object(model, "L", "S")
         lhs = mf_dg_piece([obj]).compose(mf.transform_morphism(model, "P1", obj, obj),
                                          mf.transform_morphism(model, "P-1", obj, obj))
