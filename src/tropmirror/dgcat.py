@@ -138,7 +138,7 @@ class DgPiece:
         ms, mt = self.modules[src], self.modules[tgt]
         clean: dict = {}
         for g, col in entries.items():
-            keep = {h: _as_poly(c) for h, c in col.items() if not _as_poly(c).is_zero()}
+            keep = {h: p for h, c in col.items() if not (p := _as_poly(c)).is_zero()}
             for h in keep:
                 if self._deg(mt.degree(h) - ms.degree(g) - degree) != 0:
                     raise ValueError(
@@ -168,7 +168,7 @@ class DgPiece:
         return DgMorphism(f.src, f.tgt, f.degree, {g: col for g, col in entries.items() if col})
 
     def scale(self, f: DgMorphism, c) -> DgMorphism:
-        c = _as_poly(c)
+        # a rational c multiplies through SymPoly.scale, with no scalar SymPoly
         entries = {
             g: {h: c * v for h, v in col.items()} for g, col in f.entries.items()
         }
@@ -180,11 +180,12 @@ class DgPiece:
             raise ValueError(f"not composable: {f.src}->{f.tgt} then {g.src}->{g.tgt}")
         entries: dict = {}
         for a, col in f.entries.items():
-            out: dict = {}
+            products: dict = {}
             for b, c in col.items():
                 for h, d in g.entries.get(b, {}).items():
-                    out[h] = out.get(h, SymPoly.zero()) + c * d
-            out = {h: v for h, v in out.items() if not v.is_zero()}
+                    products.setdefault(h, []).append((c, d))
+            out = {h: v for h, pairs in products.items()
+                   if not (v := SymPoly.sum_of_products(pairs)).is_zero()}
             if out:
                 entries[a] = out
         return DgMorphism(f.src, g.tgt, self._deg(f.degree + g.degree), entries)

@@ -6,6 +6,16 @@ times a Laurent monomial in named chart/holonomy variables, times an exact
 rational scalar.  This module provides that coefficient arithmetic plus
 monomial substitution and instantiation of the areas at exact rationals
 (a numeric area is a constant :class:`AreaExp`).
+
+Every ``SymPoly`` keeps its term dict in canonical form: each key is an
+``(AreaExp, mono)`` pair whose ``AreaExp`` lists its nonzero coefficients
+sorted by symbol and whose ``mono`` is a sorted tuple of ``(variable,
+nonzero int exponent)``; every scalar is a nonzero ``Fraction``.  Equal
+polynomials therefore have equal term dicts.  ``__init__`` establishes the
+scalar part of this form for any input; the arithmetic below builds dicts
+that already satisfy it and hands them to the private ``SymPoly._of_clean``,
+which skips that re-normalization.  Nothing outside this module may call
+it.
 """
 
 from __future__ import annotations
@@ -47,14 +57,33 @@ class AreaExp:
 
     @staticmethod
     def constant(c) -> "AreaExp":
-        return AreaExp.of({}, c)
+        return AreaExp((), _frac(c))
 
     def as_dict(self) -> dict:
         return dict(self.coeffs)
 
+    def __hash__(self) -> int:
+        # computed on first use: AreaExps are hashed as dict keys far more
+        # often than they are built
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash((self.coeffs, self.const))
+            object.__setattr__(self, "_hash", h)
+            return h
+
+    def __reduce__(self):
+        # a copy or unpickled AreaExp hashes afresh: string hashes differ
+        # between processes
+        return AreaExp, (self.coeffs, self.const)
+
     def __add__(self, other) -> "AreaExp":
         if not isinstance(other, AreaExp):
             other = AreaExp.constant(other)
+        if not other.coeffs and not other.const:
+            return self
+        if not self.coeffs and not self.const:
+            return other
         acc = self.as_dict()
         for sym, c in other.coeffs:
             acc[sym] = acc.get(sym, Fraction(0)) + c
@@ -125,6 +154,13 @@ class SymPoly:
                 del clean[key]
         self.terms = clean
 
+    @classmethod
+    def _of_clean(cls, terms: dict) -> "SymPoly":
+        """A SymPoly on ``terms``, which must already be in canonical form."""
+        poly = object.__new__(cls)
+        poly.terms = terms
+        return poly
+
     @staticmethod
     def zero() -> "SymPoly":
         return SymPoly()
@@ -132,7 +168,8 @@ class SymPoly:
     @staticmethod
     def term(scalar, area=None, variables=None) -> "SymPoly":
         area = area if isinstance(area, AreaExp) else AreaExp.constant(area or 0)
-        return SymPoly({(area, _mono_key(variables or {})): _frac(scalar)})
+        scalar = _frac(scalar)
+        return SymPoly._of_clean({(area, _mono_key(variables or {})): scalar} if scalar else {})
 
     @staticmethod
     def scalar(c) -> "SymPoly":
@@ -141,6 +178,14 @@ class SymPoly:
     @staticmethod
     def var(name, power=1) -> "SymPoly":
         return SymPoly.term(1, None, {name: power})
+
+    @staticmethod
+    def sum_of_products(pairs) -> "SymPoly":
+        """sum p * q over the (p, q) of ``pairs``, with one term dict for all."""
+        acc: dict = {}
+        for p, q in pairs:
+            _mul_into(acc, p.terms, q.terms)
+        return SymPoly._of_clean({k: s for k, s in acc.items() if s})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -156,30 +201,42 @@ class SymPoly:
 
     def __add__(self, other) -> "SymPoly":
         other = _as_sym(other)
+        if not other.terms:
+            return self
+        if not self.terms:
+            return other
         out = dict(self.terms)
         for key, scalar in other.terms.items():
-            out[key] = out.get(key, Fraction(0)) + scalar
-        return SymPoly(out)
+            old = out.get(key)
+            if old is None:
+                out[key] = scalar
+            elif total := old + scalar:
+                out[key] = total
+            else:
+                del out[key]
+        return SymPoly._of_clean(out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "SymPoly":
-        return SymPoly({k: -s for k, s in self.terms.items()})
+        return SymPoly._of_clean({k: -s for k, s in self.terms.items()})
 
     def __sub__(self, other) -> "SymPoly":
         return self + (-_as_sym(other))
 
+    def scale(self, k) -> "SymPoly":
+        """k * self for an exact rational k."""
+        k = _frac(k)
+        if k == 1:
+            return self
+        if not k:
+            return SymPoly()
+        return SymPoly._of_clean({key: s * k for key, s in self.terms.items()})
+
     def __mul__(self, other) -> "SymPoly":
-        other = _as_sym(other)
-        out = {}
-        for (a1, m1), s1 in self.terms.items():
-            for (a2, m2), s2 in other.terms.items():
-                mono = dict(m1)
-                for v, e in m2:
-                    mono[v] = mono.get(v, 0) + e
-                key = (a1 + a2, _mono_key(mono))
-                out[key] = out.get(key, Fraction(0)) + s1 * s2
-        return SymPoly(out)
+        if not isinstance(other, SymPoly):
+            return self.scale(other)
+        return SymPoly.sum_of_products(((self, other),))
 
     __rmul__ = __mul__
 
@@ -196,7 +253,8 @@ class SymPoly:
         return result
 
     def __eq__(self, other) -> bool:
-        return (self - _as_sym(other)).is_zero()
+        # canonical term dicts: equal polynomials have equal dicts
+        return self.terms == _as_sym(other).terms
 
     def __hash__(self):
         raise TypeError("SymPoly is not hashable")
@@ -224,7 +282,7 @@ class SymPoly:
         for (area, mono), scalar in self.terms.items():
             term = SymPoly.term(scalar, area)
             for v, e in mono:
-                base = images.get(v, SymPoly.var(v))
+                base = images[v] if v in images else SymPoly.var(v)
                 term = term * (base ** e)
             out = out + term
         return out
@@ -252,6 +310,24 @@ class SymPoly:
 
     def __repr__(self) -> str:
         return f"SymPoly({self})"
+
+
+def _mul_into(acc: dict, p: dict, q: dict) -> None:
+    """Add the terms of p * q (term dicts) into ``acc``; sums may reach zero."""
+    for (a1, m1), s1 in p.items():
+        for (a2, m2), s2 in q.items():
+            if not m2:
+                mono = m1
+            elif not m1:
+                mono = m2
+            else:
+                merged = dict(m1)
+                for v, e in m2:
+                    merged[v] = merged.get(v, 0) + e
+                mono = _mono_key(merged)
+            key = (a1 + a2, mono)
+            old = acc.get(key)
+            acc[key] = s1 * s2 if old is None else old + s1 * s2
 
 
 def _as_sym(x) -> SymPoly:

@@ -182,3 +182,15 @@ def test_tracer_targets_resolve():
         if owner is None or name not in vars(owner):
             unresolved.append(f"{mod}.{path}")
     assert not unresolved
+
+
+def test_only_symbolic_builds_polynomials_unchecked():
+    # SymPoly._of_clean trusts its term dict to hold no zero scalars and only
+    # canonical keys; only the kernel that builds such dicts may call it
+    repo = PACKAGE.parent.parent
+    callers = {path.relative_to(repo).as_posix()
+               for root in (PACKAGE, repo / "tests", repo / "bench")
+               for path in root.rglob("*.py")
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.Attribute) and node.attr == "_of_clean"}
+    assert callers == {"src/tropmirror/symbolic.py"}

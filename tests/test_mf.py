@@ -197,6 +197,17 @@ class TestGlueObjects:
         with pytest.raises(ValueError, match="does not land on D0"):
             mf.glue_objects(curve, face, {"e": 2})
 
+    def test_traced_order_must_match_the_winding(self, monkeypatch):
+        # a section traced with one extra power of x lands on D0 but with
+        # vanishing order a2 + m + 1, which glue_objects must refuse
+        curve = conifold_curve(2)
+        face = face_with_edge(curve, "e")
+        column = mf.finite_edge_column
+        monkeypatch.setattr(mf, "finite_edge_column",
+                            lambda x, y, m, a2: column(x, y, m, a2 + 1))
+        with pytest.raises(ValueError, match="traced vanishing order 2 on edge e"):
+            mf.glue_objects(curve, face, {"e": 1})
+
 
 class TestTransformMorphism:
     def test_endomorphism_table(self):
