@@ -11,11 +11,10 @@ Every ``SymPoly`` keeps its term dict in canonical form: each key is an
 ``(AreaExp, mono)`` pair whose ``AreaExp`` lists its nonzero coefficients
 sorted by symbol and whose ``mono`` is a sorted tuple of ``(variable,
 nonzero int exponent)``; every scalar is a nonzero ``Fraction``.  Equal
-polynomials therefore have equal term dicts.  ``__init__`` establishes the
-scalar part of this form for any input; the arithmetic below builds dicts
-that already satisfy it and hands them to the private ``SymPoly._of_clean``,
-which skips that re-normalization.  Nothing outside this module may call
-it.
+polynomials therefore have equal term dicts.  The constructors and the
+arithmetic below build dicts that already satisfy this form and hand them to
+the private ``SymPoly._of_clean``, which stores them unchecked.  Nothing
+outside this module may call it.
 """
 
 from __future__ import annotations
@@ -40,6 +39,7 @@ class AreaExp:
 
     coeffs: tuple  # sorted tuple of (symbol, Fraction), nonzero coefficients only
     const: Fraction = Fraction(0)
+    _hash = None  # not a field: set by the first __hash__
 
     @staticmethod
     def of(mapping=None, const=0) -> "AreaExp":
@@ -65,12 +65,11 @@ class AreaExp:
     def __hash__(self) -> int:
         # computed on first use: AreaExps are hashed as dict keys far more
         # often than they are built
-        try:
-            return self._hash
-        except AttributeError:
+        h = self._hash
+        if h is None:
             h = hash((self.coeffs, self.const))
             object.__setattr__(self, "_hash", h)
-            return h
+        return h
 
     def __reduce__(self):
         # a copy or unpickled AreaExp hashes afresh: string hashes differ
@@ -143,16 +142,8 @@ class SymPoly:
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms=None):
-        clean = {}
-        for key, scalar in (terms or {}).items():
-            scalar = _frac(scalar)
-            if not scalar:
-                continue
-            clean[key] = clean.get(key, Fraction(0)) + scalar
-            if not clean[key]:
-                del clean[key]
-        self.terms = clean
+    def __init__(self):
+        self.terms = {}
 
     @classmethod
     def _of_clean(cls, terms: dict) -> "SymPoly":
@@ -184,7 +175,20 @@ class SymPoly:
         """sum p * q over the (p, q) of ``pairs``, with one term dict for all."""
         acc: dict = {}
         for p, q in pairs:
-            _mul_into(acc, p.terms, q.terms)
+            for (a1, m1), s1 in p.terms.items():
+                for (a2, m2), s2 in q.terms.items():
+                    if not m2:
+                        mono = m1
+                    elif not m1:
+                        mono = m2
+                    else:
+                        merged = dict(m1)
+                        for v, e in m2:
+                            merged[v] = merged.get(v, 0) + e
+                        mono = _mono_key(merged)
+                    key = (a1 + a2, mono)
+                    old = acc.get(key)
+                    acc[key] = s1 * s2 if old is None else old + s1 * s2
         return SymPoly._of_clean({k: s for k, s in acc.items() if s})
 
     def is_zero(self) -> bool:
@@ -234,9 +238,9 @@ class SymPoly:
         return SymPoly._of_clean({key: s * k for key, s in self.terms.items()})
 
     def __mul__(self, other) -> "SymPoly":
-        if not isinstance(other, SymPoly):
+        if isinstance(other, (int, Fraction)):
             return self.scale(other)
-        return SymPoly.sum_of_products(((self, other),))
+        return SymPoly.sum_of_products(((self, _as_sym(other)),))
 
     __rmul__ = __mul__
 
@@ -266,7 +270,7 @@ class SymPoly:
         for (area, mono), scalar in self.terms.items():
             key = (area.normalize(substitutions), mono)
             out[key] = out.get(key, Fraction(0)) + scalar
-        return SymPoly(out)
+        return SymPoly._of_clean({k: s for k, s in out.items() if s})
 
     def instantiate(self, assignment: dict) -> "SymPoly":
         """Evaluate every area at the exact rationals of ``assignment``."""
@@ -274,7 +278,7 @@ class SymPoly:
         for (area, mono), scalar in self.terms.items():
             key = (AreaExp.constant(area.evaluate(assignment)), mono)
             out[key] = out.get(key, Fraction(0)) + scalar
-        return SymPoly(out)
+        return SymPoly._of_clean({k: s for k, s in out.items() if s})
 
     def substitute(self, images: dict) -> "SymPoly":
         """Replace variables by monomial SymPolys (unbound variables stay)."""
@@ -310,24 +314,6 @@ class SymPoly:
 
     def __repr__(self) -> str:
         return f"SymPoly({self})"
-
-
-def _mul_into(acc: dict, p: dict, q: dict) -> None:
-    """Add the terms of p * q (term dicts) into ``acc``; sums may reach zero."""
-    for (a1, m1), s1 in p.items():
-        for (a2, m2), s2 in q.items():
-            if not m2:
-                mono = m1
-            elif not m1:
-                mono = m2
-            else:
-                merged = dict(m1)
-                for v, e in m2:
-                    merged[v] = merged.get(v, 0) + e
-                mono = _mono_key(merged)
-            key = (a1 + a2, mono)
-            old = acc.get(key)
-            acc[key] = s1 * s2 if old is None else old + s1 * s2
 
 
 def _as_sym(x) -> SymPoly:

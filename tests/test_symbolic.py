@@ -71,12 +71,34 @@ def test_equality_with_rationals():
     assert SymPoly.var("x") != 1
 
 
+def test_ring_operations_reject_strings():
+    p = SymPoly.var("x")
+    for op in (lambda: p * "1", lambda: "2" * p, lambda: p + "1", lambda: p == "1"):
+        try:
+            op()
+        except TypeError:
+            continue
+        raise AssertionError("a string operand was coerced")
+
+
 @given(polys(), polys(), fractions, st.dictionaries(st.sampled_from(["x", "y"]), monomials))
 @settings(max_examples=100, deadline=None)
 def test_every_operation_keeps_the_invariant(a, b, k, images):
     for result in (a + b, a - b, -a, a * b, a.scale(k), k * a, a * k,
                    a.substitute(images), SymPoly.sum_of_products([(a, b), (b, a)])):
         assert_canonical(result)
+
+
+@given(polys(), st.dictionaries(st.sampled_from(["a", "b", "c"]), fractions, min_size=3),
+       areas)
+@settings(max_examples=100, deadline=None)
+def test_area_rewrites_keep_the_invariant(a, assignment, image):
+    # the image of c must not mention c, or normalize would never finish
+    substitutions = {"c": AreaExp.of({s: v for s, v in image.coeffs if s != "c"}, image.const)}
+    assert_canonical(a.normalize(substitutions))
+    instantiated = a.instantiate(assignment)
+    assert_canonical(instantiated)
+    assert all(not area.coeffs for area, _ in instantiated.terms)
 
 
 @given(polys(), fractions)
