@@ -9,8 +9,8 @@ model's area symbols) and an optional holonomy monomial.
 
 Operations: the deformed operations m_k^{b_0,...,b_k}, weak Maurer-Cartan
 verification, solving for coordinate changes from the vanishing of m_1 of an
-isomorphism candidate, verification of the isomorphism equations, gauge
-changes on a pair-of-circles, and reduction to exact (T-free) models.
+isomorphism candidate, verification of the isomorphism equations, and
+reduction to exact (T-free) models.
 """
 
 from __future__ import annotations
@@ -321,58 +321,6 @@ def variant_isomorphism(model: AInfLocalModel, a: int) -> CoordinateChange:
     return solve_isomorphism(model, alpha, ("x'", "y'", "z'"))
 
 
-def gauge_change_steps(z1: int, z2: int, y1: int, y2: int):
-    """Compose elementary gauge-point crossings on a pair-of-circles.
-
-    The two gauge points cross the immersed point z by z1 and z2 times and
-    the immersed point y by y1 and y2 times (signed; negative undoes an
-    upward crossing).  Per upward crossing of the first point through z:
-    z = t^{-1} z' and A' picks t^{-1}; of the second point through z:
-    z = t z' and B' picks t^{-1}; crossings through y act on y by t and
-    t^{-1} respectively with trivial gluing on A', B'.
-    """
-    zpow = -z1 + z2
-    ypow = y1 - y2
-    change = CoordinateChange(
-        {
-            "z": SymPoly.term(1, None, {"t": zpow, "z'": 1}),
-            "y": SymPoly.term(1, None, {"t": ypow, "y'": 1}),
-            "t": SymPoly.var("t'"),
-        },
-        {},
-    )
-    rescale = {"A'": SymPoly.term(1, None, {"t": -z1}), "B'": SymPoly.term(1, None, {"t": -z2})}
-    return change, rescale
-
-
-def gauge_change(a1: int, a2: int):
-    """Gauge change on a pair-of-circles moving the gauge cycle P to P'.
-
-    The two gauge points pass through the immersed point z by a1 and a2
-    times; the geometry of the move makes them pass through y by a1 - 1 and
-    a2 + 1 times.  Composed totals: z = t^{a2-a1} z', y = t^{a1-a2-2} y',
-    t = t', with gluing A' <-> t^{-a1} A', B' <-> t^{-a2} B'.
-    """
-    return gauge_change_steps(a1, a2, a1 - 1, a2 + 1)
-
-
-def move_var(area_symbol: str = "A") -> CoordinateChange:
-    """Isomorphism between a Seidel Lagrangian and its stretched deformation.
-
-    The stretched chart's triangle has area A while the limit chart's has 0:
-    x~ = T^A x, y~ = T^{-A} y, z~ = T^{-A} z.
-    """
-    a = AreaExp.sym(area_symbol)
-    return CoordinateChange(
-        {
-            "x~": SymPoly.term(1, a, {"x": 1}),
-            "y~": SymPoly.term(1, -a, {"y": 1}),
-            "z~": SymPoly.term(1, -a, {"z": 1}),
-        },
-        {},
-    )
-
-
 def exact_reduce(model: AInfLocalModel) -> AInfLocalModel:
     """Rescale generators by their exact offsets, producing a T-free model.
 
@@ -416,12 +364,12 @@ def _area_from_json(spec) -> AreaExp:
     return AreaExp.of(mapping, const)
 
 
-def load_model(name: str, apply_constraints: bool = True, spin: bool = True) -> AInfLocalModel:
+def load_model(name: str, spin: bool = True) -> AInfLocalModel:
     """Load a shipped model from the package data directory.
 
     ``spin=False`` drops the per-entry sign flips coming from the marked
-    spin point (useful to exhibit the obstructed, trivial-spin case);
-    ``apply_constraints=False`` keeps all area symbols independent.
+    spin point, which exhibits the obstructed, trivial-spin case that the
+    ``potential`` suite reports for ``seidel_pants``.
     """
     text = resources.files("tropmirror.data").joinpath(f"{name}.json").read_text()
     doc = json.loads(text)
@@ -436,11 +384,8 @@ def load_model(name: str, apply_constraints: bool = True, spin: bool = True) -> 
             sign = -sign
         coeff = SymPoly.term(sign, _area_from_json(e.get("area")), e.get("vars", {}))
         entries.append(Entry(tuple(e["inputs"]), e["output"], coeff))
-    constraints = (
-        {sym: _area_from_json(spec) for sym, spec in doc.get("constraints", {}).items()}
-        if apply_constraints
-        else {}
-    )
+    constraints = {sym: _area_from_json(spec)
+                   for sym, spec in doc.get("constraints", {}).items()}
     return AInfLocalModel(
         name=doc["name"],
         objects=tuple(doc["objects"]),

@@ -18,10 +18,18 @@ and uses them to verify, over the shipped finite local models,
     (``yoneda_equivalence_check``),
   * Prop 13.2: the object and morphism triples (F^{L1}(L), F^{L0}(L),
     N01(L)) satisfy the A-infinity functor equation into the homotopy
-    fiber product (``global_functor``),
+    fiber product (``functor_equation_check``, ``global_functor``), and
+    with one chart they degenerate to F^L (``one_chart_degenerate_check``),
+  * Prop "glueMF_12": the finite-edge gluing is a chain map whose section
+    vanishes to order a2 + m (``gluemf_triple``),
+  * the table-only A-infinity relations of each curated table
+    (``model_ainf_check``),
   * Section 11: the flop coordinate change intertwines the two gluings,
     preserves W, and the two-circle differential table closes
     (``flop_check``).
+
+The ``functor``, ``natural-transformations``, ``divisor`` and ``flop``
+verify suites report them.
 
 Every dg category here -- a finite ``DgPiece``, the Yoneda complexes of a
 local model (``YonedaPiece``) and a ``HomotopyFiberProduct`` -- offers the
@@ -298,20 +306,6 @@ class AinfFromDg:
             raise ValueError("a dg category has no m_0")
         return self.piece.zero(args[-1].src, args[0].tgt,
                                sum(a.degree for a in args) + 2 - len(args))
-
-    def relation_residual(self, args):
-        """Sum over i<=j of the A-infinity relation terms at this tuple."""
-        terms = [self.piece.scale(self.m(c), sign) for sign, c in
-                 contractions(args, [a.degree for a in args], self.m)]
-        return self.piece.add(*terms)
-
-
-def ainf_from_dg(piece: DgPiece) -> AinfFromDg:
-    """A.1 on a finite dg piece, after checking d^2 = 0 on its Hom complexes."""
-    report = piece.validate()
-    if not report["ok"]:
-        raise ValueError(f"invalid dg piece: {report['failures']}")
-    return AinfFromDg(piece)
 
 
 # ---------------------------------------------------------------------------
@@ -614,10 +608,11 @@ class ModelOps:
     (from ``solve_isomorphism``) is substituted into every output.
 
     ``m`` is memoized per instance, so a memo lives as long as one model,
-    one coordinate change and the check that holds them.  Its key is
-    ``obj`` with each input as a sorted tuple of (generator, sorted
-    ((area coeffs, area const), monomial, scalar) terms), plain tuples that
-    hash no ``AreaExp``; every call returns a fresh dict.
+    one coordinate change and the check that holds them.  Its key holds
+    each input as a sorted tuple of (generator, sorted ((area coeffs, area
+    const), monomial, scalar) terms), plain tuples that hash no
+    ``AreaExp``; every call returns a fresh dict.  There is no m0 here: the
+    curvature of an object is ``AInfLocalModel.weak_mc_check``'s.
     """
 
     def __init__(self, model: AInfLocalModel, change: CoordinateChange = None):
@@ -687,15 +682,15 @@ class ModelOps:
 
     # -- operations -------------------------------------------------------------
 
-    def m(self, inputs, obj: str = None) -> dict:
-        """m_k^{b,...,b} with the formal unit action in m2."""
+    def m(self, inputs) -> dict:
+        """m_k^{b,...,b}, k >= 1, with the formal unit action in m2."""
         inputs = [dict(e) for e in inputs]
-        key = (obj, tuple(_element_key(e) for e in inputs))
+        key = tuple(_element_key(e) for e in inputs)
         if key not in self._m_memo:
-            self._m_memo[key] = self._m(inputs, obj)
+            self._m_memo[key] = self._m(inputs)
         return dict(self._m_memo[key])
 
-    def _m(self, inputs, obj) -> dict:
+    def _m(self, inputs) -> dict:
         """``m`` computed from the table, past the memo."""
         total: dict = {}
 
@@ -704,7 +699,7 @@ class ModelOps:
                 cf = cf if coeff == 1 else cf * _as_poly(coeff)
                 total[g] = total.get(g, SymPoly.zero()) + cf
 
-        add(self.model.deformed_m(inputs, obj=obj) if (inputs or obj) else {})
+        add(self.model.deformed_m(inputs))
         if len(inputs) == 2:
             ups = [self.unit_part(e) if any(g in self.all_units for g in e) else None
                    for e in inputs]
@@ -1254,20 +1249,45 @@ def functor_equation_residuals(ops, alpha, beta_n, a, bullets) -> list:
     return [(bname, side, sides[side](bullet)) for bname, bullet, side in bullets]
 
 
-def global_functor(model="two_pants", arity_bound: int = 2) -> dict:
+def functor_equation_check(model, arity_bound: int) -> dict:
+    """The Prop 13.2 functor equation of an ``ISO_DATA`` pair on its sector,
+    at every tuple of arity <= ``arity_bound`` and every bullet where the
+    tuple starts: into L0 on the p side, into L1 on the q and gamma sides."""
+    ops, alpha, beta_n, _ = iso_setup(model)
+    l0, l1 = ops.hom_pair(alpha)
+    sides = {l0: ("p",), l1: ("q", "gamma")}
+    arrows = sector_elements(ops, alpha, beta_n)
+    failures = []
+    cases = 0
+    for k in range(1, arity_bound + 1):
+        for chain, _, ck in sector_tuples(ops, arrows, k):
+            a = tuple(el for _, el in chain)
+            bullets = [(bname, bullet, side) for (s, t), items in sorted(arrows.items())
+                       if s == ck for bname, bullet in items for side in sides[t]]
+            for bname, side, res in functor_equation_residuals(ops, alpha, beta_n, a, bullets):
+                cases += 1
+                if res:
+                    failures.append({"tuple": tuple(n for n, _ in chain),
+                                     "bullet": bname, "component": side,
+                                     "residual": {g: str(c) for g, c in res.items()}})
+    return {"ok": not failures, "cases": cases, "failures": failures}
+
+
+def global_functor(arity_bound: int = 2) -> dict:
     """Assemble and verify the global functor of Theorem 4.5(3).
 
-    On the A-infinity side this builds, over the given local model, the
+    On the A-infinity side this builds, over the two_pants local model, the
     object triples (F^{L0}(C), F^{L1}(C), N_01(C)) and verifies (i) the
     homotopy invertibility of the connecting map via Lemma "n0hptyeq" and
     (ii) the Prop 13.2 functor equation at arities <= ``arity_bound`` on
-    the isomorphism sector.  The connecting map phi = N_01(C) of each
-    object is invertible only up to homotopy; check (i) certifies that, so
-    these objects skip ``HomotopyFiberProduct.object``'s strict-inverse
-    test.  On the matrix-factorization side it builds the
-    Prop "glueMF_12" object triple at winding 0 and zero gauges.  The
-    charts are the 4-punctured-sphere two-chart system of the conifold,
-    whose covering certificate of Assumption 4.7 is required.
+    the isomorphism sector (``functor_equation_check``).  The connecting
+    map phi = N_01(C) of each object is invertible only up to homotopy;
+    check (i) certifies that, so these objects skip
+    ``HomotopyFiberProduct.object``'s strict-inverse test.  On the
+    matrix-factorization side it builds the Prop "glueMF_12" object triple
+    at winding 0 and zero gauges.  The charts are the 4-punctured-sphere
+    two-chart system of the conifold, whose covering certificate of
+    Assumption 4.7 is required.
     """
     from . import tropical
 
@@ -1279,43 +1299,16 @@ def global_functor(model="two_pants", arity_bound: int = 2) -> dict:
     if not certificate.get("ok", False):
         raise ValueError(f"covering certificate failed: {certificate}")
 
-    ops, alpha, beta_n, _ = iso_setup(model)
-    a_src, a_tgt = ops.hom_pair(alpha)
-
     # (i) homotopy invertibility of the connecting map (Lemma n0hptyeq)
-    yon = yoneda_equivalence_check(ops.model.name, arity_bound=arity_bound)
+    yon = yoneda_equivalence_check("two_pants", arity_bound=arity_bound)
     report["checks"]["homotopy_identity"] = {
         tag: val["ok"] for tag, val in yon["identities"].items()}
 
     # (ii) the functor equation of Prop 13.2 on the sector
-    arrows = sector_elements(ops, alpha, beta_n)
-    failures = []
-    cases = 0
-    for k in range(1, arity_bound + 1):
-        for chain, c0, ck in sector_tuples(ops, arrows, k):
-            a = tuple(el for _, el in chain)
-            bullets = []
-            for (s, t), items in sorted(arrows.items()):
-                if s != ck:
-                    continue
-                for bname, bullet in items:
-                    if t == a_src:
-                        bullets.append((bname, bullet, "p"))
-                    if t == a_tgt:
-                        bullets.append((bname, bullet, "q"))
-                        bullets.append((bname, bullet, "gamma"))
-            for bname, side, res in functor_equation_residuals(ops, alpha, beta_n, a, bullets):
-                cases += 1
-                if res:
-                    failures.append({"tuple": tuple(n for n, _ in chain),
-                                     "bullet": bname, "component": side,
-                                     "residual": {g: str(c) for g, c in res.items()}})
-    report["checks"]["functor_equation"] = {"ok": not failures, "cases": cases,
-                                            "failures": failures}
+    report["checks"]["functor_equation"] = functor_equation_check("two_pants", arity_bound)
 
     # matrix-factorization chart layer: the Prop glueMF_12 triple
     report["mf_triple"] = gluemf_triple()
-    report["checks"]["mf_triple"] = {"ok": report["mf_triple"]["ok"]}
 
     report["ok"] = (all(report["checks"]["homotopy_identity"].values())
                     and report["checks"]["functor_equation"]["ok"]
@@ -1359,13 +1352,8 @@ def gluemf_triple(m: int = 0, a1: int = 0, a2: int = 0) -> dict:
     piece = mf_dg_piece([rewritten, mf1])
     chain_ok = piece.d(piece.morphism(rewritten.name, mf1.name, 0, glue)).is_zero()
     section = mf_mod.section_vanishing_order(mf1, m, a2)
-    return {
-        "ok": chain_ok and section == a2 + m,
-        "winding": m, "a1": a1, "a2": a2,
-        "chain_map": chain_ok,
-        "section_vanishing_order": section,
-        "gluing": {g: {h: str(c) for h, c in col.items()} for g, col in glue.items()},
-    }
+    return {"ok": chain_ok and section == a2 + m, "chain_map": chain_ok,
+            "section_vanishing_order": section}
 
 
 def one_chart_degenerate_check() -> dict:
@@ -1377,20 +1365,14 @@ def one_chart_degenerate_check() -> dict:
     """
     model = ainf_mod.load_model("two_pants")
     ops = ModelOps(model)
+    one = SymPoly.scalar(1)
     results = {}
     for obj in model.objects:
-        unit = ops.unit(obj)
-        n_triv = nat_from_cocycle(ops, unit)
-        ok = True
-        for g in model.generators.values():
-            if g.target != obj or g.name in ops.all_units:
-                continue
-            phi = n_triv.component((), g.source)
-            el = {g.name: SymPoly.scalar(1)}
-            res = ops.add_el(phi(el), {h: -c for h, c in el.items()})
-            if res:
-                ok = False
-        results[obj] = ok
+        n_triv = nat_from_cocycle(ops, ops.unit(obj))
+        results[obj] = not any(
+            ops.add_el(n_triv.component((), g.source)({g.name: one}), {g.name: -one})
+            for g in model.generators.values()
+            if g.target == obj and g.name not in ops.all_units)
     return {"ok": all(results.values()), "objects": results}
 
 

@@ -56,11 +56,11 @@ class LaurentPoly:
         return LaurentPoly(variables, {tuple(exps): as_series(coeff)})
 
     @staticmethod
-    def var(variables, name, power=1, coeff=1) -> "LaurentPoly":
+    def var(variables, name, power=1) -> "LaurentPoly":
         variables = tuple(variables)
         exps = [0] * len(variables)
         exps[variables.index(name)] = power
-        return LaurentPoly.monomial(variables, exps, coeff)
+        return LaurentPoly.monomial(variables, exps)
 
     # -- structure -----------------------------------------------------------
 

@@ -107,16 +107,15 @@ def check_mf(mf: MatrixFactorization, assignment: dict = None):
     return (not residual, residual)
 
 
-def transform_object(model: AInfLocalModel, lagrangian_data, deformation: str) -> MatrixFactorization:
+def transform_object(model: AInfLocalModel, lag: str, deformation: str) -> MatrixFactorization:
     """Mirror matrix factorization of a Lagrangian path: delta = -m_1^{0,b}.
 
-    ``lagrangian_data`` names the module object (the Lagrangian path L) in
-    the model; ``deformation`` names the deformed reference object whose
-    chart the factorization lives on.  The strip entries of the model supply
-    m_1 with all boundary insertions; the result is checked against the
-    reference object's disc potential.
+    ``lag`` names the module object (the Lagrangian path L) in the model;
+    ``deformation`` names the deformed reference object whose chart the
+    factorization lives on.  The strip entries of the model supply m_1 with
+    all boundary insertions; the result is checked against the reference
+    object's disc potential.
     """
-    lag = lagrangian_data["object"] if isinstance(lagrangian_data, dict) else lagrangian_data
     gens = [g for g in model.generators.values() if g.source == lag and g.target == deformation]
     if not gens:
         raise ValueError(f"model {model.name} has no Hom generators {lag} -> {deformation}")
@@ -159,12 +158,6 @@ class Summand:
 class DSingClass:
     variables: tuple
     summands: tuple
-
-    def nontrivial(self):
-        return tuple(s for s in self.summands if not s.trivial)
-
-    def ideal_multiset(self):
-        return sorted(s.ideal for s in self.summands)
 
 
 def _is_unit(poly: SymPoly) -> bool:

@@ -78,8 +78,6 @@ class Edge:
     ends: tuple  # one or two vertex ids
     direction: tuple  # primitive outgoing direction at ends[0]
     a1: int | None = None
-    a2_override: int | None = None
-    ay_override: Fraction | None = None
     a1_doc: int | None = None  # document value; a2 stays pinned to it under overrides
 
     @property
@@ -173,8 +171,6 @@ class TropicalCurve:
 
     def a2(self, edge_id: str) -> int:
         e = self.edges[edge_id]
-        if e.a2_override is not None:
-            return e.a2_override
         base = e.a1 if e.a1_doc is None else e.a1_doc
         return base + self.twist(edge_id)
 
@@ -409,12 +405,15 @@ def _ids(values) -> tuple:
     return out
 
 
+EDGE_KEYS = ("a1", "direction", "ends")
+
+
 def _parse_document(doc, overrides: dict):
     """Vertices, edges and the structural errors of a curve document.
 
-    A malformed entry (a missing key, a value of the wrong shape or type)
-    becomes an error line instead of an exception; so does an a1 override
-    that names no finite edge.
+    A malformed entry (a missing key, a value of the wrong shape or type,
+    an edge key other than ``EDGE_KEYS``) becomes an error line instead of
+    an exception; so does an a1 override that names no finite edge.
     """
     if not isinstance(doc, dict):
         return {}, {}, [f"curve document: expected a JSON object, got {type(doc).__name__}"]
@@ -442,16 +441,17 @@ def _parse_document(doc, overrides: dict):
     for eid, spec in doc["edges"].items():
         def build():
             a1_doc = spec.get("a1")
+            unknown = sorted(set(spec) - set(EDGE_KEYS), key=str)
+            if unknown:
+                raise ValueError(f"unknown key {unknown[0]!r}; an edge takes only "
+                                 f"{', '.join(EDGE_KEYS)}")
             a1 = overrides.get(eid, a1_doc)
-            areas = spec.get("areas", {})
             ends = _ids(spec["ends"])
             if len(ends) not in (1, 2):
                 raise ValueError(f"needs one or two ends, got {len(ends)}")
             return Edge(
                 eid, ends, _pair(spec["direction"], _integer),
                 _integer(a1) if a1 is not None else None,
-                _integer(spec["a2"]) if "a2" in spec else None,
-                _frac(areas["Ay"]) if "Ay" in areas else None,
                 _integer(a1_doc) if a1_doc is not None else None,
             )
         edge = parse(f"edge {eid}", build)
@@ -493,21 +493,17 @@ def conifold_curve(k: int) -> TropicalCurve:
 # ---------------------------------------------------------------------------
 
 
-def _split_area(curve, edge_id, split):
-    """(A, A_y) cylinder-area split for an immersed-mode transition."""
+def _split_area(curve, edge_id):
+    """(A, A_y) = ((w, disp), (beta, disp)) for the edge direction w, its
+    displacement disp and the direction beta at ends[1] paired on the y
+    side: the geometric split, which the exact offsets absorb."""
     e = curve.edges[edge_id]
     p1 = curve.vertices[e.ends[0]].position
     p2 = curve.vertices[e.ends[1]].position
     disp = (p2[0] - p1[0], p2[1] - p1[1])
-    A = Fraction(_dot(e.direction, disp))
-    if e.ay_override is not None:
-        return A, e.ay_override
-    if split == "geometric":
-        _, b_edge, _ = curve.pairing(edge_id)["y"]
-        return A, Fraction(_dot(curve.direction_at(b_edge, e.ends[1]), disp))
-    if split == "half":
-        return A, A / 2
-    raise ValueError(f"unknown area split {split!r}")
+    _, b_edge, _ = curve.pairing(edge_id)["y"]
+    return (Fraction(_dot(e.direction, disp)),
+            Fraction(_dot(curve.direction_at(b_edge, e.ends[1]), disp)))
 
 
 def _exponents(mm: MonomialMap):
@@ -542,13 +538,14 @@ def _invert(mm: MonomialMap) -> MonomialMap:
     return MonomialMap.build(mm.target, mm.source, table)
 
 
-def transition_map(curve, edge_id, exact=True, split="half", reverse=False) -> MonomialMap:
+def transition_map(curve, edge_id, exact=True, reverse=False) -> MonomialMap:
     """Express the far chart's variables in the near chart's variables.
 
     For the stored orientation ends[0] -> ends[1] the map has source the
     ends[1] chart and target the ends[0] chart: x2 = x1^{-1},
     y2 = x1^{a2-a1+2} y1, z2 = x1^{a1-a2} z1, with Novikov factors
-    T^{-A}, T^{A_y}, T^{A_z} in immersed mode.  ``reverse`` inverts.
+    T^{-A}, T^{A_y}, T^{A-A_y} of the geometric split ``_split_area`` in
+    immersed mode.  ``reverse`` inverts.
     """
     e = curve.edges[edge_id]
     if not e.finite:
@@ -560,7 +557,7 @@ def transition_map(curve, edge_id, exact=True, split="half", reverse=False) -> M
     if exact:
         ux = uy = uz = 1
     else:
-        A, Ay = _split_area(curve, edge_id, split)
+        A, Ay = _split_area(curve, edge_id)
         ux, uy, uz = T(-A), T(Ay), T(A - Ay)
     table = {curve.var(v2, edge_id): (ux, {x1: -1})}
     ay_edge, by_edge, _ = pairs["y"]
@@ -581,10 +578,10 @@ def offset_rescaling(curve, vertex_id, sign=1) -> MonomialMap:
     return MonomialMap.build(names, names, table)
 
 
-def absorbs_offsets(curve, edge_id, split="geometric") -> bool:
+def absorbs_offsets(curve, edge_id) -> bool:
     """Whether exact-offset rescaling turns the immersed transition exact."""
     e = curve.edges[edge_id]
-    imm = transition_map(curve, edge_id, exact=False, split=split)
+    imm = transition_map(curve, edge_id, exact=False)
     d2 = offset_rescaling(curve, e.ends[1], sign=1)
     d1 = offset_rescaling(curve, e.ends[0], sign=-1)
     rescaled = d2.compose(imm).compose(d1)
@@ -672,13 +669,15 @@ def potential(curve, vertex_id) -> LaurentPoly:
     return LaurentPoly.monomial(names, (1, 1, 1))
 
 
-def global_potential_check(curve, exact=True, split="half") -> dict:
+def global_potential_check(curve, exact=True) -> dict:
+    """W = xyz of each finite edge's far chart pulls back to the near chart's
+    W, through the exact or the immersed transition."""
     edges = {}
     for eid in sorted(curve.edges):
         e = curve.edges[eid]
         if not e.finite:
             continue
-        mm = transition_map(curve, eid, exact=exact, split=split)
+        mm = transition_map(curve, eid, exact=exact)
         w2 = potential(curve, e.ends[1])
         edges[eid] = mm.substitute(w2) == potential(curve, e.ends[0])
     return {"ok": all(edges.values()), "edges": edges}

@@ -49,7 +49,7 @@ class TestSeidelPants:
         assert not coeff.is_zero()
 
     def test_unconstrained_areas_are_obstructed(self):
-        model = ainf.load_model("seidel_pants", apply_constraints=False)
+        model = replace(ainf.load_model("seidel_pants"), constraints={})
         kind = model.weak_mc_check("S")[0]
         assert kind == "obstruction"
 
@@ -163,45 +163,6 @@ class TestCircleSeidel:
 
     def test_potential_invariance(self):
         assert ainf.potential_invariance(self.model, "C", "S1", self.change)
-
-
-class TestGaugeChange:
-    def test_base_move(self):
-        change, rescale = ainf.gauge_change(0, 0)
-        assert change.solved["y"] == SymPoly.term(1, None, {"t": -2, "y'": 1})
-        assert change.solved["z"] == SymPoly.var("z'")
-        assert rescale["A'"] == SymPoly.scalar(1)
-        assert rescale["B'"] == SymPoly.scalar(1)
-
-    def test_general_move(self):
-        change, rescale = ainf.gauge_change(3, 1)
-        assert change.solved["z"] == SymPoly.term(1, None, {"t": -2, "z'": 1})
-        assert change.solved["y"] == SymPoly.term(1, None, {"t": 0, "y'": 1})
-        assert rescale["A'"] == SymPoly.term(1, None, {"t": -3})
-        assert rescale["B'"] == SymPoly.term(1, None, {"t": -1})
-
-    def test_steps_compose_to_identity(self):
-        fwd, r_fwd = ainf.gauge_change_steps(3, 1, 2, 5)
-        bwd, r_bwd = ainf.gauge_change_steps(-3, -1, -2, -5)
-        for var, primed in (("z", "z'"), ("y", "y'")):
-            inner = bwd.solved[var].substitute({primed: SymPoly.var(var + "''")})
-            total = fwd.solved[var].substitute({primed: inner, "t": SymPoly.var("t")})
-            assert total == SymPoly.var(var + "''")
-        for gen in ("A'", "B'"):
-            assert r_fwd[gen] * r_bwd[gen] == SymPoly.scalar(1)
-
-
-class TestMoveVar:
-    def test_shapes(self):
-        change = ainf.move_var("A")
-        a = sym("A")
-        assert change.solved["x~"] == SymPoly.term(1, a, {"x": 1})
-        assert change.solved["y~"] == SymPoly.term(1, -a, {"y": 1})
-        assert change.solved["z~"] == SymPoly.term(1, -a, {"z": 1})
-        w = SymPoly.term(1, None, {"x~": 1, "y~": 1, "z~": 1})
-        assert change.substitute(w) == SymPoly.term(
-            1, -a, {"x": 1, "y": 1, "z": 1}
-        )
 
 
 class TestDegreeRule:

@@ -2,17 +2,18 @@
 
 import hashlib
 import json
+from dataclasses import replace
 
 import pytest
 
-from tropmirror import cli, tropical
+from tropmirror import ainf, cli, tropical
 
 # SHA-256 of outputs that must stay byte-identical: a deliberate format
 # change re-records these.
 GOLDEN_CONIFOLD_STRUCTURED = "fa19dd1fa2786b74d3a26762a2ecfbd80563d4e5c335211cba832267e794959f"
 GOLDEN_PANTS_TEXT = "c6e2f0dedaffd242aa7432247e18238ad2e097c8f88a5cff4197071914a94a60"
 GOLDEN_TORICCYEG_SVG = "aac3eb3d3add99c5c4bf5e06134abd6461842d362255f83609731e6ef72f3aa1"
-GOLDEN_VERIFY_ALL_SEED_7 = "85b0acdac89949bf5084ba3b5fa2e97e3d95261952896e71d51ce95632822a36"
+GOLDEN_VERIFY_ALL_SEED_7 = "d382392f35eafb50cf1c1e3c95feac030f4d32823e96d428dced8a08002e1bce"
 
 
 def sha256(text):
@@ -62,7 +63,7 @@ class TestMirror:
     @pytest.mark.parametrize("kind", ["unknown_name", "bad_json", "bad_anchor_edge",
                                       "empty_object", "not_an_object",
                                       "vertex_without_position", "fractional_direction",
-                                      "unknown_a1_key"])
+                                      "unknown_a1_key", "edge_key_a2", "edge_key_areas"])
     def test_unreadable_curve_exits_2_with_errors(self, capsys, tmp_path, kind):
         doc = {"name": "bad",
                "vertices": {"v": {"position": ["0", "0"],
@@ -90,6 +91,10 @@ class TestMirror:
                     doc["anchor"]["edge"] = "nope"
                 elif kind == "fractional_direction":
                     doc["edges"]["x"]["direction"] = [1.5, 0]
+                elif kind == "edge_key_a2":
+                    doc["edges"]["x"]["a2"] = 1
+                elif kind == "edge_key_areas":
+                    doc["edges"]["x"]["areas"] = {"Ay": "1/2"}
                 else:
                     del doc["vertices"]["v"]["position"]
                 path.write_text(json.dumps(doc))
@@ -102,7 +107,9 @@ class TestMirror:
         named = {"bad_anchor_edge": "nope", "empty_object": "vertices",
                  "not_an_object": "JSON object", "vertex_without_position": "position",
                  "fractional_direction": "not an integer",
-                 "unknown_a1_key": "nope"}.get(kind, "")
+                 "unknown_a1_key": "nope",
+                 "edge_key_a2": "edge x: malformed (unknown key 'a2'",
+                 "edge_key_areas": "edge x: malformed (unknown key 'areas'"}.get(kind, "")
         assert any(named in e for e in report["errors"])
 
     def test_svg_artifacts(self, capsys, tmp_path, monkeypatch):
@@ -189,6 +196,42 @@ class TestFlags:
         assert "unrecognized arguments" in capsys.readouterr().err
 
 
+class TestOutputDirectory:
+    # a path that cannot be a directory is bad input: exit 2 before any work
+    @pytest.mark.parametrize("argv", [
+        ["mirror", "--curve", "kp2"],
+        ["transform", "--curve", "kp2", "--face", "0,0", "--windings", "e01=2,e02=2,e12=2"],
+        ["verify", "flop"],
+        ["render", "--curve", "toriccyeg"],
+    ], ids=lambda argv: argv[0])
+    @pytest.mark.parametrize("below", [False, True], ids=["file", "below_file"])
+    def test_out_through_a_regular_file_exits_2(self, capsys, tmp_path, argv, below):
+        blocker = tmp_path / "report"
+        blocker.write_text("not a directory\n")
+        out = blocker / "sub" if below else blocker
+        code = cli.main(argv + ["--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("tropmirror: ") and captured.err.count("\n") == 1
+        assert str(out) in captured.err
+        assert blocker.read_text() == "not a directory\n"
+
+
+class TestRepeatedKeys:
+    @pytest.mark.parametrize("argv", [
+        ["transform", "--curve", "kp2", "--face", "0,0",
+         "--windings", "e01=2,e02=2,e12=2,e01=-1"],
+        ["mirror", "--curve", "kp2", "--a1", "e01=0,e01=1"],
+    ], ids=["windings", "a1"])
+    def test_repeated_key_is_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage:") and "'e01' given twice" in err
+
+
 class TestVerify:
     def test_unknown_suite_is_usage_error(self, capsys):
         code = cli.main(["verify", "nosuchsuite"])
@@ -200,7 +243,33 @@ class TestVerify:
         code, report = run_json(capsys, "verify", "coordinate-changes")
         assert code == 0
         cases = report["suites"]["coordinate-changes"]["cases"]
-        assert cases == {"section5": True, "section6": True, "section7": True}
+        assert cases == {"section5": True, "section6": True, "section7": True,
+                         "section6:a=0": True, "section6:a=2": True}
+
+    @pytest.mark.parametrize("mutation", ["flip", "delete"])
+    def test_potential_suite_catches_seidel_mutants(self, capsys, monkeypatch, mutation):
+        # flipping or deleting any one Seidel triangle obstructs W = T^{A1} xyz
+        load = ainf.load_model
+        entries = load("seidel_pants").entries
+        assert len(entries) == 8
+
+        def seidel_key():
+            code, report = run_json(capsys, "verify", "potential")
+            suite = report["suites"]["potential"]
+            assert code == (0 if suite["ok"] else 1)
+            return suite["cases"]["seidel:W=T^A1*xyz"]
+
+        assert seidel_key() is True
+        for i, entry in enumerate(entries):
+            mutant = (entries[:i] + [replace(entry, coeff=-entry.coeff)] + entries[i + 1:]
+                      if mutation == "flip" else entries[:i] + entries[i + 1:])
+
+            def mutated(name, spin=True, mutant=mutant):
+                model = load(name, spin=spin)
+                return replace(model, entries=mutant) if name == "seidel_pants" and spin else model
+
+            monkeypatch.setattr(ainf, "load_model", mutated)
+            assert seidel_key() is False, entry
 
     def test_all_suites_pass(self, capsys):
         code, out = run(capsys, "verify", "all", "--seed", "7", "--format", "structured")

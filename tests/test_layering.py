@@ -1,5 +1,10 @@
 """The package's structure, read from the source with ``ast``: import layering,
-options, unreferenced definitions and the benchmark tracer's targets."""
+options, unreferenced definitions and the benchmark tracer's targets.
+
+A definition or an option counts as used only if the package or the
+benchmark reaches it: code that only tests reach is either promoted into a
+``verify`` suite or deleted.
+"""
 
 import ast
 import importlib
@@ -8,6 +13,9 @@ from pathlib import Path
 import tropmirror
 
 PACKAGE = Path(tropmirror.__file__).parent
+REPO = PACKAGE.parent.parent
+# where a use counts; tests/ does not
+USERS = (PACKAGE, REPO / "bench")
 # The exact monomial kernel serves only the tropical chart maps (and the
 # CLI's conifold suite, which compares their images); every other module
 # computes with tropmirror.symbolic.
@@ -85,18 +93,31 @@ def test_module_level_imports_form_no_cycle():
 
 
 def defaulted_parameters(path):
-    """(function, parameter, position or None) for each defaulted parameter
-    of a module-level function; keyword-only parameters have no position."""
-    out = []
-    for node in ast.parse(path.read_text()).body:
-        if not isinstance(node, ast.FunctionDef):
-            continue
+    """(called name, parameter, position or None) for each defaulted parameter
+    of a module-level function or a method.
+
+    A method is called by its own name, ``__init__`` by its class's; the
+    position counts the arguments of such a call, so ``self`` and ``cls``
+    take none.  Keyword-only parameters have no position.
+    """
+    def params(node, called, bound):
         args = node.args
         positional = args.posonlyargs + args.args
         first = len(positional) - len(args.defaults)
-        out += [(node.name, p.arg, i) for i, p in enumerate(positional) if i >= first]
-        out += [(node.name, p.arg, None)
-                for p, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+        skip = 1 if bound and positional and positional[0].arg in ("self", "cls") else 0
+        return ([(called, p.arg, i - skip) for i, p in enumerate(positional) if i >= first]
+                + [(called, p.arg, None)
+                   for p, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None])
+
+    out = []
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.FunctionDef):
+            out += params(node, node.name, False)
+        elif isinstance(node, ast.ClassDef):
+            for method in node.body:
+                if isinstance(method, ast.FunctionDef):
+                    called = node.name if method.name == "__init__" else method.name
+                    out += params(method, called, True)
     return out
 
 
@@ -122,9 +143,9 @@ def passes(call, name, position):
 
 
 def test_every_defaulted_parameter_is_passed_somewhere():
-    # a default that no call overrides is a constant spelled as an option
-    repo = PACKAGE.parent.parent
-    calls = calls_by_name([PACKAGE, repo / "tests", repo / "bench"])
+    # a default that no package or benchmark call overrides is a constant
+    # spelled as an option
+    calls = calls_by_name(USERS)
     unpassed = [f"{path.name}:{fn}({name})"
                 for path in sorted(PACKAGE.glob("*.py"))
                 for fn, name, position in defaulted_parameters(path)
@@ -146,9 +167,10 @@ def referenced_names(roots):
 
 
 def test_every_definition_is_referenced():
-    # a function, class or method that nothing names is dead code
-    repo = PACKAGE.parent.parent
-    used = referenced_names([PACKAGE, repo / "tests", repo / "bench"])
+    # a function, class or method that neither the package nor the benchmark
+    # names is dead code; the tracer names its targets in strings
+    used = referenced_names(USERS)
+    used |= {part for _, path in tracer_targets() for part in path.split(".")}
     unused = [f"{path.name}:{node.name}"
               for path in sorted(PACKAGE.glob("*.py"))
               for node in ast.walk(ast.parse(path.read_text()))
@@ -160,7 +182,7 @@ def test_every_definition_is_referenced():
 
 def tracer_targets():
     """(module, attribute path) pairs of the benchmark tracer's SPANS and COUNTS."""
-    tracer = PACKAGE.parent.parent / "bench" / "tracer.py"
+    tracer = REPO / "bench" / "tracer.py"
     tables = {}
     for node in ast.parse(tracer.read_text()).body:
         if isinstance(node, ast.Assign):
@@ -187,9 +209,8 @@ def test_tracer_targets_resolve():
 def test_only_symbolic_builds_polynomials_unchecked():
     # SymPoly._of_clean trusts its term dict to hold no zero scalars and only
     # canonical keys; only the kernel that builds such dicts may call it
-    repo = PACKAGE.parent.parent
-    callers = {path.relative_to(repo).as_posix()
-               for root in (PACKAGE, repo / "tests", repo / "bench")
+    callers = {path.relative_to(REPO).as_posix()
+               for root in (PACKAGE, REPO / "tests", REPO / "bench")
                for path in root.rglob("*.py")
                for node in ast.walk(ast.parse(path.read_text()))
                if isinstance(node, ast.Attribute) and node.attr == "_of_clean"}

@@ -110,7 +110,7 @@ class TestCokernel:
     def test_winding_cokernel(self, m):
         obj = mf.transform_object(mf.winding_strip_model(m), "L", "S1")
         cls = mf.cokernel_dsing(obj)
-        nontrivial = cls.nontrivial()
+        nontrivial = [s for s in cls.summands if not s.trivial]
         assert [s.generator for s in nontrivial] == ["D0"]
         assert nontrivial[0].ideal == ("z1",)
         trivial = [s for s in cls.summands if s.trivial]
@@ -128,11 +128,13 @@ class TestCokernel:
         obj = mf.transform_object(mf.nonadjacent_strip_model(), "L", "S")
         cls = mf.cokernel_dsing(obj)
         assert cls.summands and all(s.trivial for s in cls.summands)
-        assert not cls.nontrivial()
 
     def test_stable_under_generator_permutation(self):
+        def ideals(factorization):
+            return sorted(s.ideal for s in mf.cokernel_dsing(factorization).summands)
+
         obj = mf.transform_object(mf.winding_strip_model(2), "L", "S1")
-        base = mf.cokernel_dsing(obj).ideal_multiset()
+        base = ideals(obj)
         rng = random.Random(5)
         for _ in range(5):
             order = list(obj.generators)
@@ -141,7 +143,7 @@ class TestCokernel:
                 obj.name, obj.variables, tuple(order), dict(obj.parity),
                 {g: dict(obj.delta.get(g, {})) for g in order},
                 obj.potential, dict(obj.constraints))
-            assert mf.cokernel_dsing(shuffled).ideal_multiset() == base
+            assert ideals(shuffled) == base
 
     def test_unsupported_shape_errors(self):
         bad = mf.MatrixFactorization(
