@@ -203,9 +203,11 @@ def fan_svg(curve) -> str:
     return "".join(lines)
 
 
-def cones_svg(curve, charts) -> str:
-    """Cone images of the covering ``charts`` in the valuation plane (Sections 8/9)."""
-    matrices = tropical.chart_matrices(curve)
+def cones_svg(curve, charts, matrices) -> str:
+    """Cone images of the covering ``charts`` in the valuation plane (Sections 8/9).
+
+    ``matrices`` are the ``chart_matrices`` the covering search used.
+    """
     images = [(c.label, tropical.cone_image(curve, c, matrices))
               for c in charts]
     pts = []
@@ -261,12 +263,12 @@ def _emit(cfg: RunConfig, report: dict) -> None:
         (Path(cfg.out) / f"{cfg.command}-report.{suffix}").write_text(text)
 
 
-def _write_svgs(curve, charts, out_dir: Path) -> dict:
+def _write_svgs(curve, charts, matrices, out_dir: Path) -> dict:
     """Write the curve, fan and covering-cone diagrams; returns {file name: path}."""
     artifacts = {}
     for name, text in (("curve.svg", curve_svg(curve)),
                        ("fan.svg", fan_svg(curve)),
-                       ("cones.svg", cones_svg(curve, charts))):
+                       ("cones.svg", cones_svg(curve, charts, matrices))):
         (out_dir / name).write_text(text)
         artifacts[name] = str(out_dir / name)
     return artifacts
@@ -313,7 +315,8 @@ def cmd_mirror(cfg: RunConfig, curve) -> int:
     report["cocycle_check"] = cocycle
     report["potential_check"] = potential
 
-    charts, certificate = tropical.covering_collection(curve)
+    matrices = tropical.chart_matrices(curve)
+    charts, certificate = tropical.covering_collection(curve, matrices)
     report["covering"] = {"charts": [c.label for c in charts],
                           "certificate": certificate}
 
@@ -326,7 +329,7 @@ def cmd_mirror(cfg: RunConfig, curve) -> int:
     report["ok"] = bool(cocycle["ok"] and potential["ok"] and certificate["ok"])
 
     if cfg.out:
-        report["artifacts"] = _write_svgs(curve, charts, Path(cfg.out))
+        report["artifacts"] = _write_svgs(curve, charts, matrices, Path(cfg.out))
 
     _emit(cfg, report)
     return 0 if report["ok"] else 1
@@ -616,7 +619,8 @@ def _suite_covering(cfg) -> dict:
     """Criterion 12: covering certificates for K_P2 and the toric CY example."""
     cases = {}
     for name in ("kp2", "toriccyeg"):
-        charts, certificate = tropical.covering_collection(tropical.load_curve(name))
+        curve = tropical.load_curve(name)
+        charts, certificate = tropical.covering_collection(curve, tropical.chart_matrices(curve))
         cases[name] = {"charts": [c.label for c in charts],
                        "ok": certificate["ok"]}
     return {"ok": all(v["ok"] for v in cases.values()), "cases": cases}
@@ -660,8 +664,9 @@ def cmd_verify(cfg: RunConfig) -> int:
 
 
 def cmd_render(cfg: RunConfig, curve) -> int:
-    charts, _ = tropical.covering_collection(curve)
-    written = list(_write_svgs(curve, charts, Path(cfg.out or ".")).values())
+    matrices = tropical.chart_matrices(curve)
+    charts, _ = tropical.covering_collection(curve, matrices)
+    written = list(_write_svgs(curve, charts, matrices, Path(cfg.out or ".")).values())
     _emit(cfg, {"config": _config_echo(cfg), "curve": curve.name,
                 "artifacts": written, "ok": True})
     return 0

@@ -1293,7 +1293,8 @@ def global_functor(arity_bound: int = 2) -> dict:
 
     report: dict = {"checks": {}}
 
-    charts, certificate = tropical.covering_collection(tropical.conifold_curve(2))
+    curve = tropical.conifold_curve(2)
+    charts, certificate = tropical.covering_collection(curve, tropical.chart_matrices(curve))
     report["certificate"] = certificate
     report["charts"] = [c.label for c in charts]
     if not certificate.get("ok", False):

@@ -11,6 +11,7 @@ pairwise-overlap certificate, all in exact rational arithmetic.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cmp_to_key
@@ -405,22 +406,31 @@ def _ids(values) -> tuple:
     return out
 
 
+DOCUMENT_KEYS = ("anchor", "edges", "name", "vertices")
+VERTEX_KEYS = ("edges", "position")
 EDGE_KEYS = ("a1", "direction", "ends")
+ANCHOR_KEYS = ("edge", "left")
+
+
+def _known_keys(spec, keys, what):
+    """Raise ValueError on the first key of the JSON object ``spec`` not in ``keys``."""
+    unknown = sorted(set(spec) - set(keys), key=str) if isinstance(spec, dict) else []
+    if unknown:
+        raise ValueError(f"unknown key {unknown[0]!r}; {what} takes only {', '.join(keys)}")
 
 
 def _parse_document(doc, overrides: dict):
     """Vertices, edges and the structural errors of a curve document.
 
     A malformed entry (a missing key, a value of the wrong shape or type,
-    an edge key other than ``EDGE_KEYS``) becomes an error line instead of
-    an exception; so does an a1 override that names no finite edge.
+    a key other than ``DOCUMENT_KEYS``, ``VERTEX_KEYS``, ``EDGE_KEYS`` or
+    ``ANCHOR_KEYS`` at its level) becomes an error line instead of an
+    exception; so does an a1 override that names no finite edge.
     """
     if not isinstance(doc, dict):
         return {}, {}, [f"curve document: expected a JSON object, got {type(doc).__name__}"]
     errors = [f"curve document: {key!r} must be a JSON object"
               for key in ("vertices", "edges") if not isinstance(doc.get(key), dict)]
-    if errors:
-        return {}, {}, errors
 
     def parse(where, build):
         try:
@@ -431,20 +441,23 @@ def _parse_document(doc, overrides: dict):
             errors.append(f"{where}: malformed ({err})")
         return None
 
+    parse("curve document", lambda: _known_keys(doc, DOCUMENT_KEYS, "a curve document"))
+    if errors:
+        return {}, {}, errors
+
     vertices = {}
     for vid, spec in doc["vertices"].items():
-        vertex = parse(f"vertex {vid}", lambda: Vertex(
-            vid, _pair(spec["position"], _frac), _ids(spec["edges"])))
+        def build_vertex():
+            _known_keys(spec, VERTEX_KEYS, "a vertex")
+            return Vertex(vid, _pair(spec["position"], _frac), _ids(spec["edges"]))
+        vertex = parse(f"vertex {vid}", build_vertex)
         if vertex is not None:
             vertices[vid] = vertex
     edges = {}
     for eid, spec in doc["edges"].items():
-        def build():
+        def build_edge():
             a1_doc = spec.get("a1")
-            unknown = sorted(set(spec) - set(EDGE_KEYS), key=str)
-            if unknown:
-                raise ValueError(f"unknown key {unknown[0]!r}; an edge takes only "
-                                 f"{', '.join(EDGE_KEYS)}")
+            _known_keys(spec, EDGE_KEYS, "an edge")
             a1 = overrides.get(eid, a1_doc)
             ends = _ids(spec["ends"])
             if len(ends) not in (1, 2):
@@ -454,14 +467,15 @@ def _parse_document(doc, overrides: dict):
                 _integer(a1) if a1 is not None else None,
                 _integer(a1_doc) if a1_doc is not None else None,
             )
-        edge = parse(f"edge {eid}", build)
+        edge = parse(f"edge {eid}", build_edge)
         if edge is not None:
             edges[eid] = edge
     for eid, edge in sorted(edges.items()):
         errors += [f"edge {eid}: end {v!r} is not a vertex" for v in edge.ends if v not in vertices]
     anchor = doc.get("anchor")
     if anchor is not None:
-        parse("anchor", lambda: (_ids([anchor["edge"]]), _pair(anchor["left"], _frac)))
+        parse("anchor", lambda: (_known_keys(anchor, ANCHOR_KEYS, "an anchor"),
+                                 _ids([anchor["edge"]]), _pair(anchor["left"], _frac)))
     errors += [f"a1 override {eid!r}: names no finite edge" for eid in sorted(overrides)
                if eid not in edges or not edges[eid].finite]
     return vertices, edges, errors
@@ -750,14 +764,14 @@ def chart_matrices(curve) -> dict:
     return mats
 
 
-def _stratum_rows(curve) -> dict:
+def _stratum_rows(curve, matrices) -> dict:
     """Binding constraints of every vertex chart on every edge stratum.
 
     Maps (vertex, edge) to None when the chart never meets the stratum, else
     to a list of (letter, m, offset): the constraint reads
-    delta_letter + offset <= m * tau.
+    delta_letter + offset <= m * tau.  ``matrices`` are the curve's
+    ``chart_matrices``.
     """
-    matrices = chart_matrices(curve)
     # the chart matrices are unimodular, so their inverses are integral
     inverses = {v: [[int(c) for c in row] for row in _mat_inv(M)] for v, M in matrices.items()}
     table = {}
@@ -803,9 +817,8 @@ def stratum_interval(chart, rows):
     return (lo, hi)
 
 
-def _intervals(curve):
-    """(chart, edge) -> stratum interval, each computed once."""
-    rows = _stratum_rows(curve)
+def _intervals(rows):
+    """(chart, edge) -> stratum interval, each computed once, from a stratum table."""
     return cache(lambda chart, eid: stratum_interval(chart, rows[(chart.vertex, eid)]))
 
 
@@ -852,7 +865,7 @@ def _stratum(curve, interval, charts, edge_id):
 
 def covering_certificate(curve, charts) -> dict:
     """Exact coverage and pairwise-only-overlap certificate for a chart list."""
-    return _certificate(curve, charts, _intervals(curve))
+    return _certificate(curve, charts, _intervals(_stratum_rows(curve, chart_matrices(curve))))
 
 
 def _certificate(curve, charts, interval) -> dict:
@@ -908,7 +921,7 @@ def _shifts() -> tuple:
     return tuple(sorted({Fraction(n, d) for d in range(1, 5) for n in range(1, 401)}))
 
 
-def covering_collection(curve):
+def covering_collection(curve, matrices):
     """Build a chart collection covering the critical strata with pairwise overlaps.
 
     Starts with undeformed charts at vertices touching an infinite edge,
@@ -919,9 +932,23 @@ def covering_collection(curve):
     that borders no bounded face (the conifold's) uncovered, so a stretched
     chart -- the winding-strip chart of Section 8 in tropical terms -- is
     added across it, deformed from the edge's first end by the edge length
-    plus 1/2.  Returns (charts, certificate).
+    plus 1/2.  ``matrices`` are the curve's ``chart_matrices``.  Returns
+    (charts, certificate).
+
+    A placement does not walk all of ``_shifts()``.  Each end of a
+    candidate's interval on the shared stratum is a max or min of lines in
+    the shift h, so overlapping the predecessor with nonempty interior is a
+    conjunction of linear inequalities in h.  ``_shift_range`` solves them
+    in exact arithmetic for a closed range [L, U] that every passing shift
+    lies in; the shifts in it are then tried smallest first with the exact
+    test.  Every shift below L fails the overlap test, so the first shift
+    accepted is the first admissible one of all of ``_shifts()``, and an
+    empty range is a failed placement.  The placed charts' own triples and
+    pairwise intersections are computed once per placement, so each
+    candidate is tested only in the triples that contain it.
     """
-    interval = _intervals(curve)
+    rows = _stratum_rows(curve, matrices)
+    interval = _intervals(rows)
     charts = []
     for vid in sorted(curve.vertices, key=lambda v: (curve.vertices[v].position, v)):
         if any(not curve.edges[e].finite for e in curve.vertices[vid].edges):
@@ -946,7 +973,6 @@ def covering_collection(curve):
                 if covered and not triples:
                     continue
             base = existing_here[-1] if existing_here else Chart(v)
-            letter = curve.letter(v, shared)
             if pre_face.get(prev_v):
                 prev_chart = pre_face[prev_v][0]
             else:
@@ -954,16 +980,13 @@ def covering_collection(curve):
                 if not cands:
                     continue
                 prev_chart = cands[-1]
-            placed = False
-            for h in _shifts():
-                cand = base.deformed(letter, h)
-                if _admissible(curve, interval, charts, cand, prev_chart, shared):
-                    charts.append(cand)
-                    placed = True
-                    break
-            if not placed:
+            chart = _place(curve, rows, interval, charts, base,
+                           curve.letter(v, shared), prev_chart, shared)
+            if chart is None:
                 failures.append({"face": [str(c) for c in point], "vertex": v,
                                  "edge": shared})
+            else:
+                charts.append(chart)
     cert = _certificate(curve, charts, interval)
     if not cert["ok"]:
         for stratum in cert["strata"]:
@@ -981,16 +1004,108 @@ def covering_collection(curve):
     return charts, cert
 
 
-def _admissible(curve, interval, charts, cand, prev_chart, shared):
-    new_iv = interval(cand, shared)
+def _place(curve, rows, interval, charts, base, letter, prev_chart, shared):
+    """``base`` deformed along ``letter`` by the smallest admissible shift, or None."""
     prev_iv = interval(prev_chart, shared)
-    if new_iv is None or prev_iv is None:
+    lo, hi = _shift_range(rows[(base.vertex, shared)], base, letter, prev_iv)
+    shifts = _shifts()
+    tried = shifts[bisect_left(shifts, lo):bisect_right(shifts, hi)]
+    if not tried:
+        return None
+    overlaps = _pair_overlaps(curve, rows, interval, charts, base.vertex)
+    if overlaps is None:
+        return None  # three placed charts already share a point
+    for h in tried:
+        cand = base.deformed(letter, h)
+        if _admissible(interval, cand, prev_iv, shared, overlaps):
+            return cand
+    return None
+
+
+def _shift_range(rows, base, letter, prev_iv):
+    """Closed range (L, U) holding every shift h at which ``base`` deformed
+    along ``letter`` by h overlaps ``prev_iv`` with nonempty interior.
+
+    ``rows`` are the base vertex's rows on the shared stratum.  Each row
+    reads c + s*h <= m*tau with c = delta + offset of the base chart and
+    s = -1 on ``letter``, +1 on the other two, so the candidate's lower end
+    is the max of the lines (s/m)*h + c/m over rows with m > 0, its upper
+    end the min over rows with m < 0, and a row with m = 0 needs
+    c + s*h <= 0.  The overlap holds exactly when every lower line (and the
+    predecessor's finite lower end) lies below every upper line (and the
+    predecessor's finite upper end); each such pair bounds h on one side.
+    Strict bounds are returned closed, so the range may still hold shifts
+    that fail, never miss one that passes.  L > U when no shift can pass.
+    """
+    empty = (POS_INF, NEG_INF)
+    if rows is None or prev_iv is None:
+        return empty
+    deltas = base.deltas()
+    lower = [(Fraction(0), prev_iv[0])] if prev_iv[0] != NEG_INF else []
+    upper = [(Fraction(0), prev_iv[1])] if prev_iv[1] != POS_INF else []
+    lo, hi = NEG_INF, POS_INF
+    for l, m, offset in rows:
+        slope = -1 if l == letter else 1
+        const = deltas[l] + offset
+        if m == 0:
+            if slope > 0:
+                hi = min(hi, -const)
+            else:
+                lo = max(lo, const)
+        else:
+            (lower if m > 0 else upper).append((Fraction(slope, m), const / m))
+    for a, b in lower:
+        for c, d in upper:
+            # a*h + b < c*h + d
+            if a > c:
+                hi = min(hi, (d - b) / (a - c))
+            elif a < c:
+                lo = max(lo, (d - b) / (a - c))
+            elif b >= d:
+                return empty
+    return lo, hi
+
+
+def _pair_overlaps(curve, rows, interval, charts, vertex):
+    """The charts' nonempty pairwise intersections on each edge stratum that
+    ``vertex`` meets, or None when three charts already share a point.
+
+    A triple shares a point exactly when its last chart meets the
+    intersection of the other two, so one pass in list order finds them all.
+    """
+    overlaps = {}
+    for eid in curve.edges:
+        ivs, pairs = [], []
+        for chart in charts:
+            iv = interval(chart, eid)
+            if iv is None:
+                continue
+            if _meets(pairs, iv):
+                return None
+            pairs += [(max(lo, iv[0]), min(hi, iv[1])) for lo, hi in ivs
+                      if max(lo, iv[0]) <= min(hi, iv[1])]
+            ivs.append(iv)
+        if pairs and rows[(vertex, eid)] is not None:
+            overlaps[eid] = pairs
+    return overlaps
+
+
+def _meets(intervals, iv):
+    """Whether the closed interval ``iv`` shares a point with one of ``intervals``."""
+    return any(max(lo, iv[0]) <= min(hi, iv[1]) for lo, hi in intervals)
+
+
+def _admissible(interval, cand, prev_iv, shared, overlaps):
+    """Whether ``cand`` overlaps ``prev_iv`` on the shared stratum with nonempty
+    interior and meets none of the placed charts' pairwise ``overlaps``."""
+    new_iv = interval(cand, shared)
+    if new_iv is None or max(new_iv[0], prev_iv[0]) >= min(new_iv[1], prev_iv[1]):
         return False
-    if max(new_iv[0], prev_iv[0]) >= min(new_iv[1], prev_iv[1]):
-        return False  # overlap must have nonempty interior
-    trial = charts + [cand]
-    return not any(_triple_violations(trial, [interval(c, eid) for c in trial])
-                   for eid in curve.edges)
+    for eid, pairs in overlaps.items():
+        iv = interval(cand, eid)
+        if iv is not None and _meets(pairs, iv):
+            return False
+    return True
 
 
 def cone_image(curve, chart, matrices) -> dict:

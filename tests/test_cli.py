@@ -63,7 +63,9 @@ class TestMirror:
     @pytest.mark.parametrize("kind", ["unknown_name", "bad_json", "bad_anchor_edge",
                                       "empty_object", "not_an_object",
                                       "vertex_without_position", "fractional_direction",
-                                      "unknown_a1_key", "edge_key_a2", "edge_key_areas"])
+                                      "unknown_a1_key", "edge_key_a2", "edge_key_areas",
+                                      "document_key_anchors", "vertex_key_colour",
+                                      "anchor_key_edges"])
     def test_unreadable_curve_exits_2_with_errors(self, capsys, tmp_path, kind):
         doc = {"name": "bad",
                "vertices": {"v": {"position": ["0", "0"],
@@ -95,6 +97,13 @@ class TestMirror:
                     doc["edges"]["x"]["a2"] = 1
                 elif kind == "edge_key_areas":
                     doc["edges"]["x"]["areas"] = {"Ay": "1/2"}
+                elif kind == "document_key_anchors":
+                    # a misspelled anchor must not fall back to the default one
+                    doc["anchors"] = doc.pop("anchor")
+                elif kind == "vertex_key_colour":
+                    doc["vertices"]["v"]["colour"] = "red"
+                elif kind == "anchor_key_edges":
+                    doc["anchor"]["edges"] = ["x"]
                 else:
                     del doc["vertices"]["v"]["position"]
                 path.write_text(json.dumps(doc))
@@ -109,20 +118,27 @@ class TestMirror:
                  "fractional_direction": "not an integer",
                  "unknown_a1_key": "nope",
                  "edge_key_a2": "edge x: malformed (unknown key 'a2'",
-                 "edge_key_areas": "edge x: malformed (unknown key 'areas'"}.get(kind, "")
+                 "edge_key_areas": "edge x: malformed (unknown key 'areas'",
+                 "document_key_anchors": "curve document: malformed (unknown key 'anchors'",
+                 "vertex_key_colour": "vertex v: malformed (unknown key 'colour'",
+                 "anchor_key_edges": "anchor: malformed (unknown key 'edges'"}.get(kind, "")
         assert any(named in e for e in report["errors"])
 
     def test_svg_artifacts(self, capsys, tmp_path, monkeypatch):
-        # the report and cones.svg share one covering search
-        searches = []
-        search = tropical.covering_collection
+        # the report and cones.svg share one covering search and one set of
+        # chart matrices
+        searches, builds = [], []
+        search, build = tropical.covering_collection, tropical.chart_matrices
         monkeypatch.setattr(tropical, "covering_collection",
-                            lambda curve: searches.append(curve) or search(curve))
+                            lambda *args: searches.append(args) or search(*args))
+        monkeypatch.setattr(tropical, "chart_matrices",
+                            lambda curve: builds.append(curve) or build(curve))
         out = tmp_path / "art"
         code, report = run_json(capsys, "mirror", "--curve", "kp2",
                                 "--out", str(out))
         assert code == 0
         assert len(searches) == 1
+        assert len(builds) == 1
         for name in ("curve.svg", "fan.svg", "cones.svg"):
             text = (out / name).read_text()
             assert text.startswith("<svg ") and text.endswith("</svg>\n")

@@ -1,6 +1,9 @@
 """Tests for tropical curves, dual fans, chart transitions, and coverings."""
 
+import json
 from fractions import Fraction
+from importlib import resources
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -27,6 +30,59 @@ def pants_doc(**edits):
     for eid, d in edits.items():
         doc["edges"][eid]["direction"] = d
     return doc
+
+
+def brute_force_place(curve, interval, charts, base, letter, prev_chart, shared):
+    """Every shift of ``_shifts()`` in turn, each candidate checked for the
+    shared-stratum overlap and then against every chart triple on every edge."""
+    prev_iv = interval(prev_chart, shared)
+    for h in tr._shifts():
+        cand = base.deformed(letter, h)
+        new_iv = interval(cand, shared)
+        if new_iv is None or prev_iv is None:
+            continue
+        if max(new_iv[0], prev_iv[0]) >= min(new_iv[1], prev_iv[1]):
+            continue
+        trial = charts + [cand]
+        if not any(tr._triple_violations(trial, [interval(c, eid) for c in trial])
+                   for eid in curve.edges):
+            return cand
+    return None
+
+
+def covering(curve):
+    return tr.covering_collection(curve, tr.chart_matrices(curve))
+
+
+def assert_same_search(curve):
+    """The search agrees with one whose placements run ``brute_force_place``."""
+    charts, cert = covering(curve)
+    with mock.patch.object(tr, "_place", lambda curve, rows, *rest:
+                           brute_force_place(curve, *rest)):
+        ref_charts, ref_cert = covering(curve)
+    assert [c.label for c in charts] == [c.label for c in ref_charts]
+    assert cert == ref_cert
+
+
+def rescaled_curve(name, r):
+    """A shipped curve with every vertex position multiplied by r > 0."""
+    doc = json.loads(resources.files("tropmirror.curves").joinpath(f"{name}.json").read_text())
+    for vertex in doc["vertices"].values():
+        vertex["position"] = [str(Fraction(c) * r) for c in vertex["position"]]
+    return tr.load_curve(doc)
+
+
+def conifold_document(k):
+    curve = tr.conifold_curve(k)
+    return {
+        "name": curve.name,
+        "vertices": {v.id: {"position": [str(p) for p in v.position], "edges": list(v.edges)}
+                     for v in curve.vertices.values()},
+        "edges": {e.id: {"ends": list(e.ends), "direction": list(e.direction),
+                         **({"a1": e.a1} if e.finite else {})}
+                  for e in curve.edges.values()},
+        "anchor": curve.anchor,
+    }
 
 
 class TestValidation:
@@ -238,19 +294,19 @@ class TestPotential:
 
 class TestCovering:
     def test_pair_of_pants_single_chart(self):
-        charts, cert = tr.covering_collection(tr.load_curve("pair_of_pants"))
+        charts, cert = covering(tr.load_curve("pair_of_pants"))
         assert [c.label for c in charts] == ["S(v)"]
         assert cert["ok"]
 
     def test_conifold_finite_edge_gets_stretched_chart(self):
         # no bounded face borders the conifold's finite edge
-        charts, cert = tr.covering_collection(tr.load_curve("conifold"))
+        charts, cert = covering(tr.load_curve("conifold"))
         assert [c.label for c in charts] == ["S(v1)", "S(v2)", "S(v1)~x[3/2]"]
         assert cert["ok"]
 
     def test_kp2_collection(self):
         curve = tr.load_curve("kp2")
-        charts, cert = tr.covering_collection(curve)
+        charts, cert = covering(curve)
         assert cert["ok"]
         assert [c.label for c in charts] == [
             "S(v0)", "S(v1)", "S(v2)", "S(v1)~x[13/4]", "S(v2)~y[25/4]", "S(v0)~y[13/4]"]
@@ -281,7 +337,7 @@ class TestCovering:
 
     def test_toriccyeg_collection(self):
         curve = tr.load_curve("toriccyeg")
-        charts, cert = tr.covering_collection(curve)
+        charts, cert = covering(curve)
         assert cert["ok"]
         assert [c.label for c in charts] == [
             "S(t5)", "S(t1)", "S(t4)", "S(t4)~y[17/4]", "S(t2)~z[21/4]", "S(t3)~y[19/3]",
@@ -294,9 +350,123 @@ class TestCovering:
     def test_search_stores_nothing_on_the_curve(self, name):
         curve = tr.load_curve(name)
         before = set(vars(curve))
-        charts, _ = tr.covering_collection(curve)
+        charts, _ = covering(curve)
         tr.covering_certificate(curve, charts)
         assert set(vars(curve)) == before
+
+    @pytest.mark.parametrize("name", CURVES)
+    def test_search_matches_brute_force_on_shipped_curves(self, name):
+        assert_same_search(tr.load_curve(name))
+
+    @settings(deadline=None)
+    @given(name=st.sampled_from(["kp2", "toriccyeg"]),
+           r=st.integers(1, 8).flatmap(
+               lambda q: st.integers(1, 4 * q).map(lambda p: Fraction(p, q))))
+    def test_search_matches_brute_force_on_rescaled_curves(self, name, r):
+        assert_same_search(rescaled_curve(name, r))
+
+    @settings(deadline=None)
+    @given(k=st.integers(-30, 30), gauge=st.integers(-3, 3))
+    def test_search_matches_brute_force_on_conifolds(self, k, gauge):
+        assert_same_search(tr.load_curve(conifold_document(k), a1_overrides={"e": gauge}))
+
+    @pytest.mark.parametrize("name", ["kp2", "toriccyeg"])
+    def test_shifts_outside_the_range_fail_the_overlap(self, name, monkeypatch):
+        placements = []
+        shift_range = tr._shift_range
+
+        def record(rows, base, letter, prev_iv):
+            bounds = shift_range(rows, base, letter, prev_iv)
+            placements.append((rows, base, letter, prev_iv, bounds))
+            return bounds
+
+        monkeypatch.setattr(tr, "_shift_range", record)
+        covering(tr.load_curve(name))
+        assert placements
+        outside = 0
+        for rows, base, letter, prev_iv, (lo, hi) in placements:
+            for h in tr._shifts():
+                if lo <= h <= hi:
+                    continue
+                outside += 1
+                iv = tr.stratum_interval(base.deformed(letter, h), rows)
+                assert iv is None or max(iv[0], prev_iv[0]) >= min(iv[1], prev_iv[1]), \
+                    (base.label, letter, h)
+        assert outside
+
+    @settings(deadline=None)
+    @given(table=st.dictionaries(st.sampled_from(tr.LETTERS), st.tuples(
+               st.integers(-2, 2), st.fractions(-6, 6, max_denominator=4))),
+           deformations=st.lists(st.tuples(st.sampled_from(tr.LETTERS),
+                                           st.fractions(0, 4, max_denominator=4)), max_size=2),
+           letter=st.sampled_from(tr.LETTERS),
+           prev=st.one_of(st.none(), st.tuples(
+               st.one_of(st.just(tr.NEG_INF), st.fractions(-6, 6, max_denominator=4)),
+               st.one_of(st.just(tr.POS_INF), st.fractions(-6, 6, max_denominator=4)))))
+    def test_shift_range_is_exact(self, table, deformations, letter, prev):
+        # synthetic stratum rows: every shift that overlaps lies in [L, U],
+        # and every shift strictly inside overlaps
+        rows = [(l, m, offset) for l, (m, offset) in sorted(table.items())]
+        base = tr.Chart("v", tuple(deformations))
+        lo, hi = tr._shift_range(rows, base, letter, prev)
+        probes = {Fraction(k, 8) for k in range(-120, 121)}
+        for end in (lo, hi):
+            if end not in (tr.NEG_INF, tr.POS_INF):
+                probes |= {end, end - Fraction(1, 64), end + Fraction(1, 64)}
+        if lo < hi and tr.NEG_INF < lo and hi < tr.POS_INF:
+            probes.add((lo + hi) / 2)
+        for h in probes:
+            iv = tr.stratum_interval(base.deformed(letter, h), rows)
+            overlaps = (iv is not None and prev is not None
+                        and max(iv[0], prev[0]) < min(iv[1], prev[1]))
+            assert not overlaps or lo <= h <= hi, h
+            assert overlaps or not lo < h < hi, h
+
+    def test_candidate_meeting_a_placed_pair_is_rejected(self):
+        curve = tr.load_curve("kp2")
+        rows = tr._stratum_rows(curve, tr.chart_matrices(curve))
+        interval = tr._intervals(rows)
+        v0, v1, v2 = (tr.Chart(v) for v in ("v0", "v1", "v2"))
+        # S(v2) placed twice: the pair shares (3, inf) on e02, and no third
+        # placed chart meets it there
+        placed = [v0, v1, v2, v1.deformed("x", Fraction(13, 4)), v2]
+        overlaps = tr._pair_overlaps(curve, rows, interval, placed, "v2")
+        assert overlaps is not None and (3, tr.POS_INF) in overlaps["e02"]
+        cand = v2.deformed("y", Fraction(25, 4))
+        prev_iv = interval(v1, "e12")
+        # the candidate passes the shared-stratum overlap on e12 ...
+        assert tr._admissible(interval, cand, prev_iv, "e12", {})
+        # ... but meets the S(v2) pair on e02
+        assert not tr._admissible(interval, cand, prev_iv, "e12", {"e02": overlaps["e02"]})
+        assert not tr._admissible(interval, cand, prev_iv, "e12", overlaps)
+        # every shift meets it, so the placement fails, as in the full walk
+        assert tr._place(curve, rows, interval, placed, v2, "y", v1, "e12") is None
+        assert brute_force_place(curve, interval, placed, v2, "y", v1, "e12") is None
+        # without the second S(v2) the same walk places the kp2 chart
+        assert (tr._place(curve, rows, interval, placed[:-1], v2, "y", v1, "e12")
+                == brute_force_place(curve, interval, placed[:-1], v2, "y", v1, "e12")
+                == cand)
+        # a single common point is a triple overlap: on e12 S(v2)~y[37/4]
+        # ends at 25/4, where the S(v1) pair's overlap begins
+        overlaps = tr._pair_overlaps(curve, rows, interval, placed[:-1], "v2")
+        touching = v2.deformed("y", Fraction(37, 4))
+        assert interval(touching, "e12") == (tr.NEG_INF, Fraction(25, 4))
+        assert not tr._admissible(interval, touching, prev_iv, "e12", overlaps)
+        assert tr._admissible(interval, v2.deformed("y", 9), prev_iv, "e12", overlaps)
+        # and two placed charts that share one point make a pairwise intersection
+        touching_pair = tr._pair_overlaps(curve, rows, interval,
+                                          [v0, v1, v2, v2.deformed("y", 6)], "v1")
+        assert (3, 3) in touching_pair["e12"]
+
+    def test_placed_triple_rejects_every_candidate(self):
+        curve = tr.load_curve("kp2")
+        rows = tr._stratum_rows(curve, tr.chart_matrices(curve))
+        interval = tr._intervals(rows)
+        v0, v1, v2 = (tr.Chart(v) for v in ("v0", "v1", "v2"))
+        placed = [v0, v0, v0, v1, v2]
+        assert tr._pair_overlaps(curve, rows, interval, placed, "v2") is None
+        assert tr._place(curve, rows, interval, placed, v2, "y", v1, "e12") is None
+        assert brute_force_place(curve, interval, placed, v2, "y", v1, "e12") is None
 
 
 class TestConeImage:
