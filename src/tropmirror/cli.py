@@ -20,6 +20,7 @@ import random
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from pathlib import Path
 
 from . import ainf, dgcat, mf, tropical
@@ -69,7 +70,9 @@ def _parse_face(text: str) -> tuple:
             f"expected two rational coordinates, got {text!r}") from None
 
 
-def parse_args(argv) -> RunConfig:
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; it holds no mutable default."""
     parser = argparse.ArgumentParser(
         prog="tropmirror",
         description="Mirror constructions for punctured Riemann surfaces.")
@@ -82,7 +85,7 @@ def parse_args(argv) -> RunConfig:
 
     def curve_input(p):
         p.add_argument("--curve", help="curve document: shipped name or JSON path")
-        p.add_argument("--a1", type=_parse_kv_ints, default={},
+        p.add_argument("--a1", type=_parse_kv_ints, default=argparse.SUPPRESS,
                        help="edge gauge overrides, e.g. e=1,f=0")
         return output(p)
 
@@ -91,7 +94,7 @@ def parse_args(argv) -> RunConfig:
     p_trans = curve_input(sub.add_parser("transform", help="divisor line bundle of a face"))
     p_trans.add_argument("--face", type=_parse_face, required=True,
                          help="dual point of the face, e.g. 0,0")
-    p_trans.add_argument("--windings", type=_parse_kv_ints, default={},
+    p_trans.add_argument("--windings", type=_parse_kv_ints, default=argparse.SUPPRESS,
                          help="winding integers per finite edge, e.g. e=2")
 
     p_verify = output(sub.add_parser("verify", help="run acceptance-criteria suites"))
@@ -101,9 +104,13 @@ def parse_args(argv) -> RunConfig:
                           help=f"one of: {', '.join(SUITE_ORDER)}, all")
 
     curve_input(sub.add_parser("render", help="write SVG diagrams of a curve"))
+    return parser
 
-    # flags a subcommand does not register keep the RunConfig defaults
-    return RunConfig(**vars(parser.parse_args(argv)))
+
+def parse_args(argv) -> RunConfig:
+    # flags a subcommand does not register, and --a1/--windings when absent,
+    # keep the RunConfig defaults: a fresh dict per call
+    return RunConfig(**vars(_parser().parse_args(argv)))
 
 
 def _load_curve(cfg: RunConfig):

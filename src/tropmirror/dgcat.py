@@ -590,6 +590,8 @@ def hfp_axiom_check(seed: int) -> dict:
 # model operations with formal units
 # ---------------------------------------------------------------------------
 
+_UNCACHED = object()  # ``ModelOps.m``'s memo miss
+
 
 def _element_key(el: dict) -> tuple:
     """Canonical plain-tuple form of a formal sum, for ``ModelOps.m``'s memo."""
@@ -686,9 +688,10 @@ class ModelOps:
         """m_k^{b,...,b}, k >= 1, with the formal unit action in m2."""
         inputs = [dict(e) for e in inputs]
         key = tuple(_element_key(e) for e in inputs)
-        if key not in self._m_memo:
-            self._m_memo[key] = self._m(inputs)
-        return dict(self._m_memo[key])
+        out = self._m_memo.get(key, _UNCACHED)
+        if out is _UNCACHED:  # an empty dict is a cached value
+            out = self._m_memo[key] = self._m(inputs)
+        return dict(out)
 
     def _m(self, inputs) -> dict:
         """``m`` computed from the table, past the memo."""

@@ -1,9 +1,12 @@
 """Laurent polynomials over exact Novikov coefficients and monomial maps.
 
 These are the tropical chart transitions of :mod:`tropmirror.tropical`:
-a :class:`MonomialMap` sends each source variable to a Novikov monomial
-times a Laurent monomial in the target variables, and substitution along
-such a map is a ring homomorphism.  The A-infinity models, matrix
+a :class:`MonomialMap` sends each source variable to a Novikov unit times
+a Laurent monomial in the target variables, and substitution along such a
+map is a ring homomorphism.  A map is stored as its units and its integer
+exponent rows, so composing two maps, pulling a polynomial back and
+testing for the identity are integer row arithmetic and unit products;
+no ``LaurentPoly`` product is expanded.  The A-infinity models, matrix
 factorizations and dg layer compute with :mod:`tropmirror.symbolic`
 instead.
 """
@@ -155,69 +158,90 @@ class LaurentPoly:
 
 @dataclass(frozen=True)
 class MonomialMap:
-    """Substitution x_i -> unit * (monomial in target variables)."""
+    """Substitution source_i -> units[i] * prod_j target_j^rows[i][j].
+
+    A map is its units (nonzero Novikov series, one per source variable)
+    and its integer exponent rows over the target variables, and it
+    composes, substitutes and compares by arithmetic on those: composition
+    sums rows and multiplies units, and a substituted term stays one
+    monomial.  A negative power of a unit with two or more terms raises
+    ``ValueError``.
+    """
 
     source: tuple
     target: tuple
-    assignments: tuple  # tuple of (src var, unit NovikovSeries, dict target var -> int)
+    units: tuple  # NovikovSeries, one per source variable
+    rows: tuple  # tuple of int exponent tuples over target, one per source variable
 
     @staticmethod
     def build(source, target, table: dict) -> "MonomialMap":
+        """From ``table``: source var -> (unit, dict target var -> int).
+
+        A zero unit, or a nonzero exponent of a variable outside ``target``,
+        raises ``ValueError``.
+        """
         source = tuple(source)
         target = tuple(target)
-        rows = []
+        units, rows = [], []
         for v in source:
             unit, exps = table[v]
             unit = as_series(unit)
-            rows.append((v, unit, tuple(sorted((k, int(e)) for k, e in exps.items() if e))))
-        return MonomialMap(source, target, tuple(rows))
+            if unit.is_zero():
+                raise ValueError(f"zero unit for {v}")
+            unknown = sorted(name for name, e in exps.items() if e and name not in target)
+            if unknown:
+                raise ValueError(f"unknown target variables {unknown}")
+            units.append(unit)
+            rows.append(tuple(int(exps.get(name, 0)) for name in target))
+        return MonomialMap(source, target, tuple(units), tuple(rows))
 
     def image_of(self, var: str) -> LaurentPoly:
-        for v, unit, exps in self.assignments:
-            if v == var:
-                e = [0] * len(self.target)
-                for name, power in exps:
-                    e[self.target.index(name)] = power
-                return LaurentPoly.monomial(self.target, e, unit)
-        raise KeyError(f"unbound variable {var}")
+        if var not in self.source:
+            raise KeyError(f"unbound variable {var}")
+        i = self.source.index(var)
+        return LaurentPoly.monomial(self.target, self.rows[i], self.units[i])
+
+    def _pull(self, positions, coeff, exps):
+        """coeff * prod_k image(source[positions[k]])^exps[k] as (coefficient, exponents)."""
+        out = [0] * len(self.target)
+        for i, e in zip(positions, exps):
+            if e:
+                coeff = coeff * self.units[i] ** e
+                for j, r in enumerate(self.rows[i]):
+                    out[j] += e * r
+        return coeff, tuple(out)
 
     def substitute(self, p: LaurentPoly) -> LaurentPoly:
         missing = [v for v in p.variables if v not in self.source]
         if missing:
             raise KeyError(f"unbound variables {missing}")
-        images = {v: self.image_of(v) for v in p.variables}
-        out = LaurentPoly.zero(self.target)
+        positions = [self.source.index(v) for v in p.variables]
+        acc = {}
         for exps, coeff in p.terms.items():
-            term = LaurentPoly.constant(self.target, coeff)
-            for v, e in zip(p.variables, exps):
-                if e:
-                    term = term * (images[v] ** e)
-            out = out + term
-        return out
+            coeff, key = self._pull(positions, coeff, exps)
+            acc[key] = acc[key] + coeff if key in acc else coeff
+        return LaurentPoly(self.target, acc)
 
     def compose(self, inner: "MonomialMap") -> "MonomialMap":
         """self after inner: source of self, expressed in target of inner."""
         if set(self.target) - set(inner.source):
             raise ValueError("maps not composable: variable mismatch")
-        table = {}
-        for v in self.source:
-            img = inner.substitute(self.image_of(v))
-            exps, unit = img.single_term()
-            table[v] = (unit, dict(zip(img.variables, exps)))
-        return MonomialMap.build(self.source, inner.target, table)
+        positions = [inner.source.index(v) for v in self.target]
+        images = [inner._pull(positions, unit, row) for unit, row in zip(self.units, self.rows)]
+        return MonomialMap(self.source, inner.target,
+                           tuple(unit for unit, _ in images), tuple(row for _, row in images))
 
     def is_identity(self) -> bool:
         if set(self.source) != set(self.target):
             return False
-        for v in self.source:
-            img = self.image_of(v)
-            if img != LaurentPoly.var(self.target, v):
-                return False
-        return True
+        one = as_series(1)
+        return all(unit == one and row == tuple(int(t == v) for t in self.target)
+                   for v, unit, row in zip(self.source, self.units, self.rows))
 
     def __str__(self) -> str:
         lines = []
-        for v, unit, exps in self.assignments:
+        for v, unit, row in zip(self.source, self.units, self.rows):
+            exps = sorted((n, p) for n, p in zip(self.target, row) if p)
             mono = "*".join(f"{n}^{p}" if p != 1 else n for n, p in exps) or "1"
             u = str(unit)
             prefix = "" if u == "1" else f"{u} * "

@@ -56,10 +56,27 @@ class NovikovSeries:
 
     def __mul__(self, other) -> "NovikovSeries":
         other = as_series(other)
+        if len(self.terms) == 1 and len(other.terms) == 1:
+            ((e1, c1),), ((e2, c2),) = self.terms, other.terms
+            return NovikovSeries(((e1 + e2, c1 * c2),))
         return NovikovSeries.from_terms(
             (e1 + e2, c1 * c2) for e1, c1 in self.terms for e2, c2 in other.terms)
 
     __rmul__ = __mul__
+
+    def __pow__(self, n: int) -> "NovikovSeries":
+        """Integer powers; a negative power needs a monomial (``inv``)."""
+        if not isinstance(n, int):
+            raise TypeError("integer powers only")
+        if n < 0:
+            return self.inv() ** -n
+        if len(self.terms) == 1:
+            ((e, c),) = self.terms
+            return NovikovSeries(((e * n, c ** n),))
+        out = as_series(1)
+        for _ in range(n):
+            out = out * self
+        return out
 
     def inv(self) -> "NovikovSeries":
         """(a * T^A)^{-1} = a^{-1} * T^{-A}; a sum of two or more terms raises ValueError."""

@@ -520,36 +520,29 @@ def _split_area(curve, edge_id):
             Fraction(_dot(curve.direction_at(b_edge, e.ends[1]), disp)))
 
 
-def _exponents(mm: MonomialMap):
-    """Exponent rows and units: source i goes to units[i] * prod_j target_j^rows[i][j]."""
-    rows, units = [], []
-    for src in mm.source:
-        exps, unit = mm.image_of(src).single_term()
-        rows.append(exps)
-        units.append(unit)
-    return rows, units
+def _unimodular_inverse(M):
+    """Inverse of a 3x3 integer matrix of determinant +-1: det times its adjugate."""
+    (a, b, c), (d, e, f), (g, h, i) = M
+    adj = [[e * i - f * h, c * h - b * i, b * f - c * e],
+           [f * g - d * i, a * i - c * g, c * d - a * f],
+           [d * h - e * g, b * g - a * h, a * e - b * d]]
+    det = a * adj[0][0] + b * adj[1][0] + c * adj[2][0]
+    if det not in (1, -1):
+        raise ValueError("monomial map is not invertible over the integers")
+    return [[det * x for x in row] for row in adj]
 
 
 def _invert(mm: MonomialMap) -> MonomialMap:
-    M, units = _exponents(mm)
-    N = _mat_inv(M)
-    table = {}
-    for j, tgt in enumerate(mm.target):
-        # tgt = prod_i src_i^{N_ji} * prod_i unit_i^{-N_ji}
+    """target_j = prod_i (source_i / unit_i)^{N_ji} for N the inverse exponent matrix."""
+    N = _unimodular_inverse(mm.rows)
+    units = []
+    for row in N:
         unit = as_series(1)
-        exps = {}
-        for i, src in enumerate(mm.source):
-            c = N[j][i]
-            if c.denominator != 1:
-                raise ValueError("monomial map is not invertible over the integers")
-            c = int(c)
+        for u, c in zip(mm.units, row):
             if c:
-                exps[src] = c
-                u = units[i].inv() if c > 0 else units[i]
-                for _ in range(abs(c)):
-                    unit = unit * u
-        table[tgt] = (unit, exps)
-    return MonomialMap.build(mm.target, mm.source, table)
+                unit = unit * u ** -c
+        units.append(unit)
+    return MonomialMap(mm.target, mm.source, tuple(units), tuple(tuple(row) for row in N))
 
 
 def transition_map(curve, edge_id, exact=True, reverse=False) -> MonomialMap:
@@ -598,11 +591,7 @@ def absorbs_offsets(curve, edge_id) -> bool:
     imm = transition_map(curve, edge_id, exact=False)
     d2 = offset_rescaling(curve, e.ends[1], sign=1)
     d1 = offset_rescaling(curve, e.ends[0], sign=-1)
-    rescaled = d2.compose(imm).compose(d1)
-    exact = transition_map(curve, edge_id, exact=True)
-    return all(
-        rescaled.image_of(v) == exact.image_of(v) for v in rescaled.source
-    )
+    return d2.compose(imm).compose(d1) == transition_map(curve, edge_id, exact=True)
 
 
 def _step_map(curve, edge_id, src_vertex):
@@ -737,30 +726,13 @@ def _mat_mul(A, B):
     ]
 
 
-def _mat_inv(M):
-    n = len(M)
-    aug = [[Fraction(M[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)]
-           for i in range(n)]
-    for col in range(n):
-        pivot = next(r for r in range(col, n) if aug[r][col] != 0)
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        pv = aug[col][col]
-        aug[col] = [c / pv for c in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
-
-
 def chart_matrices(curve) -> dict:
     """Integer matrices expressing each chart's exact variables in base-chart ones."""
     base = curve.edges[curve.anchor["edge"]].ends[0]
     mats = {base: [[int(i == j) for j in range(3)] for i in range(3)]}
     parent, _ = _spanning_tree(curve, base)
     for w, (u, eid) in parent.items():
-        E, _ = _exponents(_step_map(curve, eid, w))
-        mats[w] = _mat_mul(E, mats[u])
+        mats[w] = _mat_mul(_step_map(curve, eid, w).rows, mats[u])
     return mats
 
 
@@ -772,14 +744,17 @@ def _stratum_rows(curve, matrices) -> dict:
     delta_letter + offset <= m * tau.  ``matrices`` are the curve's
     ``chart_matrices``.
     """
-    # the chart matrices are unimodular, so their inverses are integral
-    inverses = {v: [[int(c) for c in row] for row in _mat_inv(M)] for v, M in matrices.items()}
+    # every chart in the chart of each edge's first end, one product per pair
+    firsts = {e.ends[0] for e in curve.edges.values()}
+    inverses = {u: _unimodular_inverse(matrices[u]) for u in firsts}
+    relative = {(vid, u): _mat_mul(matrices[vid], inverse)
+                for u, inverse in inverses.items() for vid in curve.vertices}
     table = {}
     for eid, e in curve.edges.items():
         u = e.ends[0]
         idx = curve.vertices[u].edges.index(eid)
         for vid, cv in curve.vertices.items():
-            N = _mat_mul(matrices[vid], inverses[u])
+            N = relative[(vid, u)]
             rows = []
             for s in range(3):
                 vanish = [N[s][j] for j in range(3) if j != idx]
@@ -1115,7 +1090,7 @@ def cone_image(curve, chart, matrices) -> dict:
     {V : M V >= delta + offset}; its apex is M^{-1}(delta + offset) and its
     rays the columns of M^{-1}.  Projection drops the last base coordinate.
     """
-    Minv = _mat_inv(matrices[chart.vertex])
+    Minv = _unimodular_inverse(matrices[chart.vertex])
     deltas = chart.deltas()
     cv = curve.vertices[chart.vertex]
     rhs = [deltas[LETTERS[s]] + curve.exact_offset(chart.vertex, cv.edges[s])

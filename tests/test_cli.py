@@ -1,5 +1,6 @@
 """Tests for the command-line interface: reports, determinism, exit codes."""
 
+import argparse
 import hashlib
 import json
 from dataclasses import replace
@@ -14,6 +15,11 @@ GOLDEN_CONIFOLD_STRUCTURED = "fa19dd1fa2786b74d3a26762a2ecfbd80563d4e5c335211cba
 GOLDEN_PANTS_TEXT = "c6e2f0dedaffd242aa7432247e18238ad2e097c8f88a5cff4197071914a94a60"
 GOLDEN_TORICCYEG_SVG = "aac3eb3d3add99c5c4bf5e06134abd6461842d362255f83609731e6ef72f3aa1"
 GOLDEN_VERIFY_ALL_SEED_7 = "d382392f35eafb50cf1c1e3c95feac030f4d32823e96d428dced8a08002e1bce"
+GOLDEN_MIRROR_STRUCTURED = {
+    "pair_of_pants": "8727bc2b2d22a200f02ef5fab8d9c7f5a233adaec09858f6f12d73e65b8a87d2",
+    "kp2": "c31138dd16c6d6919349d9778ea64c29686c764f57d98cd207ddd36c2848ebac",
+    "toriccyeg": "d8447e46f0df8644048561a17a065b5700050e1afcc2ae227462403773ba196b",
+}
 
 
 def sha256(text):
@@ -211,6 +217,26 @@ class TestFlags:
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
+    def test_parser_is_built_once(self, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        cli._parser.cache_clear()
+        for argv in (["mirror"], ["verify", "flop"], ["render", "--curve", "kp2"]):
+            cli.parse_args(argv)
+        assert len(built) == 5  # the top-level parser and its four subcommands
+
+    def test_dict_defaults_are_not_shared(self):
+        cfg = cli.parse_args(["transform", "--face", "0,0"])
+        cfg.a1["e"], cfg.windings["e"] = 1, 2
+        again = cli.parse_args(["transform", "--face", "0,0"])
+        assert again.a1 == {} and again.windings == {}
+
 
 class TestOutputDirectory:
     # a path that cannot be a directory is bad input: exit 2 before any work
@@ -331,6 +357,12 @@ class TestGoldenStability:
             assert code == 0
             digests.add(sha256(out))
         assert digests == {GOLDEN_CONIFOLD_STRUCTURED}
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_MIRROR_STRUCTURED))
+    def test_shipped_mirror_reports_pinned(self, capsys, name):
+        code, out = run(capsys, "mirror", "--curve", name, "--format", "structured")
+        assert code == 0
+        assert sha256(out) == GOLDEN_MIRROR_STRUCTURED[name]
 
     def test_render_svg_bit_identical(self, capsys, tmp_path):
         digests = set()

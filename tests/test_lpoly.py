@@ -95,3 +95,103 @@ def test_compose_and_identity():
     h = f.compose(g)  # x1-chart -> x1-chart
     assert h.source == ("x1", "y1", "z1") and h.target == ("x1", "y1", "z1")
     assert h.is_identity()
+
+
+# -- property tests against a reference that expands through LaurentPoly --
+
+
+def reference_substitute(mm, p):
+    """Pull p back term by term through LaurentPoly products and powers."""
+    out = LaurentPoly.zero(mm.target)
+    for exps, coeff in p.terms.items():
+        term = LaurentPoly.constant(mm.target, coeff)
+        for v, e in zip(p.variables, exps):
+            if e:
+                term = term * mm.image_of(v) ** e
+        out = out + term
+    return out
+
+
+def reference_is_identity(mm):
+    return set(mm.source) == set(mm.target) and all(
+        mm.image_of(v) == LaurentPoly.var(mm.target, v) for v in mm.source)
+
+
+def outcome(f, *args):
+    """(True, f(*args)), or (False, None) if it raises ValueError."""
+    try:
+        return True, f(*args)
+    except ValueError:
+        return False, None
+
+
+monomial_units = st.builds(
+    lambda c, a: c * T(a),
+    st.fractions(min_value=-3, max_value=3, max_denominator=3).filter(bool),
+    st.fractions(min_value=-4, max_value=4, max_denominator=4))
+units = st.one_of(
+    monomial_units,
+    st.builds(lambda u, w, a: u + w * T(a), monomial_units, monomial_units,
+              st.fractions(min_value=1, max_value=3, max_denominator=2))
+    .filter(lambda u: not u.is_zero()))
+
+
+@st.composite
+def maps(draw, source, target):
+    """Random maps source -> target with one- or two-term units; when the
+    variable sets agree, all but a drawn number of variables map to
+    themselves."""
+    moved = source[:draw(st.integers(0, 3))] if source == target else source
+    table = {}
+    for v in source:
+        if v not in moved:
+            table[v] = (1, {v: 1})
+            continue
+        row = (draw(st.lists(st.integers(-2, 2), min_size=3, max_size=3))
+               if draw(st.booleans()) else [int(t == v) for t in target])
+        unit = draw(units) if draw(st.booleans()) else 1
+        table[v] = (unit, dict(zip(target, row)))
+    return MonomialMap.build(source, target, table)
+
+
+S, M, N = ("a", "b", "c"), ("x", "y", "z"), ("u", "v", "w")
+
+
+@st.composite
+def polys_in(draw, variables, max_terms=4):
+    items = draw(st.lists(st.tuples(exps, st.one_of(coeffs, monomial_units)),
+                          max_size=max_terms))
+    return LaurentPoly(variables, {e: c for e, c in items})
+
+
+@given(maps(M, N), polys_in(M))
+@settings(max_examples=150, deadline=None)
+def test_substitute_matches_expansion(mm, p):
+    # a negative power of a two-term unit raises in both
+    (ok, got), (ref_ok, want) = outcome(mm.substitute, p), outcome(reference_substitute, mm, p)
+    assert ok == ref_ok and (not ok or got == want)
+
+
+@given(maps(S, M), maps(M, N))
+@settings(max_examples=150, deadline=None)
+def test_compose_matches_expansion(outer, inner):
+    ok, got = outcome(outer.compose, inner)
+    ref_ok, want = outcome(lambda: {v: reference_substitute(inner, outer.image_of(v))
+                                    for v in outer.source})
+    assert ok == ref_ok
+    if ok:
+        assert (got.source, got.target) == (S, N)
+        assert all(got.image_of(v) == want[v] for v in S)
+
+
+@given(maps(M, M))
+@settings(max_examples=150, deadline=None)
+def test_is_identity_matches_expansion(f):
+    assert f.is_identity() == reference_is_identity(f)
+
+
+def test_bad_tables_rejected():
+    with pytest.raises(ValueError):
+        MonomialMap.build(M, N, {"x": (0, {"u": 1}), "y": (1, {}), "z": (1, {})})
+    with pytest.raises(ValueError):
+        MonomialMap.build(M, N, {"x": (1, {"q": 1}), "y": (1, {}), "z": (1, {})})

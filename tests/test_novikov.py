@@ -72,6 +72,25 @@ def test_val_submultiplicative(a, b):
         assert (a + b).is_zero() or lead(a + b) >= min(lead(a), lead(b))
 
 
+@given(series(max_terms=3), series(max_terms=1), st.integers(0, 4))
+@settings(max_examples=100)
+def test_powers_and_monomial_products(a, m, n):
+    # m is zero or a monomial: the one-term product path must agree with
+    # the general one, and powers with repeated products
+    expanded = NovikovSeries.from_terms(
+        (e1 + e2, c1 * c2) for e1, c1 in a.terms for e2, c2 in m.terms)
+    assert a * m == m * a == expanded
+    product = ONE
+    for _ in range(n):
+        product = product * a
+    assert a ** n == product
+    if not m.is_zero():
+        assert m ** -n == m.inv() ** n and m ** -n * m ** n == ONE
+    if len(a.terms) > 1 and n:
+        with pytest.raises(ValueError):
+            a ** -n
+
+
 def test_multiterm_inverse_needs_truncation():
     # the field is exact, with no truncation order, so only monomials invert
     with pytest.raises(ValueError):

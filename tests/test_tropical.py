@@ -200,7 +200,7 @@ class TestTransitions:
         with pytest.raises(ValueError):
             tr.transition_map(curve, "w0")
 
-    @pytest.mark.parametrize("name", ["conifold", "kp2", "toriccyeg"])
+    @pytest.mark.parametrize("name", CURVES)
     @pytest.mark.parametrize("exact", [True, False])
     def test_roundtrip_identity(self, name, exact):
         curve = tr.load_curve(name)
@@ -229,8 +229,8 @@ class TestTransitions:
         shift = {curve.var(e.ends[1], pairs["y"][1]): A / 2 - Ay,
                  curve.var(e.ends[1], pairs["z"][1]): Ay - A / 2}
         imm = tr.transition_map(curve, "e01", exact=False)
-        half = MonomialMap.build(imm.source, imm.target, {
-            v: (unit * T(shift.get(v, 0)), dict(exps)) for v, unit, exps in imm.assignments})
+        half = MonomialMap(imm.source, imm.target, tuple(
+            unit * T(shift.get(v, 0)) for v, unit in zip(imm.source, imm.units)), imm.rows)
         rescaled = tr.offset_rescaling(curve, e.ends[1], sign=1).compose(half).compose(
             tr.offset_rescaling(curve, e.ends[0], sign=-1))
         exact = tr.transition_map(curve, "e01")
@@ -242,6 +242,57 @@ class TestTransitions:
         mm = tr.transition_map(curve, "e01", exact=False)
         exps, unit = mm.image_of("v1.x").single_term()
         assert unit == T(-3) and exps == (-1, 0, 0)
+
+
+def gauss_jordan_inverse(M):
+    """Reference inverse over the rationals, by Gauss-Jordan elimination."""
+    n = len(M)
+    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+           for i, row in enumerate(M)]
+    for col in range(n):
+        pivot = next(r for r in range(col, n) if aug[r][col] != 0)
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        aug[col] = [x / aug[col][col] for x in aug[col]]
+        for r in range(n):
+            if r != col:
+                aug[r] = [a - aug[r][col] * b for a, b in zip(aug[r], aug[col])]
+    return [row[n:] for row in aug]
+
+
+@st.composite
+def unimodular(draw):
+    """Identity matrix under drawn row additions, swaps and sign flips."""
+    M = [[int(i == j) for j in range(3)] for i in range(3)]
+    for op, i, j, k in draw(st.lists(st.tuples(
+            st.sampled_from("add swap flip".split()), st.integers(0, 2),
+            st.integers(0, 2), st.integers(-3, 3)), max_size=8)):
+        if op == "add" and i != j:
+            M[i] = [a + k * b for a, b in zip(M[i], M[j])]
+        elif op == "swap":
+            M[i], M[j] = M[j], M[i]
+        elif op == "flip":
+            M[i] = [-a for a in M[i]]
+    return M
+
+
+class TestIntegerInverse:
+    @given(unimodular())
+    @settings(max_examples=200)
+    def test_matches_gauss_jordan(self, M):
+        inverse = tr._unimodular_inverse(M)
+        assert inverse == gauss_jordan_inverse(M)
+        assert all(type(x) is int for row in inverse for x in row)
+
+    @pytest.mark.parametrize("rows", [
+        ((1, 0, 0), (0, 1, 0), (1, 1, 0)),  # det 0
+        ((2, 0, 0), (0, 1, 0), (0, 0, 1)),  # det 2
+        ((1, 1, 0), (1, -1, 0), (0, 0, 1)),  # det -2
+    ])
+    def test_non_unimodular_map_rejected(self, rows):
+        src, tgt = ("a", "b", "c"), ("x", "y", "z")
+        mm = MonomialMap.build(src, tgt, {v: (1, dict(zip(tgt, row))) for v, row in zip(src, rows)})
+        with pytest.raises(ValueError, match="not invertible over the integers"):
+            tr._invert(mm)
 
 
 class TestCocycle:
