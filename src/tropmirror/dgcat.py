@@ -176,10 +176,12 @@ class DgPiece:
         return DgMorphism(f.src, f.tgt, f.degree, {g: col for g, col in entries.items() if col})
 
     def scale(self, f: DgMorphism, c) -> DgMorphism:
-        # a rational c multiplies through SymPoly.scale, with no scalar SymPoly
-        entries = {
-            g: {h: c * v for h, v in col.items()} for g, col in f.entries.items()
-        }
+        if isinstance(c, (int, Fraction)):
+            # converted once, then multiplied through SymPoly.scale entry by entry
+            c = c if isinstance(c, Fraction) else Fraction(c)
+            entries = {g: {h: v.scale(c) for h, v in col.items()} for g, col in f.entries.items()}
+        else:
+            entries = {g: {h: c * v for h, v in col.items()} for g, col in f.entries.items()}
         return DgMorphism(f.src, f.tgt, f.degree, entries)
 
     def compose(self, g: DgMorphism, f: DgMorphism) -> DgMorphism:
@@ -208,7 +210,15 @@ class DgPiece:
         return self.add(left, self.scale(right, -sign_pow(f.degree)))
 
     def equal(self, f: DgMorphism, g: DgMorphism) -> bool:
-        return self.add(f, self.scale(g, -1)).is_zero()
+        """f == g, read off the two entry tables without subtracting.
+
+        Zero entries and empty columns are dropped first.  This relies on
+        ``symbolic``'s invariant: polynomials keep canonical term dicts and
+        are never mutated, so equal entries have equal dicts.
+        """
+        if (g.src, g.tgt, g.degree) != (f.src, f.tgt, f.degree):
+            raise ValueError("morphism comparison shape mismatch")
+        return _nonzero_table(f) == _nonzero_table(g)
 
     def basis_morphisms(self, src: str, tgt: str):
         """All matrix units Hom(src, tgt) with their degrees."""
@@ -232,6 +242,16 @@ class DgPiece:
             if not self.d(ida).is_zero():
                 failures.append(("identity not closed", a))
         return {"ok": not failures, "failures": failures}
+
+
+def _nonzero_table(f: DgMorphism) -> dict:
+    """The term dicts of ``f``'s nonzero entries, column by column."""
+    table = {}
+    for g, col in f.entries.items():
+        kept = {h: c.terms for h, c in col.items() if c.terms}
+        if kept:
+            table[g] = kept
+    return table
 
 
 def mf_dg_piece(factorizations) -> DgPiece:
@@ -466,7 +486,15 @@ class HomotopyFiberProduct:
                              m1.degree + m2.degree)
 
     def equal(self, a: FiberProductMorphism, b: FiberProductMorphism) -> bool:
-        return self.add(a, self.scale(b, -1)).is_zero()
+        """a == b, compared component by component with the pieces' ``equal``
+        (so by canonical term dicts, see ``DgPiece.equal``).
+
+        All three components are compared, so a shape mismatch in any of
+        them raises ``ValueError`` even when an earlier one differs.
+        """
+        same = [self.B.equal(a.mu, b.mu), self.C.equal(a.nu, b.nu),
+                self.D.equal(a.gamma, b.gamma)]
+        return all(same)
 
 
 # ---------------------------------------------------------------------------
@@ -564,19 +592,23 @@ def random_hfp_instance(seed: int):
 def hfp_axiom_check(seed: int) -> dict:
     """d^2 = 0, Leibniz, associativity and unit laws on one random instance."""
     hfp, objs, (m1, m2, m3) = random_hfp_instance(seed)
+    # each d(m_i) serves d^2 and both Leibniz sides; m2 m1 and m3 m2 serve
+    # Leibniz and associativity
+    d1, d2, d3 = hfp.d(m1), hfp.d(m2), hfp.d(m3)
     failures = []
-    for tag, m in (("m1", m1), ("m2", m2), ("m3", m3)):
-        if not hfp.d(hfp.d(m)).is_zero():
+    for tag, dm in (("m1", d1), ("m2", d2), ("m3", d3)):
+        if not hfp.d(dm).is_zero():
             failures.append(f"d2({tag})")
-    for tag, hi, lo in (("m2m1", m2, m1), ("m3m2", m3, m2), ("m1m3", m1, m3)):
-        lhs = hfp.d(hfp.compose(hi, lo))
-        rhs = hfp.add(hfp.compose(hfp.d(hi), lo),
-                      hfp.scale(hfp.compose(hi, hfp.d(lo)), sign_pow(hi.degree)))
+    m21, m32 = hfp.compose(m2, m1), hfp.compose(m3, m2)
+    for tag, hi, d_hi, lo, d_lo, product in (
+            ("m2m1", m2, d2, m1, d1, m21), ("m3m2", m3, d3, m2, d2, m32),
+            ("m1m3", m1, d1, m3, d3, hfp.compose(m1, m3))):
+        lhs = hfp.d(product)
+        rhs = hfp.add(hfp.compose(d_hi, lo),
+                      hfp.scale(hfp.compose(hi, d_lo), sign_pow(hi.degree)))
         if not hfp.equal(lhs, rhs):
             failures.append(f"leibniz({tag})")
-    assoc_l = hfp.compose(hfp.compose(m3, m2), m1)
-    assoc_r = hfp.compose(m3, hfp.compose(m2, m1))
-    if not hfp.equal(assoc_l, assoc_r):
+    if not hfp.equal(hfp.compose(m32, m1), hfp.compose(m3, m21)):
         failures.append("associativity")
     for m in (m1, m2, m3):
         if not hfp.equal(hfp.compose(hfp.identity(m.tgt), m), m):
@@ -593,11 +625,22 @@ def hfp_axiom_check(seed: int) -> dict:
 _UNCACHED = object()  # ``ModelOps.m``'s memo miss
 
 
+def _term_order(term: tuple) -> tuple:
+    (area, mono), _, _ = term
+    return mono, area.coeffs, area.const
+
+
 def _element_key(el: dict) -> tuple:
-    """Canonical plain-tuple form of a formal sum, for ``ModelOps.m``'s memo."""
+    """Order-free form of a formal sum, for ``ModelOps.m``'s memo.
+
+    Generators are sorted, and each one's terms are sorted by monomial and
+    area.  A term is its ``(AreaExp, mono)`` key, whose ``AreaExp`` hash is
+    cached, with its scalar's numerator and denominator, so hashing the key
+    hashes no ``Fraction``.
+    """
     return tuple(sorted(
-        (g, tuple(sorted(((area.coeffs, area.const), mono, scalar)
-                         for (area, mono), scalar in _as_poly(c).terms.items())))
+        (g, tuple(sorted(((key, s.numerator, s.denominator)
+                          for key, s in _as_poly(c).terms.items()), key=_term_order)))
         for g, c in el.items()))
 
 
@@ -611,9 +654,11 @@ class ModelOps:
 
     ``m`` is memoized per instance, so a memo lives as long as one model,
     one coordinate change and the check that holds them.  Its key holds
-    each input as a sorted tuple of (generator, sorted ((area coeffs, area
-    const), monomial, scalar) terms), plain tuples that hash no
-    ``AreaExp``; every call returns a fresh dict.  There is no m0 here: the
+    each input as a sorted tuple of (generator, sorted terms), each term its
+    ``(AreaExp, mono)`` key with the scalar's numerator and denominator
+    (``_element_key``), so equal inputs share an entry whatever their
+    insertion order and no ``Fraction`` is hashed; every call returns a
+    fresh dict.  There is no m0 here: the
     curvature of an object is ``AInfLocalModel.weak_mc_check``'s.
     """
 

@@ -15,6 +15,13 @@ polynomials therefore have equal term dicts.  The constructors and the
 arithmetic below build dicts that already satisfy this form and hand them to
 the private ``SymPoly._of_clean``, which stores them unchecked.  Nothing
 outside this module may call it.
+
+No ``SymPoly`` or ``AreaExp`` is mutated after construction: every
+operation returns a new value (or one of its operands unchanged), and the
+only attribute ever set later is an ``AreaExp``'s cached hash.  That is what
+lets one shared zero area (``AreaExp.constant(0)``) sit in every constant
+term, and lets callers compare polynomials by their term dicts
+(``dgcat.DgPiece.equal``) instead of subtracting.
 """
 
 from __future__ import annotations
@@ -49,7 +56,8 @@ class AreaExp:
             c = _frac(c)
             if c:
                 items.append((sym, c))
-        return AreaExp(tuple(sorted(items)), _frac(const))
+        const = _frac(const)
+        return AreaExp(tuple(sorted(items)), const) if items or const else _ZERO_AREA
 
     @staticmethod
     def sym(name, coeff=1) -> "AreaExp":
@@ -57,7 +65,8 @@ class AreaExp:
 
     @staticmethod
     def constant(c) -> "AreaExp":
-        return AreaExp((), _frac(c))
+        c = _frac(c)
+        return AreaExp((), c) if c else _ZERO_AREA
 
     def as_dict(self) -> dict:
         return dict(self.coeffs)
@@ -99,7 +108,7 @@ class AreaExp:
     def scale(self, k) -> "AreaExp":
         k = _frac(k)
         if not k:
-            return AreaExp.constant(0)
+            return _ZERO_AREA
         return AreaExp(tuple((s, c * k) for s, c in self.coeffs), self.const * k)
 
     def is_zero(self) -> bool:
@@ -133,6 +142,11 @@ class AreaExp:
         return " + ".join(parts).replace("+ -", "- ") if parts else "0"
 
 
+# the area of every constant term; its hash is computed here, once
+_ZERO_AREA = AreaExp((), Fraction(0))
+hash(_ZERO_AREA)
+
+
 def _mono_key(vars_dict: dict) -> tuple:
     return tuple(sorted((v, int(e)) for v, e in vars_dict.items() if e))
 
@@ -158,13 +172,15 @@ class SymPoly:
 
     @staticmethod
     def term(scalar, area=None, variables=None) -> "SymPoly":
-        area = area if isinstance(area, AreaExp) else AreaExp.constant(area or 0)
+        if not isinstance(area, AreaExp):
+            area = AreaExp.constant(area) if area else _ZERO_AREA
         scalar = _frac(scalar)
         return SymPoly._of_clean({(area, _mono_key(variables or {})): scalar} if scalar else {})
 
     @staticmethod
     def scalar(c) -> "SymPoly":
-        return SymPoly.term(c)
+        c = _frac(c)
+        return SymPoly._of_clean({(_ZERO_AREA, ()): c} if c else {})
 
     @staticmethod
     def var(name, power=1) -> "SymPoly":
@@ -233,6 +249,8 @@ class SymPoly:
         k = _frac(k)
         if k == 1:
             return self
+        if k == -1:
+            return -self
         if not k:
             return SymPoly()
         return SymPoly._of_clean({key: s * k for key, s in self.terms.items()})

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from tropmirror import ainf, dgcat, mf
+from tropmirror.signs import sign_pow
 from tropmirror.symbolic import SymPoly
 
 
@@ -15,6 +16,33 @@ def relation_residual(A, args):
     terms = [A.piece.scale(A.m(c), sign) for sign, c in
              dgcat.contractions(args, [a.degree for a in args], A.m)]
     return A.piece.add(*terms)
+
+
+def equal_by_difference(piece, f, g):
+    """The subtracting definition of equality: f - g vanishes."""
+    return piece.add(f, piece.scale(g, -1)).is_zero()
+
+
+def padded(piece, f, like):
+    """``f`` with a zero entry wherever ``like`` has an entry and f has none,
+    and an empty column for every source label f leaves out."""
+    entries = {a: {} for a in piece.module(f.src).labels()}
+    for source in (piece.scale(like, 0), f):  # scaling by 0 keeps the entries, all zero
+        for a, col in source.entries.items():
+            entries[a].update(col)
+    return dgcat.DgMorphism(f.src, f.tgt, f.degree, entries)
+
+
+def reordered(f):
+    """``f`` with its columns and entries inserted in reverse order."""
+    entries = {a: dict(reversed(col.items())) for a, col in reversed(f.entries.items())}
+    return dgcat.DgMorphism(f.src, f.tgt, f.degree, entries)
+
+
+def assert_equal_agrees(piece, candidates):
+    for a in candidates:
+        for b in candidates:
+            assert piece.equal(a, b) == equal_by_difference(piece, a, b), (a, b)
 
 
 class TestDgPieces:
@@ -59,6 +87,50 @@ class TestDgPieces:
         # curved objects: delta^2 = W id is nonzero, yet every Hom squares to 0
         assert piece.validate()["ok"]
 
+    def test_equal_agrees_with_vanishing_difference(self):
+        rng = random.Random(11)
+        for _ in range(60):
+            piece = dgcat.random_dg_piece(rng, "D")
+            o1, o2 = sorted(piece.modules)
+            deg = rng.choice([0, 1])
+            f, g = (dgcat.random_dg_morphism(rng, piece, o1, o2, deg) for _ in range(2))
+            total = piece.add(f, g)
+            zero = piece.zero(o1, o2, deg)
+            candidates = [f, g, total, piece.add(total, piece.scale(g, -1)),
+                          padded(piece, f, g), reordered(f), piece.scale(f, 2),
+                          piece.scale(f, 0), zero, padded(piece, zero, f)]
+            assert_equal_agrees(piece, candidates)
+            # zero entries, empty columns and insertion order do not matter
+            assert piece.equal(padded(piece, f, g), reordered(f))
+            assert piece.equal(piece.scale(f, 0), padded(piece, zero, g))
+            for other in (dgcat.random_dg_morphism(rng, piece, o2, o1, deg),
+                          piece.zero(o1, o1, deg), piece.zero(o1, o2, deg + 1)):
+                with pytest.raises(ValueError):
+                    piece.equal(f, other)
+                with pytest.raises(ValueError):
+                    equal_by_difference(piece, f, other)
+
+    def test_equal_on_a_matrix_factorization_piece(self):
+        model = mf.infinite_edge_model()
+        obj = mf.transform_object(model, "L", "S")
+        piece = dgcat.mf_dg_piece([obj])
+        assert piece.mod2
+        y, one, x, x2 = (mf.transform_morphism(model, f"P{i}", obj, obj) for i in (-1, 0, 1, 2))
+        odd = [f for f in piece.basis_morphisms(obj.name, obj.name) if f.degree == 1]
+        candidates = [y, one, x, x2, piece.compose(x, one), piece.compose(x, x),
+                      piece.scale(x, Fraction(1, 2)), padded(piece, x, y), reordered(x2),
+                      piece.identity(obj.name), piece.scale(one, 0),
+                      piece.zero(obj.name, obj.name, 2)]
+        assert_equal_agrees(piece, candidates)
+        assert piece.equal(piece.compose(x, x), x2)
+        assert piece.equal(piece.identity(obj.name), one)
+        assert not piece.equal(x, y)
+        assert odd
+        with pytest.raises(ValueError):
+            piece.equal(x, odd[0])
+        with pytest.raises(ValueError):
+            equal_by_difference(piece, x, odd[0])
+
     def test_mf_dg_piece_rejects_mixed_potentials(self):
         mf1 = mf.transform_object(mf.winding_strip_model(0, exact=True), "L", "S1")
         mf2 = mf.transform_object(mf.pants_strip_model(exact=True), "L", "S")
@@ -73,6 +145,51 @@ class TestHomotopyFiberProduct:
         for seed in range(block * 25, (block + 1) * 25):
             report = dgcat.hfp_axiom_check(seed)
             assert report["ok"], report
+
+    def test_compose_sign_mutant_is_caught(self, monkeypatch):
+        def compose(self, m2, m1):
+            # the (-1)^{i'} twist on L(nu') o gamma, negated
+            gamma = self.D.add(
+                self.D.compose(m2.gamma, self.G(m1.mu)),
+                self.D.scale(self.D.compose(self.L(m2.nu), m1.gamma), -sign_pow(m2.degree)))
+            return self.morphism(m1.src, m2.tgt, self.B.compose(m2.mu, m1.mu),
+                                 self.C.compose(m2.nu, m1.nu), gamma, m1.degree + m2.degree)
+
+        monkeypatch.setattr(dgcat.HomotopyFiberProduct, "compose", compose)
+        failures = [dgcat.hfp_axiom_check(seed)["failures"] for seed in range(25)]
+        assert all(failures)
+        assert sum(any(f.startswith("leibniz") for f in fs) for fs in failures) >= 10
+
+    def test_differential_sign_mutant_is_caught(self, monkeypatch):
+        def d(self, m):
+            # the L(nu) phi_1 term with its sign flipped
+            third = self.D.add(
+                self.D.scale(self.D.d(m.gamma), -1),
+                self.D.scale(self.D.compose(m.tgt.phi, self.G(m.mu)), -1),
+                self.D.scale(self.D.compose(self.L(m.nu), m.src.phi), -1))
+            return self.morphism(m.src, m.tgt, self.B.d(m.mu), self.C.d(m.nu),
+                                 third, m.degree + 1)
+
+        monkeypatch.setattr(dgcat.HomotopyFiberProduct, "d", d)
+        failures = [dgcat.hfp_axiom_check(seed)["failures"] for seed in range(25)]
+        assert sum(bool(fs) for fs in failures) >= 20
+        # only Leibniz sees this sign: d^2 = 0 holds with either sign of
+        # L(nu) phi_1, because phi is closed of degree 0 and G, L are dg
+        # functors, so the phi terms of d(d(m)) cancel in pairs
+        assert all(f.startswith("leibniz") for fs in failures for f in fs)
+
+    def test_equal_checks_every_component_shape(self):
+        hfp, _, (m1, _, _) = dgcat.random_hfp_instance(0)
+        assert hfp.equal(m1, replace(m1, mu=reordered(m1.mu)))
+        assert not m1.mu.is_zero()
+        other_mu = hfp.B.scale(m1.mu, 2)
+        assert not hfp.equal(m1, replace(m1, mu=other_mu))
+        # mu differs, and gamma or nu has the wrong shape: still a ValueError
+        g = m1.gamma
+        for bad in (replace(m1, mu=other_mu, gamma=hfp.D.zero(g.src, g.tgt, g.degree + 1)),
+                    replace(m1, mu=other_mu, nu=hfp.C.zero(m1.nu.tgt, m1.nu.src, m1.nu.degree))):
+            with pytest.raises(ValueError):
+                hfp.equal(m1, bad)
 
     def test_non_invertible_phi_rejected(self):
         rng = random.Random(5)
@@ -153,6 +270,20 @@ class TestModelOps:
         assert len(calls) == 1
         ops.m([model.element([("P4", 1)])])
         assert len(calls) == 2
+
+    def test_memo_key_ignores_insertion_order_and_keeps_scalars_apart(self):
+        model = ainf.load_model("two_pants")
+        ops = dgcat.ModelOps(model)
+        one, x = SymPoly.scalar(1), SymPoly.var("x")
+        forward, backward = one + x, x + one
+        assert forward == backward and list(forward.terms) != list(backward.terms)
+        first = ops.m([{"P4": forward, "Q4": -one}])
+        again = ops.m([{"Q4": -one, "P4": backward}])
+        assert again == first and len(ops._m_memo) == 1
+        half = ops.m([{"P4": SymPoly.scalar(Fraction(1, 2))}])
+        double = ops.m([{"P4": SymPoly.scalar(2)}])
+        assert len(ops._m_memo) == 3
+        assert half and double != half
 
     def test_memo_is_per_coordinate_change(self):
         model = ainf.load_model("two_pants")
