@@ -210,13 +210,12 @@ def fan_svg(curve) -> str:
     return "".join(lines)
 
 
-def cones_svg(curve, charts, matrices) -> str:
+def cones_svg(curve, charts, atlas) -> str:
     """Cone images of the covering ``charts`` in the valuation plane (Sections 8/9).
 
-    ``matrices`` are the ``chart_matrices`` the covering search used.
+    ``atlas`` is the one the covering search used.
     """
-    images = [(c.label, tropical.cone_image(curve, c, matrices))
-              for c in charts]
+    images = [(c.label, tropical.cone_image(curve, c, atlas)) for c in charts]
     pts = []
     for _, img in images:
         apex = img["apex"]
@@ -270,12 +269,12 @@ def _emit(cfg: RunConfig, report: dict) -> None:
         (Path(cfg.out) / f"{cfg.command}-report.{suffix}").write_text(text)
 
 
-def _write_svgs(curve, charts, matrices, out_dir: Path) -> dict:
+def _write_svgs(curve, charts, atlas, out_dir: Path) -> dict:
     """Write the curve, fan and covering-cone diagrams; returns {file name: path}."""
     artifacts = {}
     for name, text in (("curve.svg", curve_svg(curve)),
                        ("fan.svg", fan_svg(curve)),
-                       ("cones.svg", cones_svg(curve, charts, matrices))):
+                       ("cones.svg", cones_svg(curve, charts, atlas))):
         (out_dir / name).write_text(text)
         artifacts[name] = str(out_dir / name)
     return artifacts
@@ -307,23 +306,21 @@ def cmd_mirror(cfg: RunConfig, curve) -> int:
         vid: {"variables": list(curve.chart_vars(vid)),
               "potential": str(tropical.potential(curve, vid))}
         for vid in sorted(curve.vertices)}
+    atlas = tropical.atlas(curve)
     transitions = {}
-    for eid in sorted(curve.edges):
-        if not curve.edges[eid].finite:
-            continue
-        mm = tropical.transition_map(curve, eid)
-        # expresses the ends[1]-chart variables in the ends[0] chart
-        src = curve.chart_vars(curve.edges[eid].ends[1])
-        transitions[eid] = {v: str(mm.image_of(v)) for v in src}
+    for eid, e in sorted(curve.edges.items()):
+        if e.finite:
+            # expresses the ends[1]-chart variables in the ends[0] chart
+            mm = atlas.maps[(eid, e.ends[1])]
+            transitions[eid] = {v: str(mm.image_of(v)) for v in mm.source}
     report["transitions"] = transitions
 
-    cocycle = tropical.cocycle_check(curve)
-    potential = tropical.global_potential_check(curve)
+    cocycle = tropical.cocycle_check(curve, atlas)
+    potential = tropical.global_potential_check(curve, atlas)
     report["cocycle_check"] = cocycle
     report["potential_check"] = potential
 
-    matrices = tropical.chart_matrices(curve)
-    charts, certificate = tropical.covering_collection(curve, matrices)
+    charts, certificate = tropical.covering_collection(curve, atlas)
     report["covering"] = {"charts": [c.label for c in charts],
                           "certificate": certificate}
 
@@ -336,7 +333,7 @@ def cmd_mirror(cfg: RunConfig, curve) -> int:
     report["ok"] = bool(cocycle["ok"] and potential["ok"] and certificate["ok"])
 
     if cfg.out:
-        report["artifacts"] = _write_svgs(curve, charts, matrices, Path(cfg.out))
+        report["artifacts"] = _write_svgs(curve, charts, atlas, Path(cfg.out))
 
     _emit(cfg, report)
     return 0 if report["ok"] else 1
@@ -483,10 +480,11 @@ def _suite_potential(cfg) -> dict:
         cases[f"model:{name}"] = ainf.potential_invariance(model, src, tgt, change)
     for name in ("pair_of_pants", "conifold", "kp2", "toriccyeg"):
         curve = tropical.load_curve(name)
-        cases[f"curve:{name}"] = tropical.global_potential_check(curve)["ok"]
+        atlas = tropical.atlas(curve)
+        cases[f"curve:{name}"] = tropical.global_potential_check(curve, atlas)["ok"]
         cases[f"curve-immersed:{name}"] = tropical.global_potential_check(
-            curve, exact=False)["ok"]
-        cases[f"offsets:{name}"] = all(tropical.absorbs_offsets(curve, eid)
+            curve, atlas, exact=False)["ok"]
+        cases[f"offsets:{name}"] = all(tropical.absorbs_offsets(curve, eid, atlas)
                                        for eid, e in curve.edges.items() if e.finite)
     seidel, xyz = ainf.load_model("seidel_pants"), {"x": 1, "y": 1, "z": 1}
     cases["seidel:W=T^A1*xyz"] = seidel.weak_mc_check("S") == (
@@ -500,18 +498,15 @@ def _suite_potential(cfg) -> dict:
 
 def _suite_conifold(cfg) -> dict:
     """Criterion 5: the O(-k) + O(k-2) family gluing for k in {0,1,2,3}."""
-    from .lpoly import LaurentPoly
     cases = {}
     for k in (0, 1, 2, 3):
         curve = tropical.conifold_curve(k)
-        mm = tropical.transition_map(curve, "e", exact=True, reverse=True)
-        tgt = curve.chart_vars("v2")
+        atlas = tropical.atlas(curve)
+        # v1.x, v1.y, v1.z as exponent rows over the v2 chart's x, y, z
         cases[f"k={k}"] = (
             curve.a2("e") - curve.edges["e"].a1 == k - 2
-            and mm.image_of("v1.x") == LaurentPoly.var(tgt, "v2.x", -1)
-            and mm.image_of("v1.y") == LaurentPoly.monomial(tgt, [k, 0, 1])
-            and mm.image_of("v1.z") == LaurentPoly.monomial(tgt, [2 - k, 1, 0])
-            and tropical.global_potential_check(curve)["ok"])
+            and atlas.maps[("e", "v1")].rows == ((-1, 0, 0), (k, 0, 1), (2 - k, 1, 0))
+            and tropical.global_potential_check(curve, atlas)["ok"])
     return {"ok": all(cases.values()), "cases": cases}
 
 
@@ -627,7 +622,7 @@ def _suite_covering(cfg) -> dict:
     cases = {}
     for name in ("kp2", "toriccyeg"):
         curve = tropical.load_curve(name)
-        charts, certificate = tropical.covering_collection(curve, tropical.chart_matrices(curve))
+        charts, certificate = tropical.covering_collection(curve, tropical.atlas(curve))
         cases[name] = {"charts": [c.label for c in charts],
                        "ok": certificate["ok"]}
     return {"ok": all(v["ok"] for v in cases.values()), "cases": cases}
@@ -671,9 +666,9 @@ def cmd_verify(cfg: RunConfig) -> int:
 
 
 def cmd_render(cfg: RunConfig, curve) -> int:
-    matrices = tropical.chart_matrices(curve)
-    charts, _ = tropical.covering_collection(curve, matrices)
-    written = list(_write_svgs(curve, charts, matrices, Path(cfg.out or ".")).values())
+    atlas = tropical.atlas(curve)
+    charts, _ = tropical.covering_collection(curve, atlas)
+    written = list(_write_svgs(curve, charts, atlas, Path(cfg.out or ".")).values())
     _emit(cfg, {"config": _config_echo(cfg), "curve": curve.name,
                 "artifacts": written, "ok": True})
     return 0

@@ -1342,7 +1342,7 @@ def global_functor(arity_bound: int = 2) -> dict:
     report: dict = {"checks": {}}
 
     curve = tropical.conifold_curve(2)
-    charts, certificate = tropical.covering_collection(curve, tropical.chart_matrices(curve))
+    charts, certificate = tropical.covering_collection(curve, tropical.atlas(curve))
     report["certificate"] = certificate
     report["charts"] = [c.label for c in charts]
     if not certificate.get("ok", False):

@@ -6,9 +6,11 @@ a Laurent monomial in the target variables, and substitution along such a
 map is a ring homomorphism.  A map is stored as its units and its integer
 exponent rows, so composing two maps, pulling a polynomial back and
 testing for the identity are integer row arithmetic and unit products;
-no ``LaurentPoly`` product is expanded.  The A-infinity models, matrix
-factorizations and dg layer compute with :mod:`tropmirror.symbolic`
-instead.
+no ``LaurentPoly`` product is expanded.  Only :mod:`tropmirror.tropical`
+imports this module: its ``transition_map`` builds every chart map, and
+its ``atlas`` holds each exact one in both orientations.  The A-infinity
+models, matrix factorizations and dg layer compute with
+:mod:`tropmirror.symbolic` instead.
 """
 
 from __future__ import annotations
@@ -57,13 +59,6 @@ class LaurentPoly:
     @staticmethod
     def monomial(variables, exps, coeff=1) -> "LaurentPoly":
         return LaurentPoly(variables, {tuple(exps): as_series(coeff)})
-
-    @staticmethod
-    def var(variables, name, power=1) -> "LaurentPoly":
-        variables = tuple(variables)
-        exps = [0] * len(variables)
-        exps[variables.index(name)] = power
-        return LaurentPoly.monomial(variables, exps)
 
     # -- structure -----------------------------------------------------------
 

@@ -20,7 +20,7 @@ from math import gcd, inf
 from pathlib import Path
 
 from .lpoly import LaurentPoly, MonomialMap
-from .novikov import T, as_series
+from .novikov import T
 
 NEG_INF = -inf
 POS_INF = inf
@@ -100,8 +100,7 @@ class TropicalCurve:
         self.vertices = dict(vertices)
         self.edges = dict(edges)
         if anchor is None:
-            first = sorted(self.edges)[0]
-            anchor = {"edge": first, "left": (Fraction(0), Fraction(0))}
+            anchor = {"edge": min(self.edges, default=None), "left": (Fraction(0), Fraction(0))}
         self.anchor = anchor
         errors = self._validate()
         if not errors:
@@ -184,7 +183,9 @@ class TropicalCurve:
 
     def _validate(self):
         errors = []
-        if self.anchor["edge"] not in self.edges:
+        if not self.edges:
+            errors.append("curve: no edges")
+        elif self.anchor["edge"] not in self.edges:
             errors.append(f"anchor: edge {self.anchor['edge']} does not exist")
         for vid, v in self.vertices.items():
             if len(v.edges) != 3 or len(set(v.edges)) != 3:
@@ -431,6 +432,8 @@ def _parse_document(doc, overrides: dict):
         return {}, {}, [f"curve document: expected a JSON object, got {type(doc).__name__}"]
     errors = [f"curve document: {key!r} must be a JSON object"
               for key in ("vertices", "edges") if not isinstance(doc.get(key), dict)]
+    if not isinstance(doc.get("name", ""), str):
+        errors.append("curve document: 'name' must be a string")
 
     def parse(where, build):
         try:
@@ -532,27 +535,15 @@ def _unimodular_inverse(M):
     return [[det * x for x in row] for row in adj]
 
 
-def _invert(mm: MonomialMap) -> MonomialMap:
-    """target_j = prod_i (source_i / unit_i)^{N_ji} for N the inverse exponent matrix."""
-    N = _unimodular_inverse(mm.rows)
-    units = []
-    for row in N:
-        unit = as_series(1)
-        for u, c in zip(mm.units, row):
-            if c:
-                unit = unit * u ** -c
-        units.append(unit)
-    return MonomialMap(mm.target, mm.source, tuple(units), tuple(tuple(row) for row in N))
-
-
-def transition_map(curve, edge_id, exact=True, reverse=False) -> MonomialMap:
+def transition_map(curve, edge_id, exact) -> MonomialMap:
     """Express the far chart's variables in the near chart's variables.
 
     For the stored orientation ends[0] -> ends[1] the map has source the
     ends[1] chart and target the ends[0] chart: x2 = x1^{-1},
     y2 = x1^{a2-a1+2} y1, z2 = x1^{a1-a2} z1, with Novikov factors
     T^{-A}, T^{A_y}, T^{A-A_y} of the geometric split ``_split_area`` in
-    immersed mode.  ``reverse`` inverts.
+    immersed mode.  This is the one builder of a chart map from the
+    curve; ``atlas`` holds the exact maps in both orientations.
     """
     e = curve.edges[edge_id]
     if not e.finite:
@@ -571,8 +562,7 @@ def transition_map(curve, edge_id, exact=True, reverse=False) -> MonomialMap:
     az_edge, bz_edge, _ = pairs["z"]
     table[curve.var(v2, by_edge)] = (uy, {x1: d_used + 2, curve.var(v1, ay_edge): 1})
     table[curve.var(v2, bz_edge)] = (uz, {x1: -d_used, curve.var(v1, az_edge): 1})
-    mm = MonomialMap.build(curve.chart_vars(v2), curve.chart_vars(v1), table)
-    return _invert(mm) if reverse else mm
+    return MonomialMap.build(curve.chart_vars(v2), curve.chart_vars(v1), table)
 
 
 def offset_rescaling(curve, vertex_id, sign=1) -> MonomialMap:
@@ -585,18 +575,47 @@ def offset_rescaling(curve, vertex_id, sign=1) -> MonomialMap:
     return MonomialMap.build(names, names, table)
 
 
-def absorbs_offsets(curve, edge_id) -> bool:
+def absorbs_offsets(curve, edge_id, atlas) -> bool:
     """Whether exact-offset rescaling turns the immersed transition exact."""
     e = curve.edges[edge_id]
     imm = transition_map(curve, edge_id, exact=False)
     d2 = offset_rescaling(curve, e.ends[1], sign=1)
     d1 = offset_rescaling(curve, e.ends[0], sign=-1)
-    return d2.compose(imm).compose(d1) == transition_map(curve, edge_id, exact=True)
+    return d2.compose(imm).compose(d1) == atlas.maps[(edge_id, e.ends[1])]
 
 
-def _step_map(curve, edge_id, src_vertex):
-    """Exact transition with source the chart at ``src_vertex``."""
-    return transition_map(curve, edge_id, reverse=(src_vertex != curve.edges[edge_id].ends[1]))
+@dataclass(frozen=True)
+class Atlas:
+    """The exact chart maps of one curve, each built once.
+
+    ``maps`` sends (finite edge, vertex) to the edge's exact transition
+    with source the chart at that vertex.  ``matrices`` express each
+    chart's exact variables in those of the anchor edge's first end, and
+    ``inverses`` are their inverses.
+    """
+
+    maps: dict
+    matrices: dict
+    inverses: dict
+
+
+def atlas(curve) -> Atlas:
+    """Build each finite edge's exact transition once, with its inverse,
+    and compose them along the spanning tree from the anchor's chart."""
+    maps = {}
+    for eid, e in sorted(curve.edges.items()):
+        if e.finite:
+            fwd = transition_map(curve, eid, exact=True)
+            rows = tuple(map(tuple, _unimodular_inverse(fwd.rows)))
+            maps[(eid, e.ends[1])] = fwd
+            # exact units are 1, so the inverse keeps them
+            maps[(eid, e.ends[0])] = MonomialMap(fwd.target, fwd.source, fwd.units, rows)
+    base = curve.edges[curve.anchor["edge"]].ends[0]
+    matrices = {base: [[int(i == j) for j in range(3)] for i in range(3)]}
+    parent, _ = _spanning_tree(curve, base)
+    for w, (u, eid) in parent.items():
+        matrices[w] = _mat_mul(maps[(eid, w)].rows, matrices[u])
+    return Atlas(maps, matrices, {v: _unimodular_inverse(M) for v, M in matrices.items()})
 
 
 def _spanning_tree(curve, root):
@@ -630,8 +649,8 @@ def _spanning_tree(curve, root):
     return parent, non_tree
 
 
-def cocycle_check(curve) -> dict:
-    """Compose the transitions around every independent cycle of the curve."""
+def cocycle_check(curve, atlas) -> dict:
+    """Compose the ``atlas`` transitions around every independent cycle of the curve."""
     parent, non_tree = _spanning_tree(curve, sorted(curve.vertices)[0])
     cycles = []
     for eid in non_tree:
@@ -648,7 +667,7 @@ def cocycle_check(curve) -> dict:
         for step_edge, u in steps:
             # each map has source = chart at u, target = the next chart;
             # folding forward expresses the start chart in itself at the end
-            m = _step_map(curve, step_edge, u)
+            m = atlas.maps[(step_edge, u)]
             composite = m if composite is None else composite.compose(m)
         ident = composite.is_identity()
         cycles.append({
@@ -672,15 +691,15 @@ def potential(curve, vertex_id) -> LaurentPoly:
     return LaurentPoly.monomial(names, (1, 1, 1))
 
 
-def global_potential_check(curve, exact=True) -> dict:
+def global_potential_check(curve, atlas, exact=True) -> dict:
     """W = xyz of each finite edge's far chart pulls back to the near chart's
-    W, through the exact or the immersed transition."""
+    W, through the exact transition of ``atlas`` or the immersed one."""
     edges = {}
     for eid in sorted(curve.edges):
         e = curve.edges[eid]
         if not e.finite:
             continue
-        mm = transition_map(curve, eid, exact=exact)
+        mm = atlas.maps[(eid, e.ends[1])] if exact else transition_map(curve, eid, exact=False)
         w2 = potential(curve, e.ends[1])
         edges[eid] = mm.substitute(w2) == potential(curve, e.ends[0])
     return {"ok": all(edges.values()), "edges": edges}
@@ -726,29 +745,17 @@ def _mat_mul(A, B):
     ]
 
 
-def chart_matrices(curve) -> dict:
-    """Integer matrices expressing each chart's exact variables in base-chart ones."""
-    base = curve.edges[curve.anchor["edge"]].ends[0]
-    mats = {base: [[int(i == j) for j in range(3)] for i in range(3)]}
-    parent, _ = _spanning_tree(curve, base)
-    for w, (u, eid) in parent.items():
-        mats[w] = _mat_mul(_step_map(curve, eid, w).rows, mats[u])
-    return mats
-
-
-def _stratum_rows(curve, matrices) -> dict:
+def _stratum_rows(curve, atlas) -> dict:
     """Binding constraints of every vertex chart on every edge stratum.
 
     Maps (vertex, edge) to None when the chart never meets the stratum, else
     to a list of (letter, m, offset): the constraint reads
-    delta_letter + offset <= m * tau.  ``matrices`` are the curve's
-    ``chart_matrices``.
+    delta_letter + offset <= m * tau, from the chart matrices of ``atlas``.
     """
     # every chart in the chart of each edge's first end, one product per pair
     firsts = {e.ends[0] for e in curve.edges.values()}
-    inverses = {u: _unimodular_inverse(matrices[u]) for u in firsts}
-    relative = {(vid, u): _mat_mul(matrices[vid], inverse)
-                for u, inverse in inverses.items() for vid in curve.vertices}
+    relative = {(vid, u): _mat_mul(atlas.matrices[vid], atlas.inverses[u])
+                for u in firsts for vid in curve.vertices}
     table = {}
     for eid, e in curve.edges.items():
         u = e.ends[0]
@@ -838,9 +845,9 @@ def _stratum(curve, interval, charts, edge_id):
     return ivs, _covers(ivs, required_interval(curve, edge_id)), _triple_violations(charts, ivs)
 
 
-def covering_certificate(curve, charts) -> dict:
+def covering_certificate(curve, charts, atlas) -> dict:
     """Exact coverage and pairwise-only-overlap certificate for a chart list."""
-    return _certificate(curve, charts, _intervals(_stratum_rows(curve, chart_matrices(curve))))
+    return _certificate(curve, charts, _intervals(_stratum_rows(curve, atlas)))
 
 
 def _certificate(curve, charts, interval) -> dict:
@@ -896,7 +903,7 @@ def _shifts() -> tuple:
     return tuple(sorted({Fraction(n, d) for d in range(1, 5) for n in range(1, 401)}))
 
 
-def covering_collection(curve, matrices):
+def covering_collection(curve, atlas):
     """Build a chart collection covering the critical strata with pairwise overlaps.
 
     Starts with undeformed charts at vertices touching an infinite edge,
@@ -907,8 +914,8 @@ def covering_collection(curve, matrices):
     that borders no bounded face (the conifold's) uncovered, so a stretched
     chart -- the winding-strip chart of Section 8 in tropical terms -- is
     added across it, deformed from the edge's first end by the edge length
-    plus 1/2.  ``matrices`` are the curve's ``chart_matrices``.  Returns
-    (charts, certificate).
+    plus 1/2.  The strata come from the chart matrices of ``atlas``.
+    Returns (charts, certificate).
 
     A placement does not walk all of ``_shifts()``.  Each end of a
     candidate's interval on the shared stratum is a max or min of lines in
@@ -922,7 +929,7 @@ def covering_collection(curve, matrices):
     pairwise intersections are computed once per placement, so each
     candidate is tested only in the triples that contain it.
     """
-    rows = _stratum_rows(curve, matrices)
+    rows = _stratum_rows(curve, atlas)
     interval = _intervals(rows)
     charts = []
     for vid in sorted(curve.vertices, key=lambda v: (curve.vertices[v].position, v)):
@@ -1083,14 +1090,15 @@ def _admissible(interval, cand, prev_iv, shared, overlaps):
     return True
 
 
-def cone_image(curve, chart, matrices) -> dict:
+def cone_image(curve, chart, atlas) -> dict:
     """Projected valuation cone of a chart: apex and rays in the plane.
 
     The chart region in global exact-valuation coordinates is
-    {V : M V >= delta + offset}; its apex is M^{-1}(delta + offset) and its
-    rays the columns of M^{-1}.  Projection drops the last base coordinate.
+    {V : M V >= delta + offset} for M the chart's matrix in ``atlas``; its
+    apex is M^{-1}(delta + offset) and its rays the columns of M^{-1}.
+    Projection drops the last base coordinate.
     """
-    Minv = _unimodular_inverse(matrices[chart.vertex])
+    Minv = atlas.inverses[chart.vertex]
     deltas = chart.deltas()
     cv = curve.vertices[chart.vertex]
     rhs = [deltas[LETTERS[s]] + curve.exact_offset(chart.vertex, cv.edges[s])

@@ -4,8 +4,11 @@ import argparse
 import hashlib
 import json
 from dataclasses import replace
+from importlib import resources
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from tropmirror import ainf, cli, tropical
 
@@ -35,6 +38,39 @@ def run(capsys, *argv):
 def run_json(capsys, *argv):
     code, out = run(capsys, *argv, "--format", "structured")
     return code, json.loads(out)
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=2), inner,
+                                                                 max_size=3),
+    max_leaves=4)
+
+
+@st.composite
+def mutated_documents(draw):
+    """A shipped curve document with one to three values replaced, deleted or
+    nudged.  Each mutation walks down from the root and stops at a drawn
+    depth, so the top-level keys are hit about as often as the leaves."""
+    name = draw(st.sampled_from(["pair_of_pants", "conifold", "kp2", "toriccyeg"]))
+    doc = json.loads(resources.files("tropmirror.curves").joinpath(f"{name}.json").read_text())
+    for _ in range(draw(st.integers(1, 3))):
+        owner, key, node = None, None, doc
+        while isinstance(node, (dict, list)) and node and (owner is None or draw(st.booleans())):
+            owner = node
+            key = draw(st.sampled_from(sorted(node) if isinstance(node, dict)
+                                       else range(len(node))))
+            node = owner[key]
+        if owner is None:
+            continue
+        op = draw(st.sampled_from(["replace", "delete", "nudge"]))
+        if op == "delete":
+            del owner[key]
+        elif op == "nudge" and type(node) is int:
+            owner[key] = node + draw(st.sampled_from([-2, -1, 1, 2]))
+        else:
+            owner[key] = draw(JSON_VALUES)
+    return doc
 
 
 class TestMirror:
@@ -71,7 +107,7 @@ class TestMirror:
                                       "vertex_without_position", "fractional_direction",
                                       "unknown_a1_key", "edge_key_a2", "edge_key_areas",
                                       "document_key_anchors", "vertex_key_colour",
-                                      "anchor_key_edges"])
+                                      "anchor_key_edges", "no_edges", "name_not_string"])
     def test_unreadable_curve_exits_2_with_errors(self, capsys, tmp_path, kind):
         doc = {"name": "bad",
                "vertices": {"v": {"position": ["0", "0"],
@@ -110,6 +146,12 @@ class TestMirror:
                     doc["vertices"]["v"]["colour"] = "red"
                 elif kind == "anchor_key_edges":
                     doc["anchor"]["edges"] = ["x"]
+                elif kind == "no_edges":
+                    # without an anchor the default one is the first edge
+                    doc["edges"] = {}
+                    del doc["anchor"]
+                elif kind == "name_not_string":
+                    doc["name"] = [1, 2]
                 else:
                     del doc["vertices"]["v"]["position"]
                 path.write_text(json.dumps(doc))
@@ -127,24 +169,43 @@ class TestMirror:
                  "edge_key_areas": "edge x: malformed (unknown key 'areas'",
                  "document_key_anchors": "curve document: malformed (unknown key 'anchors'",
                  "vertex_key_colour": "vertex v: malformed (unknown key 'colour'",
-                 "anchor_key_edges": "anchor: malformed (unknown key 'edges'"}.get(kind, "")
+                 "anchor_key_edges": "anchor: malformed (unknown key 'edges'",
+                 "no_edges": "curve: no edges",
+                 "name_not_string": "'name' must be a string"}.get(kind, "")
         assert any(named in e for e in report["errors"])
 
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(doc=mutated_documents())
+    def test_mutated_document_exits_2_or_reports(self, capsys, tmp_path, doc):
+        path = tmp_path / "mutant.json"
+        path.write_text(json.dumps(doc))
+        code, report = run_json(capsys, "mirror", "--curve", str(path))
+        if code == 2:
+            assert report["ok"] is False and report["errors"]
+        else:
+            assert code == (0 if report["ok"] else 1)
+            assert isinstance(report["curve"], str)
+
     def test_svg_artifacts(self, capsys, tmp_path, monkeypatch):
-        # the report and cones.svg share one covering search and one set of
-        # chart matrices
-        searches, builds = [], []
-        search, build = tropical.covering_collection, tropical.chart_matrices
+        # the report and cones.svg share one covering search and one atlas,
+        # which builds one transition map per finite edge
+        searches, builds, maps = [], [], []
+        search, build, transition = (tropical.covering_collection, tropical.atlas,
+                                     tropical.transition_map)
         monkeypatch.setattr(tropical, "covering_collection",
                             lambda *args: searches.append(args) or search(*args))
-        monkeypatch.setattr(tropical, "chart_matrices",
+        monkeypatch.setattr(tropical, "atlas",
                             lambda curve: builds.append(curve) or build(curve))
+        monkeypatch.setattr(tropical, "transition_map", lambda curve, eid, exact:
+                            maps.append(eid) or transition(curve, eid, exact))
         out = tmp_path / "art"
         code, report = run_json(capsys, "mirror", "--curve", "kp2",
                                 "--out", str(out))
         assert code == 0
         assert len(searches) == 1
         assert len(builds) == 1
+        assert sorted(maps) == sorted(e for e, spec in report["edges"].items() if spec["finite"])
         for name in ("curve.svg", "fan.svg", "cones.svg"):
             text = (out / name).read_text()
             assert text.startswith("<svg ") and text.endswith("</svg>\n")

@@ -16,11 +16,10 @@ PACKAGE = Path(tropmirror.__file__).parent
 REPO = PACKAGE.parent.parent
 # where a use counts; tests/ does not
 USERS = (PACKAGE, REPO / "bench")
-# The exact monomial kernel serves only the tropical chart maps (and the
-# CLI's conifold suite, which compares their images); every other module
-# computes with tropmirror.symbolic.
+# The exact monomial kernel serves only the tropical chart maps; every other
+# module computes with tropmirror.symbolic.
 KERNEL = {"tropmirror.lpoly", "tropmirror.novikov"}
-KERNEL_USERS = {"tropical.py", "cli.py", "lpoly.py", "novikov.py"}
+KERNEL_USERS = {"tropical.py", "lpoly.py", "novikov.py"}
 
 
 def names_imported_by(node):
@@ -41,7 +40,7 @@ def imported_modules(path):
     return names
 
 
-def test_only_tropical_and_cli_import_the_monomial_kernel():
+def test_only_tropical_imports_the_monomial_kernel():
     imports = {path.name: imported_modules(path) for path in PACKAGE.glob("*.py")}
     assert imports["tropical.py"] & KERNEL == KERNEL  # the walker sees both forms
     offenders = {name: sorted(found & KERNEL) for name, found in imports.items()

@@ -51,7 +51,7 @@ def brute_force_place(curve, interval, charts, base, letter, prev_chart, shared)
 
 
 def covering(curve):
-    return tr.covering_collection(curve, tr.chart_matrices(curve))
+    return tr.covering_collection(curve, tr.atlas(curve))
 
 
 def assert_same_search(curve):
@@ -183,11 +183,10 @@ class TestTransitions:
     @pytest.mark.parametrize("k", [0, 1, 2, 3])
     def test_conifold_family_gluing(self, k):
         curve = tr.conifold_curve(k)
-        mm = tr.transition_map(curve, "e", exact=True, reverse=True)
+        mm = tr.atlas(curve).maps[("e", "v1")]
         tgt = curve.chart_vars("v2")
-        assert mm.image_of("v1.x") == LaurentPoly.var(tgt, "v2.x", -1)
-        assert mm.image_of("v1.y") == LaurentPoly.monomial(
-            tgt, [k, 0, 1]) == tr.transition_map(curve, "e", reverse=True).image_of("v1.y")
+        assert mm.image_of("v1.x") == LaurentPoly.monomial(tgt, [-1, 0, 0])
+        assert mm.image_of("v1.y") == LaurentPoly.monomial(tgt, [k, 0, 1])
         assert mm.image_of("v1.z") == LaurentPoly.monomial(tgt, [2 - k, 1, 0])
 
     def test_conifold_a2_minus_a1(self):
@@ -198,26 +197,36 @@ class TestTransitions:
     def test_infinite_edge_rejected(self):
         curve = tr.load_curve("kp2")
         with pytest.raises(ValueError):
-            tr.transition_map(curve, "w0")
+            tr.transition_map(curve, "w0", exact=True)
 
     @pytest.mark.parametrize("name", CURVES)
     @pytest.mark.parametrize("exact", [True, False])
     def test_roundtrip_identity(self, name, exact):
+        # the atlas's two orientations of each edge are mutually inverse; the
+        # immersed transition inverts through the exact reverse between the
+        # offset rescalings that absorb its area factors
         curve = tr.load_curve(name)
+        atlas = tr.atlas(curve)
         for eid, e in curve.edges.items():
             if not e.finite:
                 continue
             fwd = tr.transition_map(curve, eid, exact=exact)
-            rev = tr.transition_map(curve, eid, exact=exact, reverse=True)
+            rev = atlas.maps[(eid, e.ends[0])]
+            if exact:
+                assert fwd == atlas.maps[(eid, e.ends[1])]
+            else:
+                rev = tr.offset_rescaling(curve, e.ends[0], sign=-1).compose(rev).compose(
+                    tr.offset_rescaling(curve, e.ends[1], sign=1))
             assert fwd.compose(rev).is_identity()
             assert rev.compose(fwd).is_identity()
 
     @pytest.mark.parametrize("name", ["conifold", "kp2", "toriccyeg"])
     def test_offsets_absorb_area_factors(self, name):
         curve = tr.load_curve(name)
+        atlas = tr.atlas(curve)
         for eid, e in curve.edges.items():
             if e.finite:
-                assert tr.absorbs_offsets(curve, eid)
+                assert tr.absorbs_offsets(curve, eid, atlas)
 
     def test_half_split_needs_explicit_rescaling(self):
         # splitting the edge area evenly, A_y = A_z = A/2, instead of
@@ -233,8 +242,8 @@ class TestTransitions:
             unit * T(shift.get(v, 0)) for v, unit in zip(imm.source, imm.units)), imm.rows)
         rescaled = tr.offset_rescaling(curve, e.ends[1], sign=1).compose(half).compose(
             tr.offset_rescaling(curve, e.ends[0], sign=-1))
-        exact = tr.transition_map(curve, "e01")
-        assert Ay != A / 2 and tr.absorbs_offsets(curve, "e01")
+        exact = tr.transition_map(curve, "e01", exact=True)
+        assert Ay != A / 2 and tr.absorbs_offsets(curve, "e01", tr.atlas(curve))
         assert any(rescaled.image_of(v) != exact.image_of(v) for v in rescaled.source)
 
     def test_immersed_factors(self):
@@ -289,16 +298,16 @@ class TestIntegerInverse:
         ((1, 1, 0), (1, -1, 0), (0, 0, 1)),  # det -2
     ])
     def test_non_unimodular_map_rejected(self, rows):
-        src, tgt = ("a", "b", "c"), ("x", "y", "z")
-        mm = MonomialMap.build(src, tgt, {v: (1, dict(zip(tgt, row))) for v, row in zip(src, rows)})
+        # the inverse the atlas takes of each exact map and chart matrix
         with pytest.raises(ValueError, match="not invertible over the integers"):
-            tr._invert(mm)
+            tr._unimodular_inverse(rows)
 
 
 class TestCocycle:
     def test_trees_trivially_pass(self):
         for name in ("pair_of_pants", "conifold"):
-            report = tr.cocycle_check(tr.load_curve(name))
+            curve = tr.load_curve(name)
+            report = tr.cocycle_check(curve, tr.atlas(curve))
             assert report["ok"] and report["cycles"] == []
 
     @pytest.mark.parametrize("name", ["kp2", "toriccyeg"])
@@ -306,13 +315,14 @@ class TestCocycle:
         # the cycles follow the breadth-first tree from the first vertex
         cycles = {"kp2": [["e01", "e02", "e12"]],
                   "toriccyeg": [["e12", "e13", "e23"], ["e24", "e12", "e13", "e35", "e45"]]}
-        report = tr.cocycle_check(tr.load_curve(name))
+        curve = tr.load_curve(name)
+        report = tr.cocycle_check(curve, tr.atlas(curve))
         assert report["ok"]
         assert [c["edges"] for c in report["cycles"]] == cycles[name]
 
     def test_perturbed_a1_fails(self):
         curve = tr.load_curve("kp2", a1_overrides={"e01": 1})
-        report = tr.cocycle_check(curve)
+        report = tr.cocycle_check(curve, tr.atlas(curve))
         assert not report["ok"]
         cyc = report["cycles"][0]
         assert "v1.x^-1*v1.y" in cyc["residual"]
@@ -327,7 +337,7 @@ class TestPotential:
 
     def test_conifold_pair(self):
         curve = tr.load_curve("conifold")
-        mm = tr.transition_map(curve, "e")
+        mm = tr.atlas(curve).maps[("e", "v2")]
         assert mm.substitute(tr.potential(curve, "v2")) == tr.potential(curve, "v1")
 
     @pytest.mark.parametrize("name", CURVES)
@@ -339,7 +349,7 @@ class TestPotential:
         curve = tr.load_curve(name)
         curve = tr.load_curve(name, a1_overrides={
             eid: e.a1 + shift for eid, e in curve.edges.items() if e.finite})
-        report = tr.global_potential_check(curve, exact=exact)
+        report = tr.global_potential_check(curve, tr.atlas(curve), exact=exact)
         assert report["ok"]
 
 
@@ -374,7 +384,7 @@ class TestCovering:
     def test_kp2_undeformed_charts_do_not_cover(self):
         curve = tr.load_curve("kp2")
         charts = [tr.Chart(v) for v in curve.vertices]
-        cert = tr.covering_certificate(curve, charts)
+        cert = tr.covering_certificate(curve, charts, tr.atlas(curve))
         assert not cert["ok"]
         gaps = [s["edge"] for s in cert["strata"] if not s["covered"]]
         assert set(gaps) == {"e01", "e02", "e12"}
@@ -382,7 +392,7 @@ class TestCovering:
     def test_triple_overlap_detected(self):
         curve = tr.load_curve("kp2")
         charts = [tr.Chart("v0"), tr.Chart("v0"), tr.Chart("v0")]
-        cert = tr.covering_certificate(curve, charts)
+        cert = tr.covering_certificate(curve, charts, tr.atlas(curve))
         assert not cert["ok"]
         assert any(s["triple_overlaps"] for s in cert["strata"])
 
@@ -402,7 +412,7 @@ class TestCovering:
         curve = tr.load_curve(name)
         before = set(vars(curve))
         charts, _ = covering(curve)
-        tr.covering_certificate(curve, charts)
+        tr.covering_certificate(curve, charts, tr.atlas(curve))
         assert set(vars(curve)) == before
 
     @pytest.mark.parametrize("name", CURVES)
@@ -475,7 +485,7 @@ class TestCovering:
 
     def test_candidate_meeting_a_placed_pair_is_rejected(self):
         curve = tr.load_curve("kp2")
-        rows = tr._stratum_rows(curve, tr.chart_matrices(curve))
+        rows = tr._stratum_rows(curve, tr.atlas(curve))
         interval = tr._intervals(rows)
         v0, v1, v2 = (tr.Chart(v) for v in ("v0", "v1", "v2"))
         # S(v2) placed twice: the pair shares (3, inf) on e02, and no third
@@ -511,7 +521,7 @@ class TestCovering:
 
     def test_placed_triple_rejects_every_candidate(self):
         curve = tr.load_curve("kp2")
-        rows = tr._stratum_rows(curve, tr.chart_matrices(curve))
+        rows = tr._stratum_rows(curve, tr.atlas(curve))
         interval = tr._intervals(rows)
         v0, v1, v2 = (tr.Chart(v) for v in ("v0", "v1", "v2"))
         placed = [v0, v0, v0, v1, v2]
@@ -523,19 +533,19 @@ class TestCovering:
 class TestConeImage:
     def test_undeformed_apexes(self):
         curve = tr.load_curve("kp2")
-        mats = tr.chart_matrices(curve)
+        atlas = tr.atlas(curve)
         apex = {
-            v: tr.cone_image(curve, tr.Chart(v), mats)["apex"]
+            v: tr.cone_image(curve, tr.Chart(v), atlas)["apex"]
             for v in curve.vertices
         }
         assert apex == {"v0": (0, 0), "v1": (-3, 0), "v2": (0, -3)}
 
     def test_deformation_translates_cone(self):
         curve = tr.load_curve("kp2")
-        mats = tr.chart_matrices(curve)
+        atlas = tr.atlas(curve)
         h = Fraction(13, 4)
-        before = tr.cone_image(curve, tr.Chart("v1"), mats)
-        after = tr.cone_image(curve, tr.Chart("v1").deformed("x", h), mats)
+        before = tr.cone_image(curve, tr.Chart("v1"), atlas)
+        after = tr.cone_image(curve, tr.Chart("v1").deformed("x", h), atlas)
         assert after["rays"] == before["rays"]
         move = tuple(a - b for a, b in zip(after["apex"], before["apex"]))
         assert move == (h, 2 * h)
@@ -583,8 +593,7 @@ def test_conifold_properties(k, a1):
         }
     )
     assert curve.a2("e") - a1 == k - 2
-    fwd = tr.transition_map(curve, "e", exact=False)
-    rev = tr.transition_map(curve, "e", exact=False, reverse=True)
-    assert fwd.compose(rev).is_identity()
-    assert tr.global_potential_check(curve, exact=False)["ok"]
-    assert tr.absorbs_offsets(curve, "e")
+    atlas = tr.atlas(curve)
+    assert atlas.maps[("e", "v2")].compose(atlas.maps[("e", "v1")]).is_identity()
+    assert tr.global_potential_check(curve, atlas, exact=False)["ok"]
+    assert tr.absorbs_offsets(curve, "e", atlas)
