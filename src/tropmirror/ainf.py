@@ -15,6 +15,7 @@ reduction to exact (T-free) models.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
@@ -129,48 +130,55 @@ class AInfLocalModel:
         """m_k^{b_0,...,b_k} of formal sums, with all b-insertions.
 
         ``inputs`` is a list of formal sums (dicts generator -> SymPoly);
-        for k = 0 pass an empty list and the object label.
+        for k = 0 pass an empty list and the object label, whose one basis
+        sequence is the empty one with slots ``(obj,)``.
 
-        A basis sequence is matched only against the entries indexed under
-        its real inputs.  In any reading of an entry, the entry's tokens
-        that are not deformation generators are exactly the sequence's
-        generators that are not, in the same order; so dropping the
-        deformation generators from both sides finds every entry that
+        Every input generator is looked up before anything is skipped, so
+        an unknown one raises ``KeyError``.  Each basis sequence, taken in
+        lexicographic order, is matched only against the entries indexed
+        under its real inputs.  In any reading of an entry, the entry's
+        tokens that are not deformation generators are exactly the
+        sequence's generators that are not, in the same order; so dropping
+        the deformation generators from both sides finds every entry that
         matches, also when the sequence passes a deformation generator as a
-        real input.
+        real input.  The index, composability and the matches are read
+        before any coefficient is multiplied, so a sequence that matches
+        nothing costs no product.  A matched term is built in one fixed
+        order, left to right: ``SymPoly.scalar(1)``, the input
+        coefficients, the entry's coefficient, then each b-insertion's
+        variable.  That fixes each output's generator and term order, and
+        ``_solve_binomial`` reads the term order.
         """
-        if not inputs:
-            if obj is None:
-                raise ValueError("m_0 needs the object label")
-            basis_lists = [()]
-            coeff_lists = [SymPoly.scalar(1)]
-            slot_lists = [(obj,)]
+        if inputs:
+            factors = [[(g, c, self.generators[g]) for g, c in element.items()]
+                       for element in inputs]
+            sequences = itertools.product(*factors)
+        elif obj is None:
+            raise ValueError("m_0 needs the object label")
         else:
-            basis_lists, coeff_lists, slot_lists = [()], [SymPoly.scalar(1)], [None]
-            for element in inputs:
-                nb, nc = [], []
-                for seq, coeff in zip(basis_lists, coeff_lists):
-                    for g, c in element.items():
-                        nb.append(seq + (g,))
-                        nc.append(coeff * c)
-                basis_lists, coeff_lists = nb, nc
-            slot_lists = []
-            for seq in basis_lists:
-                gens = [self.generators[g] for g in seq]
-                ok = all(gens[i].target == gens[i + 1].source for i in range(len(gens) - 1))
-                slot_lists.append(
-                    (gens[0].source,) + tuple(g.target for g in gens) if ok else None
-                )
+            sequences = [()]
         out: dict = {}
-        for seq, coeff, slots in zip(basis_lists, coeff_lists, slot_lists):
-            if slots is None:
+        for sequence in sequences:
+            seq = tuple(g for g, _, _ in sequence)
+            entries = self._entries_by_inputs.get(self._real_inputs(seq))
+            if not entries:
+                continue
+            gens = [gen for _, _, gen in sequence]
+            if any(a.target != b.source for a, b in zip(gens, gens[1:])):
                 continue  # non-composable basis combination contributes nothing
-            for entry in self._entries_by_inputs.get(self._real_inputs(seq), ()):
-                for match in self._match_entry(entry, seq, slots):
-                    term = coeff * entry.coeff
-                    for var in match:
-                        term = term * SymPoly.var(var)
-                    out[entry.output] = out.get(entry.output, SymPoly.zero()) + term
+            slots = (gens[0].source if gens else obj,) + tuple(gen.target for gen in gens)
+            matches = [(entry, match) for entry in entries
+                       for match in self._match_entry(entry, seq, slots)]
+            if not matches:
+                continue
+            coeff = SymPoly.scalar(1)
+            for _, c, _ in sequence:
+                coeff = coeff * c
+            for entry, match in matches:
+                term = coeff * entry.coeff
+                for var in match:
+                    term = term * SymPoly.var(var)
+                out[entry.output] = out.get(entry.output, SymPoly.zero()) + term
         return {
             g: c
             for g, c in ((g, self.normalize(c)) for g, c in out.items())
@@ -188,7 +196,7 @@ class AInfLocalModel:
             return ("potential", SymPoly.zero())
         w = m0.get(units[0], SymPoly.zero())
         for u in units[1:]:
-            if not (m0.get(u, SymPoly.zero()) - w).is_zero():
+            if m0.get(u, SymPoly.zero()) != w:
                 return ("obstruction", u, m0.get(u, SymPoly.zero()))
         return ("potential", w)
 
@@ -302,7 +310,7 @@ def verify_isomorphism(model: AInfLocalModel, alpha: dict, beta: dict, change: C
             raise ValueError(f"m2 product has non-unit output: {extra}")
         coeffs = [prod.get(u, SymPoly.zero()) for u in units]
         for c in coeffs[1:]:
-            if not (c - coeffs[0]).is_zero():
+            if c != coeffs[0]:
                 raise ValueError(f"m2 product is not a multiple of the unit: {prod}")
         out[tag] = coeffs[0]
     return out
@@ -312,7 +320,7 @@ def potential_invariance(model: AInfLocalModel, obj_from: str, obj_to: str, chan
     """W_from == W_to after rewriting obj_to's variables via the change."""
     w_from = model.potential(obj_from)
     w_to = change.substitute(model.potential(obj_to))
-    return (model.normalize(w_from) - w_to).is_zero()
+    return model.normalize(w_from) == w_to
 
 
 def variant_isomorphism(model: AInfLocalModel, a: int) -> CoordinateChange:

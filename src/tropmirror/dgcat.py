@@ -267,7 +267,7 @@ def mf_dg_piece(factorizations) -> DgPiece:
     """
     potentials = [f.potential for f in factorizations]
     for w in potentials[1:]:
-        if not (w - potentials[0]).is_zero():
+        if w != potentials[0]:
             raise ValueError(
                 "matrix factorizations of different potentials do not form a dg piece")
     modules = {}
@@ -630,18 +630,30 @@ def _term_order(term: tuple) -> tuple:
     return mono, area.coeffs, area.const
 
 
+def _terms_key(c) -> tuple:
+    """A coefficient's terms as ``(key, numerator, denominator)``, sorted."""
+    terms = _as_poly(c).terms
+    if len(terms) == 1:
+        ((key, s),) = terms.items()
+        return ((key, s.numerator, s.denominator),)
+    return tuple(sorted(((key, s.numerator, s.denominator) for key, s in terms.items()),
+                        key=_term_order))
+
+
 def _element_key(el: dict) -> tuple:
     """Order-free form of a formal sum, for ``ModelOps.m``'s memo.
 
     Generators are sorted, and each one's terms are sorted by monomial and
-    area.  A term is its ``(AreaExp, mono)`` key, whose ``AreaExp`` hash is
-    cached, with its scalar's numerator and denominator, so hashing the key
-    hashes no ``Fraction``.
+    area; a one-term coefficient and a one-generator element are taken as
+    they stand, since sorting them gives the same tuple.  A term is its
+    ``(AreaExp, mono)`` key, whose ``AreaExp`` hash is cached, with its
+    scalar's numerator and denominator, so hashing the key hashes no
+    ``Fraction``.
     """
-    return tuple(sorted(
-        (g, tuple(sorted(((key, s.numerator, s.denominator)
-                          for key, s in _as_poly(c).terms.items()), key=_term_order)))
-        for g, c in el.items()))
+    if len(el) == 1:
+        ((g, c),) = el.items()
+        return ((g, _terms_key(c)),)
+    return tuple(sorted((g, _terms_key(c)) for g, c in el.items()))
 
 
 class ModelOps:
@@ -657,9 +669,10 @@ class ModelOps:
     each input as a sorted tuple of (generator, sorted terms), each term its
     ``(AreaExp, mono)`` key with the scalar's numerator and denominator
     (``_element_key``), so equal inputs share an entry whatever their
-    insertion order and no ``Fraction`` is hashed; every call returns a
-    fresh dict.  There is no m0 here: the
-    curvature of an object is ``AInfLocalModel.weak_mc_check``'s.
+    insertion order and no ``Fraction`` is hashed.  The key sorts nothing
+    where there is one term or one generator, since the sorted tuple is the
+    one it already has.  Every call returns a fresh dict.  There is no m0
+    here: the curvature of an object is ``AInfLocalModel.weak_mc_check``'s.
     """
 
     def __init__(self, model: AInfLocalModel, change: CoordinateChange = None):
@@ -714,7 +727,7 @@ class ModelOps:
         for obj, us in self.model.units.items():
             if us and set(part) == set(us):
                 vals = [self.reduce(part[u]) for u in us]
-                if all((v - vals[0]).is_zero() for v in vals[1:]):
+                if all(v == vals[0] for v in vals[1:]):
                     return obj, vals[0]
         return None
 
@@ -1092,7 +1105,7 @@ def iso_setup(model):
     change = solve_isomorphism(model, alpha, data["unknowns"])
     out = verify_isomorphism(model, alpha, beta, change)
     scalar, scalar_rev = out["scalar"], out["scalar_rev"]
-    if not (scalar - scalar_rev).is_zero():
+    if scalar != scalar_rev:
         raise ValueError(
             f"two-sided scalars differ: {scalar} vs {scalar_rev}; cannot normalize beta")
     ops = ModelOps(model, change)
@@ -1513,15 +1526,14 @@ def flop_check() -> dict:
 
     report: dict = {}
     w_before = (v("y1") * v("x1") * v("x1p")).substitute(F)
-    report["w_preserved"] = (w_before - v("x0") * v("y0") * v("z0")).is_zero()
+    report["w_preserved"] = w_before == v("x0") * v("y0") * v("z0")
     w_after = (v("z1") * v("x1t") * v("x1tp")).substitute(flop_primed)
-    report["w_preserved_primed"] = (
-        w_after - v("x0p") * v("y0p") * v("z0p")).is_zero()
+    report["w_preserved_primed"] = w_after == v("x0p") * v("y0p") * v("z0p")
 
     intertwined = True
     for var, expr in glue_after.items():
         lhs = expr.substitute(F).substitute(glue_before_inv)
-        if not (lhs - flop_primed[var]).is_zero():
+        if lhs != flop_primed[var]:
             intertwined = False
     report["gluings_intertwined"] = intertwined
 
@@ -1551,7 +1563,7 @@ def flop_check() -> dict:
     def d_is(gen, expected):
         out = d_of({gen: SymPoly.scalar(1)})
         return set(out) == set(expected) and all(
-            (out[h] - c).is_zero() or ((gen, h) in loose and (out[h] + c).is_zero())
+            out[h] == c or ((gen, h) in loose and out[h] == -c)
             for h, c in expected.items())
 
     factor = (v("x") * v("xp") - SymPoly.term(1, AreaExp.of({"d": 1, "dp": 1})))

@@ -5,6 +5,8 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from tropmirror import ainf, dgcat, mf
 from tropmirror.ainf import Entry, Generator
@@ -245,3 +247,137 @@ class TestEntryIndex:
             assert shown(got) == shown(_full_scan(model, names, slots)), names
             passing_deformation += bool(got) and bool(deformation_gens & set(names))
         assert passing_deformation > 0
+
+
+def _reference_deformed_m(model, inputs, obj=None):
+    """``deformed_m`` by full expansion: every basis sequence's coefficient is
+    multiplied out before the table is read."""
+    if not inputs:
+        if obj is None:
+            raise ValueError("m_0 needs the object label")
+        basis_lists = [()]
+        coeff_lists = [SymPoly.scalar(1)]
+        slot_lists = [(obj,)]
+    else:
+        basis_lists, coeff_lists = [()], [SymPoly.scalar(1)]
+        for element in inputs:
+            nb, nc = [], []
+            for seq, coeff in zip(basis_lists, coeff_lists):
+                for g, c in element.items():
+                    nb.append(seq + (g,))
+                    nc.append(coeff * c)
+            basis_lists, coeff_lists = nb, nc
+        slot_lists = []
+        for seq in basis_lists:
+            gens = [model.generators[g] for g in seq]
+            ok = all(gens[i].target == gens[i + 1].source for i in range(len(gens) - 1))
+            slot_lists.append((gens[0].source,) + tuple(g.target for g in gens) if ok else None)
+    out = {}
+    for seq, coeff, slots in zip(basis_lists, coeff_lists, slot_lists):
+        if slots is None:
+            continue
+        for entry in model._entries_by_inputs.get(model._real_inputs(seq), ()):
+            for match in model._match_entry(entry, seq, slots):
+                term = coeff * entry.coeff
+                for var in match:
+                    term = term * SymPoly.var(var)
+                out[entry.output] = out.get(entry.output, SymPoly.zero()) + term
+    return {g: c for g, c in ((g, model.normalize(c)) for g, c in out.items())
+            if not c.is_zero()}
+
+
+def _ordered(el):
+    """An element with the order of its generators and of each one's terms."""
+    return [(g, list(c.terms.items())) for g, c in el.items()]
+
+
+@st.composite
+def _coefficients(draw, model):
+    """Sums of one or two terms, each with a nonzero area and a monomial."""
+    symbols = model.area_symbols or ("a", "b")
+    variables = sorted({v for vs in model.variables.values() for v in vs})
+    total = SymPoly.zero()
+    for _ in range(draw(st.integers(1, 2))):
+        scalar = draw(st.sampled_from([1, -1, 2, Fraction(-1, 3)]))
+        area = AreaExp.of({draw(st.sampled_from(symbols)): draw(st.integers(1, 3))},
+                          draw(st.integers(-2, 2)))
+        mono = draw(st.dictionaries(st.sampled_from(variables),
+                                    st.integers(-2, 2).filter(bool), min_size=1, max_size=2))
+        total = total + SymPoly.term(scalar, area, mono)
+    return total
+
+
+@st.composite
+def _deformed_m_calls(draw, model):
+    """(inputs, obj) of a ``deformed_m`` call of arity 0 to 4.
+
+    Half the calls are built around the tokens of a table entry, deformation
+    generators included, so that many sequences match; every input also gets
+    random generators, which make matches, misses and non-composable
+    sequences."""
+    names = sorted(model.generators)
+    if draw(st.booleans()):
+        spine = list(draw(st.sampled_from(model.entries)).inputs)[:4]
+    else:
+        spine = draw(st.lists(st.sampled_from(names), max_size=4))
+    if not spine:
+        return [], draw(st.sampled_from(model.objects))
+    inputs = []
+    for g in spine:
+        gens = [g] + draw(st.lists(st.sampled_from(names), max_size=2))
+        inputs.append({h: draw(_coefficients(model)) for h in gens})
+    return inputs, None
+
+
+def _count_products(monkeypatch):
+    """Count the ``SymPoly`` products from here on; returns the counter."""
+    count = [0]
+    product = SymPoly.sum_of_products
+
+    def counted(pairs):
+        pairs = list(pairs)
+        count[0] += len(pairs)
+        return product(pairs)
+
+    monkeypatch.setattr(SymPoly, "sum_of_products", staticmethod(counted))
+    return lambda: count[0]
+
+class TestDeformedM:
+    @pytest.mark.parametrize("model", INDEX_ORACLE_MODELS, ids=lambda m: m.name)
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_equals_full_expansion_in_order(self, model, data):
+        inputs, obj = data.draw(_deformed_m_calls(model))
+        got = model.deformed_m(inputs, obj=obj)
+        assert _ordered(got) == _ordered(_reference_deformed_m(model, inputs, obj))
+
+    def _unmatched_call(self):
+        model = ainf.load_model("two_pants")
+        alpha = model.element([("P4", 1), ("Q4", -1)])
+        beta = model.element([("Q1r", 1), ("P1r", 1)])
+        return model, alpha, beta
+
+    def test_unknown_generator_raises_wherever_it_sits(self):
+        model, alpha, beta = self._unmatched_call()
+        # no sequence of this call has a table entry
+        assert model.deformed_m([alpha, beta, alpha]) == {}
+        with_unknown = dict(alpha, nosuch=SymPoly.scalar(1))
+        for inputs in ([with_unknown, beta, alpha], [alpha, beta, with_unknown]):
+            with pytest.raises(KeyError, match="nosuch"):
+                model.deformed_m(inputs)
+
+    def test_unmatched_sequences_multiply_nothing(self, monkeypatch):
+        model, alpha, beta = self._unmatched_call()
+        products = _count_products(monkeypatch)
+        assert _reference_deformed_m(model, [alpha, beta, alpha]) == {}
+        assert products() == 14  # the full expansion's products, all discarded
+        assert model.deformed_m([alpha, beta, alpha]) == {}
+        assert products() == 14
+
+    def test_yoneda_check_products(self, monkeypatch):
+        products = _count_products(monkeypatch)
+        report = dgcat.yoneda_equivalence_check("two_pants", arity_bound=3)
+        assert report["ok"]
+        assert products() <= 1000  # 9,967 by full expansion
+

@@ -8,7 +8,7 @@ import pytest
 
 from tropmirror import ainf, dgcat, mf
 from tropmirror.signs import sign_pow
-from tropmirror.symbolic import SymPoly
+from tropmirror.symbolic import AreaExp, SymPoly
 
 
 def relation_residual(A, args):
@@ -284,6 +284,44 @@ class TestModelOps:
         double = ops.m([{"P4": SymPoly.scalar(2)}])
         assert len(ops._m_memo) == 3
         assert half and double != half
+        # one generator with a one-term coefficient: the area and the scalar
+        # each keep keys apart, and an equal input hits the memo
+        k1, k2 = SymPoly.term(1, AreaExp.sym("k1")), SymPoly.term(1, AreaExp.sym("k2"))
+        outs = [ops.m([{"P4": c}]) for c in (k1, k2, k1.scale(-2), k1 * x, k1)]
+        assert len(ops._m_memo) == 7
+        assert outs[4] == outs[0]
+        assert all(outs[i] != outs[j] for i in range(4) for j in range(i))
+
+    def test_memo_key_equals_the_fully_sorted_key(self):
+        def sorted_key(el):
+            # every generator and every coefficient's terms sorted, one term or many
+            return tuple(sorted(
+                (g, tuple(sorted(((key, s.numerator, s.denominator)
+                                  for key, s in dgcat._as_poly(c).terms.items()),
+                                 key=dgcat._term_order)))
+                for g, c in el.items()))
+
+        model = ainf.load_model("two_pants")
+        names = sorted(model.generators)
+        rng = random.Random(18)
+
+        def coefficient():
+            total = SymPoly.zero()
+            for _ in range(rng.randint(1, 3)):
+                area = AreaExp.of({rng.choice(("k1", "k2", "k3")): rng.randint(-2, 2)},
+                                  rng.randint(-1, 1))
+                mono = {v: rng.randint(-1, 1) for v in rng.sample(("x", "y", "z"), 2)}
+                total = total + SymPoly.term(Fraction(rng.randint(-3, 3) or 1,
+                                                      rng.randint(1, 3)), area, mono)
+            return total
+
+        for _ in range(300):
+            el = {g: coefficient() for g in rng.sample(names, rng.randint(1, 3))}
+            if rng.random() < 0.2:
+                el[rng.choice(names)] = rng.choice((1, -2, Fraction(1, 2)))
+            key = dgcat._element_key(el)
+            assert key == sorted_key(el)
+            assert dgcat._element_key(dict(reversed(el.items()))) == key
 
     def test_memo_is_per_coordinate_change(self):
         model = ainf.load_model("two_pants")
