@@ -176,12 +176,10 @@ class DgPiece:
         return DgMorphism(f.src, f.tgt, f.degree, {g: col for g, col in entries.items() if col})
 
     def scale(self, f: DgMorphism, c) -> DgMorphism:
-        if isinstance(c, (int, Fraction)):
-            # converted once, then multiplied through SymPoly.scale entry by entry
-            c = c if isinstance(c, Fraction) else Fraction(c)
-            entries = {g: {h: v.scale(c) for h, v in col.items()} for g, col in f.entries.items()}
-        else:
-            entries = {g: {h: c * v for h, v in col.items()} for g, col in f.entries.items()}
+        """c * f for an exact rational c."""
+        # converted once, then multiplied through SymPoly.scale entry by entry
+        c = c if isinstance(c, Fraction) else Fraction(c)
+        entries = {g: {h: v.scale(c) for h, v in col.items()} for g, col in f.entries.items()}
         return DgMorphism(f.src, f.tgt, f.degree, entries)
 
     def compose(self, g: DgMorphism, f: DgMorphism) -> DgMorphism:
@@ -661,12 +659,14 @@ def _read_only(self, *args, **kwargs):
 
 
 class _Element(dict):
-    """A formal sum handed out by ``ModelOps``: a read-only dict.
+    """A formal sum built by ``ModelOps``: a read-only dict.
 
     Its slots hold its memo key (``_element_key``), its Hom pair and its
-    degree, each filled on first use.  Every mutating method raises
-    ``TypeError``, so a filled slot can never go stale.  Hom pair and
-    degree are read from the model of the ``ModelOps`` that first asks.
+    degree, each filled on first use; ``ModelOps.m``, ``degree`` and
+    ``hom_pair`` read them, so they take no other kind of element.  Every
+    mutating method raises ``TypeError``, so a filled slot can never go
+    stale.  Hom pair and degree are read from the model of the
+    ``ModelOps`` that first asks.
     """
 
     __slots__ = ("_key", "_hom", "_deg")
@@ -692,18 +692,19 @@ class ModelOps:
     are therefore added formally on full unit multiples.  A coordinate change
     (from ``solve_isomorphism``) is substituted into every output.
 
-    Every element it hands out (from ``m``, ``clean`` and so ``scale_el``
-    and ``add_el``, and ``unit``) is a read-only ``_Element`` that keeps its
-    memo key, Hom pair and degree once built, so each is built once per
-    element.  ``m`` is memoized per instance, so a memo lives as long as
-    one model, one coordinate change and the check that holds them.  Its
-    key holds each input's ``_element_key``: a sorted tuple of (generator,
-    sorted terms), each term its ``(AreaExp, mono)`` key with the scalar's
-    numerator and denominator, so equal inputs share an entry whatever
-    their insertion order and no ``Fraction`` is hashed.  A plain dict
-    input is wrapped once per call; ``m`` returns the memoized element
-    itself, which cannot be mutated.  There is no m0 here: the curvature of
-    an object is ``AInfLocalModel.weak_mc_check``'s.
+    ``m``, ``degree`` and ``hom_pair`` take only elements that ``ModelOps``
+    built: read-only ``_Element``s from ``m``, ``clean`` (and so
+    ``scale_el`` and ``combine``), ``negate``, ``unit`` and ``generator``.
+    Each keeps its memo key, Hom pair and degree once built, so each is
+    built once per element; a plain dict has no slots and raises
+    ``AttributeError``.  ``m`` is memoized per instance, so a memo lives as
+    long as one model, one coordinate change and the check that holds them.
+    Its key holds each input's ``_element_key``: a sorted tuple of
+    (generator, sorted terms), each term its ``(AreaExp, mono)`` key with
+    the scalar's numerator and denominator, so equal inputs share an entry
+    whatever their insertion order and no ``Fraction`` is hashed.  ``m``
+    returns the memoized element itself, which cannot be mutated.  There is
+    no m0 here: the curvature of an object is ``AInfLocalModel.weak_mc_check``'s.
     """
 
     def __init__(self, model: AInfLocalModel, change: CoordinateChange = None):
@@ -732,24 +733,20 @@ class ModelOps:
     def unit(self, obj: str) -> _Element:
         return _Element(self.model.unit_element(obj))
 
-    def _degree(self, el: dict) -> int:
-        if not el:
-            raise ValueError("the zero element has no degree")
-        degs = {self.model.generators[g].degree % 2 for g in el}
-        if len(degs) != 1:
-            raise ValueError(f"element of mixed degree: {sorted(el)}")
-        return degs.pop()
+    def generator(self, name: str) -> _Element:
+        return _Element(self.model.element([(name, 1)]))
 
-    def degree(self, el: dict) -> int:
-        if type(el) is not _Element:
-            return self._degree(el)
+    def degree(self, el: _Element) -> int:
         if el._deg is None:
-            el._deg = self._degree(el)
+            if not el:
+                raise ValueError("the zero element has no degree")
+            degs = {self.model.generators[g].degree % 2 for g in el}
+            if len(degs) != 1:
+                raise ValueError(f"element of mixed degree: {sorted(el)}")
+            el._deg = degs.pop()
         return el._deg
 
-    def hom_pair(self, el: dict):
-        if type(el) is not _Element:
-            return self.model.hom_pair(el)
+    def hom_pair(self, el: _Element):
         if el._hom is None:
             el._hom = self.model.hom_pair(el)
         return el._hom
@@ -758,11 +755,19 @@ class ModelOps:
         c = _as_poly(c)
         return self.clean({g: v * c for g, v in el.items()})
 
-    def add_el(self, a: dict, b: dict) -> _Element:
-        out = dict(a)
-        for g, c in b.items():
-            out[g] = out.get(g, SymPoly.zero()) + c
-        return self.clean(out)
+    def negate(self, el: _Element) -> _Element:
+        """-el; negating reduced coefficients leaves them reduced."""
+        return _Element((g, -c) for g, c in el.items())
+
+    def combine(self, terms) -> _Element:
+        """The reduced formal sum of s * el over (s, el) pairs, s = 1 or -1."""
+        total: dict = {}
+        for s, el in terms:
+            for g, c in el.items():
+                if s < 0:
+                    c = -c
+                total[g] = total[g] + c if g in total else c
+        return self.clean(total)
 
     # -- units ----------------------------------------------------------------
 
@@ -788,7 +793,6 @@ class ModelOps:
 
     def m(self, inputs) -> _Element:
         """m_k^{b,...,b}, k >= 1, with the formal unit action in m2."""
-        inputs = [e if type(e) is _Element else _Element(e) for e in inputs]
         key = tuple([e.key() for e in inputs])
         out = self._m_memo.get(key, _UNCACHED)
         if out is _UNCACHED:  # an empty element is a cached value
@@ -797,14 +801,7 @@ class ModelOps:
 
     def _m(self, inputs) -> _Element:
         """``m`` computed from the table, past the memo."""
-        total: dict = {}
-
-        def add(el, coeff=1):
-            for g, cf in el.items():
-                cf = cf if coeff == 1 else cf * _as_poly(coeff)
-                total[g] = total.get(g, SymPoly.zero()) + cf
-
-        add(self.model.deformed_m(inputs))
+        terms = [(1, self.model.deformed_m(inputs))]
         if len(inputs) == 2:
             ups = [self.unit_part(e) if any(g in self.all_units for g in e) else None
                    for e in inputs]
@@ -812,19 +809,19 @@ class ModelOps:
                 # both formal actions below count the unit * unit product once each
                 u_obj, s1 = ups[0]
                 _, s2 = ups[1]
-                add({u: -(s1 * s2) for u in self.model.units[u_obj]})
+                terms.append((-1, {u: s1 * s2 for u in self.model.units[u_obj]}))
             for pos in (0, 1):
                 if ups[pos] is None:
                     continue
                 _, sc = ups[pos]
                 psi = inputs[1 - pos]
                 if pos == 0:
-                    add({g: cf * sc for g, cf in psi.items()})
+                    terms.append((1, {g: cf * sc for g, cf in psi.items()}))
                 else:
-                    for g, cf in psi.items():
-                        s = sign_pow(self.model.generators[g].degree)
-                        add({g: cf * sc * s})
-        return self.clean(total)
+                    gens = self.model.generators
+                    terms.append((1, {g: cf * sc * sign_pow(gens[g].degree)
+                                      for g, cf in psi.items()}))
+        return self.combine(terms)
 
 
 def model_ainf_check(model: AInfLocalModel) -> dict:
@@ -863,7 +860,7 @@ class HomMap:
     degree: int
     fn: object
 
-    def __call__(self, el: dict) -> dict:
+    def __call__(self, el: _Element) -> _Element:
         return self.fn(el)
 
 
@@ -873,7 +870,7 @@ def _model_map(ops: ModelOps, src: tuple, tgt: tuple, degree: int, fn) -> HomMap
     Evaluating it on a nonzero element of another Hom space raises
     ValueError, so an argument routed to the wrong complex cannot pass.
     """
-    def checked(el: dict) -> dict:
+    def checked(el: _Element) -> _Element:
         if el and ops.hom_pair(el) != src:
             raise ValueError(f"map on Hom{src} evaluated on an element of "
                              f"Hom{ops.hom_pair(el)}")
@@ -887,7 +884,7 @@ class YonedaPiece:
 
     Objects are (C, ref) pairs and morphisms are ``HomMap``s; the operations
     match ``DgPiece``.  The differential of a map is d o f - (-1)^{|f|} f o d
-    with d = -m1, and a sum reduces its values through ``ModelOps.clean``.
+    with d = -m1, and a sum reduces its values through ``ModelOps.combine``.
     """
 
     def __init__(self, ops: ModelOps):
@@ -897,7 +894,7 @@ class YonedaPiece:
         return n % 2
 
     def zero(self, src, tgt, degree) -> HomMap:
-        return HomMap(src, tgt, degree % 2, lambda el: {})
+        return HomMap(src, tgt, degree % 2, lambda el: _Element())
 
     def add(self, f: HomMap, *rest: HomMap) -> HomMap:
         maps = (f,) + rest
@@ -906,22 +903,16 @@ class YonedaPiece:
                 raise ValueError(f"map sum shape mismatch: {(g.src, g.tgt, g.degree)} "
                                  f"vs {(f.src, f.tgt, f.degree)}")
 
-        def fn(el):
-            out: dict = {}
-            for m in maps:
-                for g, c in m(el).items():
-                    out[g] = out.get(g, SymPoly.zero()) + c
-            return self.ops.clean(out)
-
-        return HomMap(f.src, f.tgt, f.degree, fn)
+        return HomMap(f.src, f.tgt, f.degree,
+                      lambda el: self.ops.combine([(1, m(el)) for m in maps]))
 
     def scale(self, f: HomMap, coeff) -> HomMap:
+        """coeff * f for coeff = 1 or -1, the only scalars the A.1 and A.2 signs give."""
         if coeff == 1:
             return f
-        if coeff == -1:
-            return HomMap(f.src, f.tgt, f.degree, lambda el: {g: -v for g, v in f(el).items()})
-        c = _as_poly(coeff)
-        return HomMap(f.src, f.tgt, f.degree, lambda el: {g: v * c for g, v in f(el).items()})
+        if coeff != -1:
+            raise ValueError(f"a Yoneda map is scaled only by 1 or -1, not {coeff}")
+        return HomMap(f.src, f.tgt, f.degree, lambda el: self.ops.negate(f(el)))
 
     def compose(self, g: HomMap, f: HomMap) -> HomMap:
         """g after f (plain composition, no sign)."""
@@ -933,15 +924,8 @@ class YonedaPiece:
         ops = self.ops
         s = sign_pow(f.degree)
 
-        def fn(el):
-            out: dict = {}
-            for g, c in ops.m([f(el)]).items():
-                out[g] = out.get(g, SymPoly.zero()) - c
-            for g, c in f(ops.m([el])).items():
-                out[g] = out.get(g, SymPoly.zero()) + s * c
-            return ops.clean(out)
-
-        return HomMap(f.src, f.tgt, (f.degree + 1) % 2, fn)
+        return HomMap(f.src, f.tgt, (f.degree + 1) % 2,
+                      lambda el: ops.combine([(-1, ops.m([f(el)])), (s, f(ops.m([el])))]))
 
 
 class YonedaFunctor:
@@ -985,7 +969,7 @@ class PreNatTransform:
         return self.comp(a, obj)
 
 
-def nat_from_cocycle(ops: ModelOps, beta: dict) -> PreNatTransform:
+def nat_from_cocycle(ops: ModelOps, beta: _Element) -> PreNatTransform:
     """N(a)(x) = (-1)^{|a|'}(-1)^{|x|} m(a, x, beta) -- the paper's N_01 shape."""
     b_src, b_tgt = ops.hom_pair(beta)
     source = YonedaFunctor(ops, b_tgt)
@@ -1002,7 +986,7 @@ def nat_from_cocycle(ops: ModelOps, beta: dict) -> PreNatTransform:
         def fn(el):
             s = pre * sign_pow(ops.degree(el)) if el else 1
             out = ops.m(list(a) + [el, beta])
-            return out if s > 0 else {g: -c for g, c in out.items()}
+            return out if s > 0 else ops.negate(out)
 
         deg = (norm + shift) % 2
         return _model_map(ops, (ck, b_src), (c0, b_tgt), deg, fn)
@@ -1017,12 +1001,12 @@ def nat_identity(ops: ModelOps, functor: YonedaFunctor) -> PreNatTransform:
         a = tuple(a)
         if a:
             return None
-        return _model_map(ops, (obj, functor.ref), (obj, functor.ref), 0, lambda el: dict(el))
+        return _model_map(ops, (obj, functor.ref), (obj, functor.ref), 0, lambda el: el)
 
     return PreNatTransform(ops, functor, functor, 0, comp)
 
 
-def nat_homotopy(ops: ModelOps, first: dict, second: dict) -> PreNatTransform:
+def nat_homotopy(ops: ModelOps, first: _Element, second: _Element) -> PreNatTransform:
     """H(a)(x) = m(a, x, first, second), of degree ||H|| = -1.
 
     No degree prefactor: with the -m1 differential this is the convention
@@ -1158,7 +1142,7 @@ def iso_setup(model):
     return ops, ops.clean(alpha), beta_n, {"change": change, "scalar": scalar}
 
 
-def sector_elements(ops: ModelOps, alpha: dict, beta: dict) -> dict:
+def sector_elements(ops: ModelOps, alpha: _Element, beta: _Element) -> dict:
     """Arrows of the isomorphism sector, keyed by (source, target)."""
     a_src, a_tgt = ops.hom_pair(alpha)
     arrows = {
@@ -1191,17 +1175,11 @@ def sector_tuples(ops: ModelOps, arrows: dict, arity: int):
         yield chain, ops.hom_pair(chain[0][1])[0], ops.hom_pair(chain[-1][1])[1]
 
 
-def _evaluate_nat(terms, a, obj, bullet) -> dict:
-    """Residual of sum_i coeff_i * T_i at (a; bullet); terms = [(coeff, T)]."""
+def _evaluate_nat(terms, a, obj, bullet) -> _Element:
+    """Residual of sum_i s_i * T_i at (a; bullet); terms = [(s, T)], s = 1 or -1."""
     ops = terms[0][1].ops
-    total: dict = {}
-    for coeff, T in terms:
-        part = T.component(a, obj)
-        if part is None:
-            continue
-        for g, c in part(bullet).items():
-            total[g] = total.get(g, SymPoly.zero()) + (c if coeff == 1 else c * _as_poly(coeff))
-    return ops.clean(total)
+    return ops.combine([(s, part(bullet)) for s, T in terms
+                        if (part := T.component(a, obj)) is not None])
 
 
 def yoneda_equivalence_check(model, arity_bound: int = 2) -> dict:
@@ -1265,15 +1243,14 @@ def yoneda_equivalence_check(model, arity_bound: int = 2) -> dict:
     unit_fail = []
     all_units = ops.all_units
     gens = [g for g in ops.model.generators.values() if g.name not in all_units]
+    elements = {g.name: ops.generator(g.name) for g in gens}
     for g in gens:
-        a = ({g.name: SymPoly.scalar(1)},)
+        a = (elements[g.name],)
         for N, ref in ((n_beta, a_tgt), (n_alpha, a_src)):
             mid = nat_M2(nat_identity(ops, N.source), N)
             mid2 = nat_M2(N, nat_identity(ops, N.target))
-            bullets = [(bg.name, {bg.name: SymPoly.scalar(1)})
-                       for bg in ops.model.generators.values()
-                       if bg.source == g.target and bg.target == ref
-                       and bg.name not in all_units]
+            bullets = [(bg.name, elements[bg.name]) for bg in gens
+                       if bg.source == g.target and bg.target == ref]
             if g.target == ref:
                 bullets.append(("1_" + ref, ops.unit(ref)))
             for bullet_name, bullet in bullets:
@@ -1296,7 +1273,7 @@ def yoneda_equivalence_check(model, arity_bound: int = 2) -> dict:
     chained = ops.m([comp, comp])
     obj = ops.hom_pair(alpha)[0]
     unit = ops.unit(obj)
-    chain_res = ops.add_el(chained, {g: -c for g, c in unit.items()})
+    chain_res = ops.combine([(1, chained), (-1, unit)])
     comp_str = {g: str(c) for g, c in comp.items()}
     report["identities"]["Lemma 12.2 chained isomorphism"] = {
         "ok": ops.unit_part(comp) is not None and not chain_res,
@@ -1438,7 +1415,7 @@ def gluemf_triple(m: int = 0, a1: int = 0, a2: int = 0) -> dict:
     from . import mf as mf_mod  # mf imports this module
 
     wind = mf_mod.winding_strip_model(m, exact=True)
-    pants = mf_mod.pants_strip_model(exact=True)
+    pants = mf_mod.pants_strip_model()
     mf1 = mf_mod.transform_object(wind, "L", "S1")
     mf2 = mf_mod.transform_object(pants, "L", "S")
 
@@ -1472,14 +1449,14 @@ def one_chart_degenerate_check() -> dict:
     """
     model = ainf_mod.load_model("two_pants")
     ops = ModelOps(model)
-    one = SymPoly.scalar(1)
     results = {}
     for obj in model.objects:
         n_triv = nat_from_cocycle(ops, ops.unit(obj))
-        results[obj] = not any(
-            ops.add_el(n_triv.component((), g.source)({g.name: one}), {g.name: -one})
+        results[obj] = all(
+            n_triv.component((), g.source)(x) == x
             for g in model.generators.values()
-            if g.target == obj and g.name not in ops.all_units)
+            if g.target == obj and g.name not in ops.all_units
+            for x in [ops.generator(g.name)])
     return {"ok": all(results.values()), "objects": results}
 
 

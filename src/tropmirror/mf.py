@@ -67,9 +67,6 @@ class MatrixFactorization:
     def odd(self) -> tuple:
         return tuple(g for g in self.generators if self.parity[g] == 1)
 
-    def entry(self, g: str, h: str) -> SymPoly:
-        return self.delta.get(g, {}).get(h, SymPoly.zero())
-
     def apply(self, element: dict) -> dict:
         """delta of a formal sum {generator: SymPoly}."""
         out: dict = {}
@@ -345,28 +342,25 @@ def _chart_model(name, paths, strips, *, area=None, suffix="", units=None) -> AI
     )
 
 
-def _z_face_path(prime="", area=None):
+def _z_face_path(prime=""):
     """Generators and strips of the path L<prime> around the z-face of S.
 
     The generators are A<prime> (odd) and B<prime> (even); the strips give
-    delta: A -> z B, B -> xy A, the xy strip with T^{area}.
+    delta: A -> z B, B -> xy A.
     """
     obj, a, b = "L" + prime, "A" + prime, "B" + prime
     return ([Generator(a, obj, "S", 1), Generator(b, obj, "S", 0)],
             [Entry((a, "Z"), b, SymPoly.scalar(-1)),
-             Entry((b, "X", "Y"), a, SymPoly.term(-1, area))])
+             Entry((b, "X", "Y"), a, SymPoly.scalar(-1))])
 
 
-def pants_strip_model(exact: bool = True) -> AInfLocalModel:
+def pants_strip_model() -> AInfLocalModel:
     """L around a face with no finite edge, against the vertex chart.
 
     The two strips cut the reference triangle in two: the z-corner piece and
-    the xy piece, giving delta: A -> z B, B -> xy A.  In immersed mode the xy
-    piece carries the triangle area c.
+    the xy piece, giving delta: A -> z B, B -> xy A.
     """
-    area = None if exact else AreaExp.sym("c")
-    return _chart_model("pants_strip" + ("" if exact else "_immersed"),
-                        *_z_face_path(area=area), area=area)
+    return _chart_model("pants_strip", *_z_face_path())
 
 
 def nonadjacent_strip_model() -> AInfLocalModel:

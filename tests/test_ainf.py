@@ -382,15 +382,23 @@ class TestDeformedM:
         assert products() <= 1000  # 9,967 by full expansion
 
     def test_yoneda_check_keys_each_element_once(self, monkeypatch):
-        keys = [0]
-        build = dgcat._element_key
+        keys, pairs = [0], [0]
+        build, hom_pair = dgcat._element_key, ainf.AInfLocalModel.hom_pair
 
         def counted(el):
             keys[0] += 1
             return build(el)
 
+        def counted_pair(model, el):
+            pairs[0] += 1
+            return hom_pair(model, el)
+
         monkeypatch.setattr(dgcat, "_element_key", counted)
+        monkeypatch.setattr(ainf.AInfLocalModel, "hom_pair", counted_pair)
         report = dgcat.yoneda_equivalence_check("two_pants", arity_bound=3)
         assert report["ok"]
-        assert keys[0] <= 2000  # 9,316 when every m call re-keys its inputs
+        # 9,316 keys when every m call re-keys its inputs; 1,568 keys and
+        # 2,694 Hom-pair sets when plain dicts are wrapped on every call
+        assert keys[0] <= 500
+        assert pairs[0] <= 200
 

@@ -92,31 +92,41 @@ def test_module_level_imports_form_no_cycle():
 
 
 def defaulted_parameters(path):
-    """(called name, parameter, position or None) for each defaulted parameter
-    of a module-level function or a method.
+    """(called name, parameter, position or None, default, scope) for each
+    defaulted parameter of a function, a method or a nested function.
 
     A method is called by its own name, ``__init__`` by its class's; the
     position counts the arguments of such a call, so ``self`` and ``cls``
-    take none.  Keyword-only parameters have no position.
+    take none.  Keyword-only parameters have no position.  A nested
+    function's scope is its enclosing function, where it is called by its
+    bare name; every other scope is None, for a call from anywhere.
     """
-    def params(node, called, bound):
+    def params(node, called, bound, scope):
         args = node.args
         positional = args.posonlyargs + args.args
         first = len(positional) - len(args.defaults)
         skip = 1 if bound and positional and positional[0].arg in ("self", "cls") else 0
-        return ([(called, p.arg, i - skip) for i, p in enumerate(positional) if i >= first]
-                + [(called, p.arg, None)
+        return ([(called, p.arg, i - skip, d, scope)
+                 for i, (p, d) in enumerate(zip(positional[first:], args.defaults), first)]
+                + [(called, p.arg, None, d, scope)
                    for p, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None])
+
+    def nested(node):
+        out = []
+        for child in ast.walk(node):
+            if child is not node and isinstance(child, ast.FunctionDef):
+                out += params(child, child.name, False, node)
+        return out
 
     out = []
     for node in ast.parse(path.read_text()).body:
         if isinstance(node, ast.FunctionDef):
-            out += params(node, node.name, False)
+            out += params(node, node.name, False, None) + nested(node)
         elif isinstance(node, ast.ClassDef):
             for method in node.body:
                 if isinstance(method, ast.FunctionDef):
                     called = node.name if method.name == "__init__" else method.name
-                    out += params(method, called, True)
+                    out += params(method, called, True, None) + nested(method)
     return out
 
 
@@ -133,12 +143,24 @@ def calls_by_name(roots):
     return calls
 
 
-def passes(call, name, position):
+def local_calls(scope, name):
+    """Calls of the bare name ``name`` inside the function ``scope``."""
+    return [node for node in ast.walk(scope) if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name) and node.func.id == name]
+
+
+def overrides(call, name, position, default):
+    """Whether ``call`` passes the parameter, other than as the default's own literal."""
     if any(isinstance(a, ast.Starred) for a in call.args):
         return True
-    if position is not None and len(call.args) > position:
+    if any(k.arg is None for k in call.keywords):
         return True
-    return any(k.arg in (name, None) for k in call.keywords)
+    passed = [k.value for k in call.keywords if k.arg == name]
+    if position is not None and len(call.args) > position:
+        passed.append(call.args[position])
+    return any(not (isinstance(value, ast.Constant) and isinstance(default, ast.Constant)
+                    and ast.dump(value) == ast.dump(default))
+               for value in passed)
 
 
 def test_every_defaulted_parameter_is_passed_somewhere():
@@ -147,35 +169,45 @@ def test_every_defaulted_parameter_is_passed_somewhere():
     calls = calls_by_name(USERS)
     unpassed = [f"{path.name}:{fn}({name})"
                 for path in sorted(PACKAGE.glob("*.py"))
-                for fn, name, position in defaulted_parameters(path)
-                if not any(passes(c, name, position) for c in calls.get(fn, ()))]
+                for fn, name, position, default, scope in defaulted_parameters(path)
+                if not any(overrides(c, name, position, default)
+                           for c in (calls.get(fn, ()) if scope is None
+                                     else local_calls(scope, fn)))]
     assert not unpassed
 
 
 def referenced_names(roots):
-    """Every name a Name or Attribute node spells under the given directories."""
-    names = set()
+    """(names spelled by a Name node, names read as an attribute) under the
+    given directories."""
+    names, attributes = set(), set()
     for root in roots:
         for path in root.rglob("*.py"):
             for node in ast.walk(ast.parse(path.read_text())):
                 if isinstance(node, ast.Name):
                     names.add(node.id)
                 elif isinstance(node, ast.Attribute):
-                    names.add(node.attr)
-    return names
+                    attributes.add(node.attr)
+    return names, attributes
 
 
 def test_every_definition_is_referenced():
     # a function, class or method that neither the package nor the benchmark
-    # names is dead code; the tracer names its targets in strings
-    used = referenced_names(USERS)
-    used |= {part for _, path in tracer_targets() for part in path.split(".")}
-    unused = [f"{path.name}:{node.name}"
-              for path in sorted(PACKAGE.glob("*.py"))
-              for node in ast.walk(ast.parse(path.read_text()))
-              if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-              and not (node.name.startswith("__") and node.name.endswith("__"))
-              and node.name not in used]
+    # names is dead code; the tracer names its targets in strings.  A method
+    # is reached only as an attribute, so a bare name of the same spelling
+    # does not count for it
+    names, attributes = referenced_names(USERS)
+    traced = {part for _, path in tracer_targets() for part in path.split(".")}
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        methods = {id(node) for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+                   for node in cls.body}
+        for node in ast.walk(tree):
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                    and not (node.name.startswith("__") and node.name.endswith("__"))):
+                used = attributes if id(node) in methods else names | attributes
+                if node.name not in used | traced:
+                    unused.append(f"{path.name}:{node.name}")
     assert not unused
 
 

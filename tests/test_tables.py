@@ -37,8 +37,7 @@ def fingerprint(model) -> str:
 
 
 TABLES = {
-    "pants_strip": lambda: mf.pants_strip_model(exact=True),
-    "pants_strip_immersed": lambda: mf.pants_strip_model(exact=False),
+    "pants_strip": mf.pants_strip_model,
     "nonadjacent_strip": mf.nonadjacent_strip_model,
     **{f"winding_strip_m{m}{suffix}":
        (lambda m=m, exact=exact: mf.winding_strip_model(m, exact=exact))
@@ -61,7 +60,6 @@ DIGESTS = {
     "isotopy_pair": "9292b34ada2c8b81dd057847372f657d0942214e1bc2eda97bf4fa52bc48acb9",
     "nonadjacent_strip": "755632bfe9ddd92affa59bd7610d011927c50d6f272913c8681899420d1cdf97",
     "pants_strip": "8332fe4f98bc3b88f10083247f8cb4d10cc5cdb9d171827bb7f192c58b7a043c",
-    "pants_strip_immersed": "30886fecadee575dcd9671d6f56f75e5c0c8ce7e83e894a83c157b82084ae643",
     "same_face_hom_d3": "c0133480ee19d611134f54670c39b1d41cee60c271600d68f9ce6a3833834395",
     "seidel_pants": "b9af4affd20154fc80b7c925bb3d3937b375e532b5d2b5feac6ac6b8c7e58148",
     "seidel_pants_exact": "f5e66fa201e23f30e88dc9428de6fb2d638d96417f263e65db75170aa25fbd65",
