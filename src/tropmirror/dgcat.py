@@ -18,18 +18,16 @@ and uses them to verify, over the shipped finite local models,
     (``yoneda_equivalence_check``),
   * Prop 13.2: the object and morphism triples (F^{L1}(L), F^{L0}(L),
     N01(L)) satisfy the A-infinity functor equation into the homotopy
-    fiber product (``functor_equation_check``, ``global_functor``), and
-    with one chart they degenerate to F^L (``one_chart_degenerate_check``),
-  * Prop "glueMF_12": the finite-edge gluing is a chain map whose section
-    vanishes to order a2 + m (``gluemf_triple``),
+    fiber product (``functor_equation_check``), and with one chart they
+    degenerate to F^L (``one_chart_degenerate_check``),
   * the table-only A-infinity relations of each curated table
     (``model_ainf_check``),
   * Section 11: the flop coordinate change intertwines the two gluings,
     preserves W, and the two-circle differential table closes
     (``flop_check``).
 
-The ``functor``, ``natural-transformations``, ``divisor`` and ``flop``
-verify suites report them.
+The ``functor``, ``natural-transformations`` and ``flop`` verify suites
+report them.
 
 Every dg category here -- a finite ``DgPiece``, the Yoneda complexes of a
 local model (``YonedaPiece``) and a ``HomotopyFiberProduct`` -- offers the
@@ -39,8 +37,9 @@ complexes in M1/M2 of A.3, and to the fiber product of Yoneda complexes,
 where the Prop 13.2 functor equation is checked with A.1's m1 and m2.
 Matrix factorizations form a ``DgPiece`` too (``mf_dg_piece``): the
 morphisms ``mf.transform_morphism`` builds are its ``DgMorphism``s, so the
-Section 10.2 chain-map and composition checks and the Prop "glueMF_12"
-gluing signs all use the one Hom-complex differential of ``DgPiece.d``.
+Section 10.2 chain-map and composition checks and the signs of the
+Prop "glueMF_12" gluing (``mf.glue_edge``) all use the one Hom-complex
+differential of ``DgPiece.d``.
 
 Verification scope
 ------------------
@@ -65,17 +64,13 @@ convention delta = -m1^{0,b} of Def 2.4.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import ainf as ainf_mod
 from .ainf import AInfLocalModel, CoordinateChange, Entry, Generator, solve_isomorphism, verify_isomorphism
 from .signs import shifted, shifted_sum, sign_pow
 from .symbolic import AreaExp, SymPoly
-
-
-def _as_poly(c) -> SymPoly:
-    return c if isinstance(c, SymPoly) else SymPoly.scalar(c)
 
 
 # ---------------------------------------------------------------------------
@@ -146,7 +141,7 @@ class DgPiece:
         ms, mt = self.modules[src], self.modules[tgt]
         clean: dict = {}
         for g, col in entries.items():
-            keep = {h: p for h, c in col.items() if not (p := _as_poly(c)).is_zero()}
+            keep = {h: c for h, c in col.items() if not c.is_zero()}
             for h in keep:
                 if self._deg(mt.degree(h) - ms.degree(g) - degree) != 0:
                     raise ValueError(
@@ -630,7 +625,7 @@ def _term_order(term: tuple) -> tuple:
 
 def _terms_key(c) -> tuple:
     """A coefficient's terms as ``(key, numerator, denominator)``, sorted."""
-    terms = _as_poly(c).terms
+    terms = c.terms
     if len(terms) == 1:
         ((key, s),) = terms.items()
         return ((key, s.numerator, s.denominator),)
@@ -751,8 +746,7 @@ class ModelOps:
             el._hom = self.model.hom_pair(el)
         return el._hom
 
-    def scale_el(self, el: dict, c) -> _Element:
-        c = _as_poly(c)
+    def scale_el(self, el: dict, c: SymPoly) -> _Element:
         return self.clean({g: v * c for g, v in el.items()})
 
     def negate(self, el: _Element) -> _Element:
@@ -1313,8 +1307,8 @@ def functor_equation_residuals(ops, alpha, beta_n, a, bullets) -> list:
     n_conn = nat_from_cocycle(ops, beta_n)
 
     def obj(C):
-        # N01(C) is invertible up to homotopy only; check (i) of
-        # global_functor certifies it
+        # N01(C) is invertible up to homotopy only; the Lemma n0hptyeq
+        # identities of ``yoneda_equivalence_check`` certify it
         return HfpObject((C, l1), (C, l0), n_conn.component((), C))
 
     def F(t):
@@ -1354,90 +1348,6 @@ def functor_equation_check(model, arity_bound: int) -> dict:
                                      "bullet": bname, "component": side,
                                      "residual": {g: str(c) for g, c in res.items()}})
     return {"ok": not failures, "cases": cases, "failures": failures}
-
-
-def global_functor(arity_bound: int = 2) -> dict:
-    """Assemble and verify the global functor of Theorem 4.5(3).
-
-    On the A-infinity side this builds, over the two_pants local model, the
-    object triples (F^{L0}(C), F^{L1}(C), N_01(C)) and verifies (i) the
-    homotopy invertibility of the connecting map via Lemma "n0hptyeq" and
-    (ii) the Prop 13.2 functor equation at arities <= ``arity_bound`` on
-    the isomorphism sector (``functor_equation_check``).  The connecting
-    map phi = N_01(C) of each object is invertible only up to homotopy;
-    check (i) certifies that, so these objects skip
-    ``HomotopyFiberProduct.object``'s strict-inverse test.  On the
-    matrix-factorization side it builds the Prop "glueMF_12" object triple
-    at winding 0 and zero gauges.  The charts are the 4-punctured-sphere
-    two-chart system of the conifold, whose covering certificate of
-    Assumption 4.7 is required.
-    """
-    from . import tropical
-
-    report: dict = {"checks": {}}
-
-    curve = tropical.conifold_curve(2)
-    charts, certificate = tropical.covering_collection(curve, tropical.atlas(curve))
-    report["certificate"] = certificate
-    report["charts"] = [c.label for c in charts]
-    if not certificate.get("ok", False):
-        raise ValueError(f"covering certificate failed: {certificate}")
-
-    # (i) homotopy invertibility of the connecting map (Lemma n0hptyeq)
-    yon = yoneda_equivalence_check("two_pants", arity_bound=arity_bound)
-    report["checks"]["homotopy_identity"] = {
-        tag: val["ok"] for tag, val in yon["identities"].items()}
-
-    # (ii) the functor equation of Prop 13.2 on the sector
-    report["checks"]["functor_equation"] = functor_equation_check("two_pants", arity_bound)
-
-    # matrix-factorization chart layer: the Prop glueMF_12 triple
-    report["mf_triple"] = gluemf_triple()
-
-    report["ok"] = (all(report["checks"]["homotopy_identity"].values())
-                    and report["checks"]["functor_equation"]["ok"]
-                    and report["mf_triple"]["ok"])
-    return report
-
-
-def gluemf_triple(m: int = 0, a1: int = 0, a2: int = 0) -> dict:
-    """The Prop "glueMF_12" object triple on a finite edge, exact mode.
-
-    Builds the winding factorization on the stretched chart and the pants
-    factorization on the vertex chart, rewrites the latter through the edge
-    transition x2 = x1^{-1}, y2 = x1^{a2+2-a1} y1, z2 = x1^{a1-a2} z1, and
-    checks that the gluing A -> -t^{a1} C_{2m} with B's column
-    ``mf.finite_edge_column`` is a chain map; ``mf_dg_piece`` rejects the
-    pair unless the potentials agree.  The chain-map condition forces only
-    the sign of B's column relative to A's (the negated map is a chain map
-    too); that sign is the -1 on B.
-    """
-    from . import mf as mf_mod  # mf imports this module
-
-    wind = mf_mod.winding_strip_model(m, exact=True)
-    pants = mf_mod.pants_strip_model()
-    mf1 = mf_mod.transform_object(wind, "L", "S1")
-    mf2 = mf_mod.transform_object(pants, "L", "S")
-
-    t, y, z = mf1.variables
-    transition = {
-        "x": SymPoly.var(t, -1),
-        "y": SymPoly.term(1, None, {t: a2 + 2 - a1, y: 1}),
-        "z": SymPoly.term(1, None, {t: a1 - a2, z: 1}),
-    }
-    # the pants factorization written in the chart-1 variables
-    rewritten = replace(
-        mf2, variables=mf1.variables, potential=mf2.potential.substitute(transition),
-        delta={g: {h: c.substitute(transition) for h, c in col.items()}
-               for g, col in mf2.delta.items()})
-    glue = {"A": {f"C{2*m}": SymPoly.term(-1, None, {t: a1})},
-            "B": mf_mod.finite_edge_column(t, y, m, a2)}
-
-    piece = mf_dg_piece([rewritten, mf1])
-    chain_ok = piece.d(piece.morphism(rewritten.name, mf1.name, 0, glue)).is_zero()
-    section = mf_mod.section_vanishing_order(mf1, m, a2)
-    return {"ok": chain_ok and section == a2 + m, "chain_map": chain_ok,
-            "section_vanishing_order": section}
 
 
 def one_chart_degenerate_check() -> dict:

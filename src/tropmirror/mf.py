@@ -7,10 +7,12 @@ factorizations of the chart potentials.  This module assembles those matrix
 factorizations from curated strip tables (shipped as small A-infinity local
 models whose module generators are the intersection points of L with the
 reference object), takes cokernels in the singularity category by scripted
-elementary moves, traces section gluings into divisor line bundles over a
-face of a tropical curve, and transforms morphisms between Lagrangian paths
-into morphisms of matrix factorizations.  Those morphisms live in the dg
-category ``dgcat.mf_dg_piece`` of the factorizations: they are ``DgMorphism``s
+elementary moves, glues the factorizations across each finite edge of a
+face of a tropical curve into a divisor line bundle (``glue_edge``: the
+Prop "glueMF_12" chain map through the edge transition, and the section it
+glues), and transforms morphisms between Lagrangian paths into morphisms of
+matrix factorizations.  Those morphisms live in the dg category
+``dgcat.mf_dg_piece`` of the factorizations: they are ``DgMorphism``s
 between factorization names, and chain-map and composition checks use that
 piece's ``d``, ``compose`` and ``equal``.
 
@@ -28,6 +30,7 @@ from fractions import Fraction
 from .ainf import AInfLocalModel, Entry, Generator
 from .dgcat import DgMorphism, mf_dg_piece
 from .symbolic import AreaExp, SymPoly
+from .tropical import edge_exponents
 
 
 # ---------------------------------------------------------------------------
@@ -522,7 +525,7 @@ def finite_edge_column(x: str, y: str, m: int, a2: int) -> dict:
 
     For m = 0 both factorizations are two-by-two and the column is
     B -> -x^{a2} D0.  The -1 is the sign relative to A's column that the
-    chain map of ``dgcat.gluemf_triple`` pins.
+    chain map of ``glue_edge`` pins.
     """
     if m == 0:
         return {"D0": SymPoly.term(-1, None, {x: a2})}
@@ -549,16 +552,52 @@ def section_vanishing_order(mf: MatrixFactorization, m: int, a2: int) -> int:
     return exps.get(x, 0)
 
 
+def glue_edge(m: int, a1: int, a2: int) -> dict:
+    """The Prop "glueMF_12" gluing across a finite edge, exact mode.
+
+    Traces B's column ``finite_edge_column`` through the cokernel of the
+    winding-m factorization on the stretched chart first
+    (``section_vanishing_order``).  Then it rewrites the pants
+    factorization of the vertex chart through the edge transition, whose
+    rows ``tropical.edge_exponents`` gives at d = a2 - a1, and checks that
+    the gluing A -> -x1^{a1} C_{2m}, with that column on B, is a chain map;
+    ``mf_dg_piece`` rejects the pair unless the potentials agree.  The
+    chain map forces only the sign of B's column relative to A's (the
+    negated map is a chain map too); that sign is the -1 on B.
+    """
+    wind = transform_object(winding_strip_model(m, exact=True), "L", "S1")
+    section = section_vanishing_order(wind, m, a2)
+    pants = transform_object(pants_strip_model(), "L", "S")
+    # the pants factorization written in the winding chart's variables
+    transition = {v: SymPoly.term(1, None, dict(zip(wind.variables, row)))
+                  for v, row in zip(pants.variables, edge_exponents(a2 - a1))}
+    rewritten = replace(
+        pants, variables=wind.variables, potential=pants.potential.substitute(transition),
+        delta={g: {h: c.substitute(transition) for h, c in col.items()}
+               for g, col in pants.delta.items()})
+    x1, y1, _ = wind.variables
+    glue = {"A": {f"C{2*m}": SymPoly.term(-1, None, {x1: a1})},
+            "B": finite_edge_column(x1, y1, m, a2)}
+    piece = mf_dg_piece([rewritten, wind])
+    chain_map = piece.d(piece.morphism(rewritten.name, wind.name, 0, glue)).is_zero()
+    return {"ok": chain_map and section == a2 + m, "chain_map": chain_map,
+            "section_vanishing_order": section}
+
+
 def glue_objects(curve, face_point, windings) -> DivisorLineBundle:
     """Glue the local factorizations of L around a face into a divisor.
 
-    For each finite edge adjacent to the face the section gluing
-    B -> x1^{a2+m} D0 is traced through the cokernel reduction of the exact
-    winding factorization and the vanishing order recorded as the divisor
-    coefficient; for negative windings the coefficient follows from the
-    winding recursion (each extra turn multiplies the section by x1).  The
-    coefficients are Novikov-unit free, hence independent of the immersed
-    area bookkeeping and of how the edge area is split.
+    On each finite edge adjacent to the face with winding m >= 0,
+    ``glue_edge`` at the edge's own a1 and a2 traces the section gluing
+    B -> x1^{a2+m} D0 through the cokernel reduction of the exact winding
+    factorization, whose vanishing order is the divisor coefficient, and
+    checks that the gluing is a chain map; either failure raises
+    ``ValueError``.  An edge with m < 0 is not certified: no winding
+    factorization exists below 0, so its coefficient a2 + m is asserted
+    from the winding recursion (each extra turn multiplies the section by
+    x1), not traced.  The coefficients are Novikov-unit free, hence
+    independent of the immersed area bookkeeping and of how the edge area
+    is split.
     """
     point = tuple(Fraction(str(c)) for c in face_point)
     where = ",".join(str(c) for c in point)
@@ -577,11 +616,13 @@ def glue_objects(curve, face_point, windings) -> DivisorLineBundle:
         m = int(windings[eid])
         a2 = curve.a2(eid)
         if m >= 0:
-            mf = transform_object(winding_strip_model(m, exact=True), "L", "S1")
-            k = section_vanishing_order(mf, m, a2)
+            glued = glue_edge(m, curve.edges[eid].a1, a2)
+            k = glued["section_vanishing_order"]
             if k != a2 + m:
                 raise ValueError(
                     f"traced vanishing order {k} on edge {eid} disagrees with a2+m={a2+m}")
+            if not glued["chain_map"]:
+                raise ValueError(f"gluing on edge {eid} is not a chain map")
         coefficients[eid] = a2 + m
     return DivisorLineBundle(point, coefficients)
 

@@ -535,12 +535,22 @@ def _unimodular_inverse(M):
     return [[det * x for x in row] for row in adj]
 
 
+def edge_exponents(d: int) -> tuple:
+    """The exponent rows of a finite edge's transition, d = a2 - a1.
+
+    The rows are the far chart's edge, y-side and z-side variables over
+    the near chart's: x2 = x1^{-1}, y2 = x1^{d+2} y1, z2 = x1^{-d} z1.
+    ``transition_map`` and ``mf.glue_edge`` both read them here.
+    """
+    return ((-1, 0, 0), (d + 2, 1, 0), (-d, 0, 1))
+
+
 def transition_map(curve, edge_id, exact) -> MonomialMap:
     """Express the far chart's variables in the near chart's variables.
 
     For the stored orientation ends[0] -> ends[1] the map has source the
-    ends[1] chart and target the ends[0] chart: x2 = x1^{-1},
-    y2 = x1^{a2-a1+2} y1, z2 = x1^{a1-a2} z1, with Novikov factors
+    ends[1] chart and target the ends[0] chart, with the rows of
+    ``edge_exponents`` placed through ``curve.pairing`` and Novikov factors
     T^{-A}, T^{A_y}, T^{A-A_y} of the geometric split ``_split_area`` in
     immersed mode.  This is the one builder of a chart map from the
     curve; ``atlas`` holds the exact maps in both orientations.
@@ -549,19 +559,18 @@ def transition_map(curve, edge_id, exact) -> MonomialMap:
     if not e.finite:
         raise ValueError(f"edge {edge_id} is infinite")
     v1, v2 = e.ends
-    d_used = curve.a2(edge_id) - e.a1
     pairs = curve.pairing(edge_id)
-    x1 = curve.var(v1, edge_id)
     if exact:
-        ux = uy = uz = 1
+        units = (1, 1, 1)
     else:
         A, Ay = _split_area(curve, edge_id)
-        ux, uy, uz = T(-A), T(Ay), T(A - Ay)
-    table = {curve.var(v2, edge_id): (ux, {x1: -1})}
+        units = (T(-A), T(Ay), T(A - Ay))
     ay_edge, by_edge, _ = pairs["y"]
     az_edge, bz_edge, _ = pairs["z"]
-    table[curve.var(v2, by_edge)] = (uy, {x1: d_used + 2, curve.var(v1, ay_edge): 1})
-    table[curve.var(v2, bz_edge)] = (uz, {x1: -d_used, curve.var(v1, az_edge): 1})
+    near = [curve.var(v1, eid) for eid in (edge_id, ay_edge, az_edge)]
+    far = [curve.var(v2, eid) for eid in (edge_id, by_edge, bz_edge)]
+    rows = edge_exponents(curve.a2(edge_id) - e.a1)
+    table = {v: (u, dict(zip(near, row))) for v, u, row in zip(far, units, rows)}
     return MonomialMap.build(curve.chart_vars(v2), curve.chart_vars(v1), table)
 
 

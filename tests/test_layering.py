@@ -70,8 +70,8 @@ def module_level_imports(path):
 
 def test_module_level_imports_form_no_cycle():
     graph = {f"tropmirror.{p.stem}": module_level_imports(p) for p in PACKAGE.glob("*.py")}
-    # mf imports dgcat at module level; dgcat imports mf only inside
-    # gluemf_triple, which a walker that counted it would report as a cycle
+    # mf imports dgcat at module level, so an import of mf anywhere in
+    # dgcat would close a cycle (test_dgcat_imports_no_higher_layer)
     assert "tropmirror.dgcat" in graph["tropmirror.mf"]
     done, path = set(), []
 
@@ -89,6 +89,13 @@ def test_module_level_imports_form_no_cycle():
 
     for module in sorted(graph):
         visit(module)
+
+
+def test_dgcat_imports_no_higher_layer():
+    # dgcat is the Appendix A layer: factorizations, curves and the CLI build
+    # on it, never the reverse, not even inside a function body
+    higher = {f"tropmirror.{name}" for name in ("mf", "tropical", "cli")}
+    assert not imported_modules(PACKAGE / "dgcat.py") & higher
 
 
 def defaulted_parameters(path):

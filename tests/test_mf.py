@@ -210,6 +210,26 @@ class TestGlueObjects:
         with pytest.raises(ValueError, match="traced vanishing order 2 on edge e"):
             mf.glue_objects(curve, face, {"e": 1})
 
+    def test_negated_column_is_not_a_chain_map(self, monkeypatch):
+        # negating B's column keeps the traced section, so only the chain
+        # map of glue_edge can refuse it
+        curve = conifold_curve(2)
+        face = face_with_edge(curve, "e")
+        column = mf.finite_edge_column
+        monkeypatch.setattr(mf, "finite_edge_column",
+                            lambda x, y, m, a2: {g: -c for g, c in column(x, y, m, a2).items()})
+        with pytest.raises(ValueError, match="gluing on edge e is not a chain map"):
+            mf.glue_objects(curve, face, {"e": 1})
+
+    @pytest.mark.parametrize("name", ["kp2", "toriccyeg"])
+    def test_every_bounded_face_glues(self, name):
+        curve = load_curve(name)
+        for face in curve.bounded_faces():
+            finite = {eid for _, eid in curve.faces()[face] if curve.edges[eid].finite}
+            for m in (0, 1, 2):
+                bundle = mf.glue_objects(curve, face, dict.fromkeys(finite, m))
+                assert bundle.coefficients == {eid: curve.a2(eid) + m for eid in finite}
+
 
 class TestTransformMorphism:
     def test_endomorphism_table(self):
