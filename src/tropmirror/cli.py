@@ -588,12 +588,10 @@ def _suite_functor(cfg) -> dict:
     conifold's finite edge."""
     curve = tropical.conifold_curve(2)
     charts, certificate = tropical.covering_collection(curve, tropical.atlas(curve))
-    if not certificate.get("ok", False):
-        raise ValueError(f"covering certificate failed: {certificate}")
     yoneda = dgcat.yoneda_equivalence_check("two_pants", arity_bound=cfg.arity)
     equation = dgcat.functor_equation_check("two_pants", cfg.arity)
     glued = mf.glue_edge(0, curve.edges["e"].a1, curve.a2("e"))
-    return {"ok": (all(v["ok"] for v in yoneda["identities"].values())
+    return {"ok": (certificate["ok"] and all(v["ok"] for v in yoneda["identities"].values())
                    and equation["ok"] and glued["ok"]),
             "certificate": certificate["ok"],
             "charts": [c.label for c in charts],

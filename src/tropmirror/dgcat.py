@@ -31,10 +31,11 @@ report them.
 
 Every dg category here -- a finite ``DgPiece``, the Yoneda complexes of a
 local model (``YonedaPiece``) and a ``HomotopyFiberProduct`` -- offers the
-same operations ``d``, ``compose``, ``add``, ``scale`` and ``zero``, so the
-one A.1 construction supplies m1 and m2 everywhere: to the Yoneda
-complexes in M1/M2 of A.3, and to the fiber product of Yoneda complexes,
-where the Prop 13.2 functor equation is checked with A.1's m1 and m2.
+same operations ``d``, ``compose``, ``combine`` (a signed sum of composites
+in one pass), ``add``, ``scale`` and ``zero``, so the one A.1 construction
+supplies m1 and m2 everywhere: to the Yoneda complexes in M1/M2 of A.3, and
+to the fiber product of Yoneda complexes, where the Prop 13.2 functor
+equation is checked with A.1's m1 and m2.
 Matrix factorizations form a ``DgPiece`` too (``mf_dg_piece``): the
 morphisms ``mf.transform_morphism`` builds are its ``DgMorphism``s, so the
 Section 10.2 chain-map and composition checks and the signs of the
@@ -121,8 +122,7 @@ class DgPiece:
     Morphism composition is ordinary matrix composition; the differential of
     a morphism is d(f) = d_N o f - (-1)^{|f|} f o d_M.  With ``mod2`` the
     grading (and all degree signs) are taken modulo 2, which is the matrix
-    factorization case.  ``YonedaPiece`` and ``HomotopyFiberProduct`` offer
-    the same ``d``/``compose``/``add``/``scale``/``zero``.
+    factorization case.  ``compose``, ``d`` and ``add`` are all ``combine``.
     """
 
     def __init__(self, name: str, modules: dict, mod2: bool = False):
@@ -154,53 +154,46 @@ class DgPiece:
         return DgMorphism(src, tgt, self._deg(degree), {})
 
     def identity(self, obj: str) -> DgMorphism:
-        labels = self.modules[obj].labels()
-        return DgMorphism(obj, obj, 0, {g: {g: SymPoly.scalar(1)} for g in labels})
+        one = SymPoly.scalar(1)
+        return DgMorphism(obj, obj, 0, {g: {g: one} for g in self.modules[obj].labels()})
 
     def add(self, f: DgMorphism, *rest: DgMorphism) -> DgMorphism:
-        entries = {g: dict(col) for g, col in f.entries.items()}
-        for g in rest:
-            if (g.src, g.tgt, g.degree) != (f.src, f.tgt, f.degree):
-                raise ValueError("morphism sum shape mismatch")
-            for src_label, col in g.entries.items():
-                out = entries.setdefault(src_label, {})
-                for h, c in col.items():
-                    out[h] = out[h] + c if h in out else c
-        entries = {g: {h: c for h, c in col.items() if not c.is_zero()}
-                   for g, col in entries.items()}
-        return DgMorphism(f.src, f.tgt, f.degree, {g: col for g, col in entries.items() if col})
+        return self.combine((1, self.identity(f.tgt), g) for g in (f,) + rest)
 
     def scale(self, f: DgMorphism, c) -> DgMorphism:
         """c * f for an exact rational c."""
-        # converted once, then multiplied through SymPoly.scale entry by entry
-        c = c if isinstance(c, Fraction) else Fraction(c)
         entries = {g: {h: v.scale(c) for h, v in col.items()} for g, col in f.entries.items()}
         return DgMorphism(f.src, f.tgt, f.degree, entries)
 
+    def combine(self, terms) -> DgMorphism:
+        """sum sign * (g o f) over the (sign, g, f) of ``terms``, sign 1 or -1,
+        with one ``SymPoly.sum_of_products`` per entry; all terms need one shape."""
+        terms = tuple(terms)
+        shape = _one_shape(self, terms)
+        products: dict = {}
+        for sign, g, f in terms:
+            for a, col in f.entries.items():
+                for b, c in col.items():
+                    for h, e in g.entries.get(b, {}).items():
+                        products.setdefault((a, h), []).append((sign, c, e))
+        entries: dict = {}
+        for (a, h), triples in products.items():
+            if (v := SymPoly.sum_of_products(triples)).terms:
+                entries.setdefault(a, {})[h] = v
+        return DgMorphism(*shape, entries)
+
     def compose(self, g: DgMorphism, f: DgMorphism) -> DgMorphism:
         """g after f (plain dg composition, no sign)."""
-        if f.tgt != g.src:
-            raise ValueError(f"not composable: {f.src}->{f.tgt} then {g.src}->{g.tgt}")
-        entries: dict = {}
-        for a, col in f.entries.items():
-            products: dict = {}
-            for b, c in col.items():
-                for h, d in g.entries.get(b, {}).items():
-                    products.setdefault(h, []).append((c, d))
-            out = {h: v for h, pairs in products.items()
-                   if not (v := SymPoly.sum_of_products(pairs)).is_zero()}
-            if out:
-                entries[a] = out
-        return DgMorphism(f.src, g.tgt, self._deg(f.degree + g.degree), entries)
+        return self.combine(((1, g, f),))
 
-    def _d_morphism(self, obj: str) -> DgMorphism:
+    def object_d(self, obj: str) -> DgMorphism:
+        """The module differential of ``obj`` as a degree-1 endomorphism."""
         return DgMorphism(obj, obj, 1, self.modules[obj].d)
 
     def d(self, f: DgMorphism) -> DgMorphism:
         """d(f) = d_tgt o f - (-1)^{|f|} f o d_src."""
-        left = self.compose(self._d_morphism(f.tgt), f)
-        right = self.compose(f, self._d_morphism(f.src))
-        return self.add(left, self.scale(right, -sign_pow(f.degree)))
+        return self.combine(((1, self.object_d(f.tgt), f),
+                             (-sign_pow(f.degree), f, self.object_d(f.src))))
 
     def equal(self, f: DgMorphism, g: DgMorphism) -> bool:
         """f == g, read off the two entry tables without subtracting.
@@ -235,6 +228,17 @@ class DgPiece:
             if not self.d(ida).is_zero():
                 failures.append(("identity not closed", a))
         return {"ok": not failures, "failures": failures}
+
+
+def _one_shape(piece, terms) -> tuple:
+    """The (src, tgt, degree) of every g o f over the (sign, g, f) of ``terms``."""
+    _, g, f = terms[0]
+    shape = (f.src, g.tgt, piece._deg(f.degree + g.degree))
+    for _, g, f in terms:
+        if f.tgt != g.src or (f.src, g.tgt, piece._deg(f.degree + g.degree)) != shape:
+            ends = [(f.src, f.tgt, g.src, g.tgt) for _, g, f in terms]
+            raise ValueError(f"not one shape of composites: {ends}")
+    return shape
 
 
 def _nonzero_table(f: DgMorphism) -> dict:
@@ -459,24 +463,26 @@ class HomotopyFiberProduct:
 
     def d(self, m: FiberProductMorphism) -> FiberProductMorphism:
         """d(mu, nu, gamma) = (d mu, d nu, -d gamma - phi_2 G(mu) + L(nu) phi_1)."""
-        third = self.D.add(
-            self.D.scale(self.D.d(m.gamma), -1),
-            self.D.scale(self.D.compose(m.tgt.phi, self.G(m.mu)), -1),
-            self.D.compose(self.L(m.nu), m.src.phi))
+        third = self.D.combine(((-1, self.D.object_d(m.gamma.tgt), m.gamma),
+                                (sign_pow(m.gamma.degree), m.gamma, self.D.object_d(m.gamma.src)),
+                                (-1, m.tgt.phi, self.G(m.mu)), (1, self.L(m.nu), m.src.phi)))
         return self.morphism(m.src, m.tgt, self.B.d(m.mu), self.C.d(m.nu),
                              third, m.degree + 1)
 
-    def compose(self, m2: FiberProductMorphism, m1: FiberProductMorphism) -> FiberProductMorphism:
-        """(mu', nu', gamma') o (mu, nu, gamma) with the (-1)^{i'} twist."""
-        if m1.tgt is not m2.src and (m1.tgt.M, m1.tgt.N) != (m2.src.M, m2.src.N):
-            raise ValueError("morphisms not composable")
-        gamma = self.D.add(
-            self.D.compose(m2.gamma, self.G(m1.mu)),
-            self.D.scale(self.D.compose(self.L(m2.nu), m1.gamma), sign_pow(m2.degree)),
-        )
-        return self.morphism(m1.src, m2.tgt, self.B.compose(m2.mu, m1.mu),
-                             self.C.compose(m2.nu, m1.nu), gamma,
+    def combine(self, terms) -> FiberProductMorphism:
+        """sum sign * (b o a) over the (sign, b, a) of ``terms``, one ``combine`` per
+        component: b o a = (mu_b mu_a, nu_b nu_a, gamma_b G(mu_a) + (-1)^{|b|} L(nu_b) gamma_a)."""
+        terms = tuple(terms)
+        gamma = self.D.combine(t for s, b, a in terms for t in (
+            (s, b.gamma, self.G(a.mu)), (s * sign_pow(b.degree), self.L(b.nu), a.gamma)))
+        _, m2, m1 = terms[0]
+        return self.morphism(m1.src, m2.tgt, self.B.combine((s, b.mu, a.mu) for s, b, a in terms),
+                             self.C.combine((s, b.nu, a.nu) for s, b, a in terms), gamma,
                              m1.degree + m2.degree)
+
+    def compose(self, m2: FiberProductMorphism, m1: FiberProductMorphism) -> FiberProductMorphism:
+        """m2 o m1, with the (-1)^{i'} twist of ``combine``."""
+        return self.combine(((1, m2, m1),))
 
     def equal(self, a: FiberProductMorphism, b: FiberProductMorphism) -> bool:
         """a == b, compared component by component with the pieces' ``equal``
@@ -533,24 +539,27 @@ def random_dg_morphism(rng: random.Random, piece: DgPiece, src: str, tgt: str,
     return DgMorphism(src, tgt, piece._deg(degree), entries)
 
 
-def _random_conjugators(rng: random.Random, piece: DgPiece) -> dict:
-    """Closed invertible degree-0 scalar conjugators on every object."""
-    units = {}
+def _conjugator_scalars(rng: random.Random, piece: DgPiece) -> dict:
+    """{object: {basis label: int}}, one draw per matched index (so u commutes with d)."""
+    draws = {}
     for obj, mod in piece.modules.items():
-        entries, inv_entries = {}, {}
-        # one scalar per matched index so the conjugator commutes with d
         by_index: dict = {}
         for g, _ in mod.basis:
-            idx = g[len(obj) + 1:]
-            if idx not in by_index:
-                by_index[idx] = Fraction(rng.choice([1, 2, 3, -1, -2]))
-            c = by_index[idx]
-            entries[g] = {g: SymPoly.scalar(c)}
-            inv_entries[g] = {g: SymPoly.scalar(1 / c)}
-        u = DgMorphism(obj, obj, 0, entries)
-        u_inv = DgMorphism(obj, obj, 0, inv_entries)
-        units[obj] = (u, u_inv)
-    return units
+            if (idx := g[len(obj) + 1:]) not in by_index:
+                by_index[idx] = rng.choice([1, 2, 3, -1, -2])
+        draws[obj] = {g: by_index[g[len(obj) + 1:]] for g, _ in mod.basis}
+    return draws
+
+
+def _conjugator(obj: str, scalars: dict) -> tuple:
+    """The closed invertible scalar diagonal (u, u^{-1}) on ``obj``."""
+    return tuple(DgMorphism(obj, obj, 0, {g: {g: SymPoly.scalar(c)} for g, c in diag.items()})
+                 for diag in (scalars, {g: Fraction(1, c) for g, c in scalars.items()}))
+
+
+def _random_conjugators(rng: random.Random, piece: DgPiece) -> dict:
+    """Closed invertible degree-0 scalar conjugators on every object."""
+    return {obj: _conjugator(obj, s) for obj, s in _conjugator_scalars(rng, piece).items()}
 
 
 def random_hfp_instance(seed: int):
@@ -564,12 +573,10 @@ def random_hfp_instance(seed: int):
     G = identity_functor(D)
     L = conjugation_functor(D, _random_conjugators(rng, D))
     hfp = HomotopyFiberProduct(D, D, D, G, L)
-    objs = []
     names = sorted(D.modules)
-    for obj in names:
-        # phi = closed invertible scalar diagonal (checked by the builder)
-        u, u_inv = _random_conjugators(rng, D)[obj]
-        objs.append(hfp.object(obj, obj, u, u_inv))
+    # phi at obj (certified by hfp.object): drawn for every object, built for obj
+    objs = [hfp.object(obj, obj, *_conjugator(obj, _conjugator_scalars(rng, D)[obj]))
+            for obj in names]
     mors = []
     for a, b in ((0, 1), (1, 2), (2, 0)):
         deg = rng.choice([0, 1])
@@ -597,8 +604,7 @@ def hfp_axiom_check(seed: int) -> dict:
             ("m2m1", m2, d2, m1, d1, m21), ("m3m2", m3, d3, m2, d2, m32),
             ("m1m3", m1, d1, m3, d3, hfp.compose(m1, m3))):
         lhs = hfp.d(product)
-        rhs = hfp.add(hfp.compose(d_hi, lo),
-                      hfp.scale(hfp.compose(hi, d_lo), sign_pow(hi.degree)))
+        rhs = hfp.combine(((1, d_hi, lo), (sign_pow(hi.degree), hi, d_lo)))
         if not hfp.equal(lhs, rhs):
             failures.append(f"leibniz({tag})")
     if not hfp.equal(hfp.compose(m32, m1), hfp.compose(m3, m21)):
@@ -694,11 +700,9 @@ class ModelOps:
     built once per element; a plain dict has no slots and raises
     ``AttributeError``.  ``m`` is memoized per instance, so a memo lives as
     long as one model, one coordinate change and the check that holds them.
-    Its key holds each input's ``_element_key``: a sorted tuple of
-    (generator, sorted terms), each term its ``(AreaExp, mono)`` key with
-    the scalar's numerator and denominator, so equal inputs share an entry
-    whatever their insertion order and no ``Fraction`` is hashed.  ``m``
-    returns the memoized element itself, which cannot be mutated.  There is
+    Its key holds each input's ``_element_key``, so equal inputs share an
+    entry whatever their insertion order.  ``m`` returns the memoized
+    element itself, which cannot be mutated.  There is
     no m0 here: the curvature of an object is ``AInfLocalModel.weak_mc_check``'s.
     """
 
@@ -890,15 +894,15 @@ class YonedaPiece:
     def zero(self, src, tgt, degree) -> HomMap:
         return HomMap(src, tgt, degree % 2, lambda el: _Element())
 
-    def add(self, f: HomMap, *rest: HomMap) -> HomMap:
-        maps = (f,) + rest
-        for g in rest:
-            if (g.src, g.tgt, g.degree) != (f.src, f.tgt, f.degree):
-                raise ValueError(f"map sum shape mismatch: {(g.src, g.tgt, g.degree)} "
-                                 f"vs {(f.src, f.tgt, f.degree)}")
+    def combine(self, terms) -> HomMap:
+        """``DgPiece.combine`` with one ``ModelOps.combine`` per element."""
+        terms = tuple(terms)
+        return HomMap(*_one_shape(self, terms),
+                      lambda el: self.ops.combine([(s, g(f(el))) for s, g, f in terms]))
 
-        return HomMap(f.src, f.tgt, f.degree,
-                      lambda el: self.ops.combine([(1, m(el)) for m in maps]))
+    def add(self, f: HomMap, *rest: HomMap) -> HomMap:
+        ident = HomMap(f.tgt, f.tgt, 0, lambda el: el)
+        return self.combine((1, ident, m) for m in (f,) + rest)
 
     def scale(self, f: HomMap, coeff) -> HomMap:
         """coeff * f for coeff = 1 or -1, the only scalars the A.1 and A.2 signs give."""
@@ -914,12 +918,11 @@ class YonedaPiece:
             raise ValueError(f"maps not composable: {f.tgt} then {g.src}")
         return HomMap(f.src, g.tgt, (f.degree + g.degree) % 2, lambda el: g(f(el)))
 
-    def d(self, f: HomMap) -> HomMap:
-        ops = self.ops
-        s = sign_pow(f.degree)
+    def object_d(self, obj) -> HomMap:
+        """el -> -m1(el), the differential of the complex ``obj``."""
+        return HomMap(obj, obj, 1, lambda el: self.ops.negate(self.ops.m([el])))
 
-        return HomMap(f.src, f.tgt, (f.degree + 1) % 2,
-                      lambda el: ops.combine([(-1, ops.m([f(el)])), (s, f(ops.m([el])))]))
+    d = DgPiece.d  # the same formula, with object_d = -m1
 
 
 class YonedaFunctor:

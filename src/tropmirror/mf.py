@@ -565,9 +565,14 @@ def glue_edge(m: int, a1: int, a2: int) -> dict:
     chain map forces only the sign of B's column relative to A's (the
     negated map is a chain map too); that sign is the -1 on B.
     """
-    wind = transform_object(winding_strip_model(m, exact=True), "L", "S1")
+    return _glue_edge(transform_object(pants_strip_model(), "L", "S"),
+                      transform_object(winding_strip_model(m, exact=True), "L", "S1"),
+                      m, a1, a2)
+
+
+def _glue_edge(pants, wind, m: int, a1: int, a2: int) -> dict:
+    """``glue_edge`` with the pants and winding-m factorizations given."""
     section = section_vanishing_order(wind, m, a2)
-    pants = transform_object(pants_strip_model(), "L", "S")
     # the pants factorization written in the winding chart's variables
     transition = {v: SymPoly.term(1, None, dict(zip(wind.variables, row)))
                   for v, row in zip(pants.variables, edge_exponents(a2 - a1))}
@@ -611,12 +616,16 @@ def glue_objects(curve, face_point, windings) -> DivisorLineBundle:
                for eid in finite if eid not in windings]
     if errors:
         raise ValueError("; ".join(errors))
+    # each distinct factorization is built once, for every edge that uses it
+    winds = {m: transform_object(winding_strip_model(m, exact=True), "L", "S1")
+             for m in {int(windings[eid]) for eid in finite} if m >= 0}
+    pants = transform_object(pants_strip_model(), "L", "S") if winds else None
     coefficients = {}
     for eid in finite:
         m = int(windings[eid])
         a2 = curve.a2(eid)
         if m >= 0:
-            glued = glue_edge(m, curve.edges[eid].a1, a2)
+            glued = _glue_edge(pants, winds[m], m, curve.edges[eid].a1, a2)
             k = glued["section_vanishing_order"]
             if k != a2 + m:
                 raise ValueError(

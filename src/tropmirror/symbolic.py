@@ -7,14 +7,14 @@ rational scalar.  This module provides that coefficient arithmetic plus
 monomial substitution and instantiation of the areas at exact rationals
 (a numeric area is a constant :class:`AreaExp`).
 
-Every ``SymPoly`` keeps its term dict in canonical form: each key is an
-``(AreaExp, mono)`` pair whose ``AreaExp`` lists its nonzero coefficients
-sorted by symbol and whose ``mono`` is a sorted tuple of ``(variable,
-nonzero int exponent)``; every scalar is a nonzero ``Fraction``.  Equal
-polynomials therefore have equal term dicts.  The constructors and the
-arithmetic below build dicts that already satisfy this form and hand them to
-the private ``SymPoly._of_clean``, which stores them unchecked.  Nothing
-outside this module may call it.
+Every rational is in the normal form ``_frac`` returns: an ``int`` when
+integral, otherwise a ``Fraction``, never a float.  A ``SymPoly``'s term dict
+is canonical: each key is an ``(AreaExp, mono)`` pair whose ``AreaExp`` lists
+its nonzero coefficients sorted by symbol and whose ``mono`` is a sorted tuple
+of ``(variable, nonzero int exponent)``; every scalar is nonzero.  Equal
+polynomials therefore have equal term dicts.  The arithmetic below builds such
+dicts and hands them to the private ``SymPoly._of_clean``, which stores them
+unchecked.  Nothing outside this module may call it.
 
 No ``SymPoly`` or ``AreaExp`` is mutated after construction: every
 operation returns a new value (or one of its operands unchanged), and the
@@ -30,22 +30,22 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 
-def _frac(x) -> Fraction:
-    if isinstance(x, Fraction):
+def _frac(x):
+    """``x`` in normal form: an ``int`` when integral, otherwise a ``Fraction``."""
+    if type(x) is int:
         return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
-        return Fraction(x)
-    raise TypeError(f"not an exact rational: {x!r}")
+    if not isinstance(x, (int, str, Fraction)):
+        raise TypeError(f"not an exact rational: {x!r}")
+    x = x if isinstance(x, Fraction) else Fraction(x)
+    return x.numerator if x.denominator == 1 else x
 
 
 @dataclass(frozen=True)
 class AreaExp:
-    """Linear form const + sum coeff_i * symbol_i with Fraction coefficients."""
+    """Linear form const + sum coeff_i * symbol_i with rational coefficients."""
 
-    coeffs: tuple  # sorted tuple of (symbol, Fraction), nonzero coefficients only
-    const: Fraction = Fraction(0)
+    coeffs: tuple  # sorted tuple of (symbol, rational), nonzero coefficients only
+    const: int | Fraction = 0
     _hash = None  # not a field: set by the first __hash__
 
     @staticmethod
@@ -68,9 +68,6 @@ class AreaExp:
         c = _frac(c)
         return AreaExp((), c) if c else _ZERO_AREA
 
-    def as_dict(self) -> dict:
-        return dict(self.coeffs)
-
     def __hash__(self) -> int:
         # computed on first use: AreaExps are hashed as dict keys far more
         # often than they are built
@@ -92,9 +89,9 @@ class AreaExp:
             return self
         if not self.coeffs and not self.const:
             return other
-        acc = self.as_dict()
+        acc = dict(self.coeffs)
         for sym, c in other.coeffs:
-            acc[sym] = acc.get(sym, Fraction(0)) + c
+            acc[sym] = acc.get(sym, 0) + c
         return AreaExp.of(acc, self.const + other.const)
 
     def __neg__(self) -> "AreaExp":
@@ -109,7 +106,7 @@ class AreaExp:
         k = _frac(k)
         if not k:
             return _ZERO_AREA
-        return AreaExp(tuple((s, c * k) for s, c in self.coeffs), self.const * k)
+        return AreaExp(tuple((s, _frac(c * k)) for s, c in self.coeffs), _frac(self.const * k))
 
     def is_zero(self) -> bool:
         return not self.coeffs and not self.const
@@ -124,7 +121,7 @@ class AreaExp:
                 out = out + AreaExp.sym(sym).scale(c)
         return out
 
-    def evaluate(self, assignment: dict) -> Fraction:
+    def evaluate(self, assignment: dict):
         total = self.const
         for sym, c in self.coeffs:
             total += c * _frac(assignment[sym])
@@ -143,7 +140,7 @@ class AreaExp:
 
 
 # the area of every constant term; its hash is computed here, once
-_ZERO_AREA = AreaExp((), Fraction(0))
+_ZERO_AREA = AreaExp((), 0)
 hash(_ZERO_AREA)
 
 
@@ -187,11 +184,12 @@ class SymPoly:
         return SymPoly.term(1, None, {name: power})
 
     @staticmethod
-    def sum_of_products(pairs) -> "SymPoly":
-        """sum p * q over the (p, q) of ``pairs``, with one term dict for all."""
+    def sum_of_products(terms) -> "SymPoly":
+        """sum sign * p * q over the (sign, p, q) of ``terms``, sign 1 or -1."""
         acc: dict = {}
-        for p, q in pairs:
+        for sign, p, q in terms:
             for (a1, m1), s1 in p.terms.items():
+                s1 = s1 if sign > 0 else -s1
                 for (a2, m2), s2 in q.terms.items():
                     if not m2:
                         mono = m1
@@ -205,7 +203,7 @@ class SymPoly:
                     key = (a1 + a2, mono)
                     old = acc.get(key)
                     acc[key] = s1 * s2 if old is None else old + s1 * s2
-        return SymPoly._of_clean({k: s for k, s in acc.items() if s})
+        return SymPoly._of_clean({k: _frac(s) for k, s in acc.items() if s})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -231,7 +229,7 @@ class SymPoly:
             if old is None:
                 out[key] = scalar
             elif total := old + scalar:
-                out[key] = total
+                out[key] = _frac(total)
             else:
                 del out[key]
         return SymPoly._of_clean(out)
@@ -253,12 +251,12 @@ class SymPoly:
             return -self
         if not k:
             return SymPoly()
-        return SymPoly._of_clean({key: s * k for key, s in self.terms.items()})
+        return SymPoly._of_clean({key: _frac(s * k) for key, s in self.terms.items()})
 
     def __mul__(self, other) -> "SymPoly":
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
-        return SymPoly.sum_of_products(((self, _as_sym(other)),))
+        return SymPoly.sum_of_products(((1, self, _as_sym(other)),))
 
     __rmul__ = __mul__
 
@@ -284,19 +282,18 @@ class SymPoly:
     # -- structure ----------------------------------------------------------
 
     def normalize(self, substitutions: dict) -> "SymPoly":
-        out = {}
-        for (area, mono), scalar in self.terms.items():
-            key = (area.normalize(substitutions), mono)
-            out[key] = out.get(key, Fraction(0)) + scalar
-        return SymPoly._of_clean({k: s for k, s in out.items() if s})
+        return self._map_areas(lambda area: area.normalize(substitutions))
 
     def instantiate(self, assignment: dict) -> "SymPoly":
         """Evaluate every area at the exact rationals of ``assignment``."""
+        return self._map_areas(lambda area: AreaExp.constant(area.evaluate(assignment)))
+
+    def _map_areas(self, image) -> "SymPoly":
         out = {}
         for (area, mono), scalar in self.terms.items():
-            key = (AreaExp.constant(area.evaluate(assignment)), mono)
-            out[key] = out.get(key, Fraction(0)) + scalar
-        return SymPoly._of_clean({k: s for k, s in out.items() if s})
+            key = (image(area), mono)
+            out[key] = out.get(key, 0) + scalar
+        return SymPoly._of_clean({k: _frac(s) for k, s in out.items() if s})
 
     def substitute(self, images: dict) -> "SymPoly":
         """Replace variables by monomial SymPolys (unbound variables stay)."""

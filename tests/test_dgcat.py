@@ -138,7 +138,78 @@ class TestDgPieces:
             dgcat.mf_dg_piece([mf1, mf2])
 
 
+def added_d(hfp, m):
+    """The fiber-product differential as a sum of separately built composites."""
+    third = hfp.D.add(
+        hfp.D.scale(hfp.D.d(m.gamma), -1),
+        hfp.D.scale(hfp.D.compose(m.tgt.phi, hfp.G(m.mu)), -1),
+        hfp.D.compose(hfp.L(m.nu), m.src.phi))
+    return hfp.morphism(m.src, m.tgt, hfp.B.d(m.mu), hfp.C.d(m.nu), third, m.degree + 1)
+
+
+def added_compose(hfp, m2, m1):
+    """The fiber-product composition as a sum of separately built composites."""
+    gamma = hfp.D.add(
+        hfp.D.compose(m2.gamma, hfp.G(m1.mu)),
+        hfp.D.scale(hfp.D.compose(hfp.L(m2.nu), m1.gamma), sign_pow(m2.degree)))
+    return hfp.morphism(m1.src, m2.tgt, hfp.B.compose(m2.mu, m1.mu),
+                        hfp.C.compose(m2.nu, m1.nu), gamma, m1.degree + m2.degree)
+
+
+def listed_conjugators(rng, piece):
+    """Each object's (u, u^{-1}) as drawn and built one object after another."""
+    units = {}
+    for obj, mod in piece.modules.items():
+        entries, inv_entries, by_index = {}, {}, {}
+        for g, _ in mod.basis:
+            idx = g[len(obj) + 1:]
+            if idx not in by_index:
+                by_index[idx] = Fraction(rng.choice([1, 2, 3, -1, -2]))
+            entries[g] = {g: SymPoly.scalar(by_index[idx])}
+            inv_entries[g] = {g: SymPoly.scalar(1 / by_index[idx])}
+        units[obj] = (dgcat.DgMorphism(obj, obj, 0, entries),
+                      dgcat.DgMorphism(obj, obj, 0, inv_entries))
+    return units
+
+
 class TestHomotopyFiberProduct:
+    def test_combined_d_and_compose_match_the_added_formulas(self):
+        for seed in range(25):
+            hfp, _, mors = dgcat.random_hfp_instance(seed)
+            for m in mors:
+                assert hfp.equal(hfp.d(m), added_d(hfp, m))
+                assert hfp.equal(hfp.d(hfp.d(m)), added_d(hfp, added_d(hfp, m)))
+            for m2, m1 in ((mors[1], mors[0]), (mors[2], mors[1]), (mors[0], mors[2])):
+                product = hfp.compose(m2, m1)
+                assert hfp.equal(product, added_compose(hfp, m2, m1))
+                assert hfp.equal(hfp.d(product), added_d(hfp, product))
+                # a signed sum of two composites (a Leibniz right side) in one pass
+                terms = ((1, hfp.d(m2), m1), (-1, m2, hfp.d(m1)))
+                added = hfp.add(*(hfp.scale(added_compose(hfp, b, a), s) for s, b, a in terms))
+                assert hfp.equal(hfp.combine(terms), added)
+
+    def test_instances_keep_the_listed_conjugator_draws(self, monkeypatch):
+        seen = []
+        functor = dgcat.conjugation_functor
+        monkeypatch.setattr(dgcat, "conjugation_functor",
+                            lambda piece, units: seen.append(units) or functor(piece, units))
+        for seed in range(25):
+            hfp, objs, mors = dgcat.random_hfp_instance(seed)
+            rng = random.Random(seed)
+            D = dgcat.random_dg_piece(rng, "D", objects=3)
+            units = listed_conjugators(rng, D)
+            phis = [listed_conjugators(rng, D)[obj] for obj in sorted(D.modules)]
+            for obj, (u, u_inv) in units.items():
+                assert seen[-1][obj][0].entries == u.entries
+                assert seen[-1][obj][1].entries == u_inv.entries
+            for obj, (phi, _) in zip(objs, phis):
+                assert obj.phi.entries == phi.entries
+            # the morphisms come next in the same stream
+            deg = rng.choice([0, 1])
+            assert mors[0].degree == deg
+            assert mors[0].mu.entries == dgcat.random_dg_morphism(
+                rng, D, objs[0].M, objs[1].M, deg).entries
+
     # acceptance: axioms on >= 200 seeded random small instances
     @pytest.mark.parametrize("block", range(8))
     def test_axioms_on_random_instances(self, block):
@@ -522,6 +593,18 @@ class TestGlobalFunctor:
         assert report["chain_map"]
         assert report["section_vanishing_order"] == a2 + m
         assert report["ok"]
+
+    def test_failed_certificate_is_reported(self, monkeypatch):
+        search = cli.tropical.covering_collection
+
+        def failing(curve, atlas):
+            charts, certificate = search(curve, atlas)
+            return charts, {**certificate, "ok": False}
+
+        monkeypatch.setattr(cli.tropical, "covering_collection", failing)
+        report = cli.SUITES["functor"](cli.RunConfig("verify"))
+        assert report["certificate"] is False and report["ok"] is False
+        assert not report["failures"] and report["mf_triple"]
 
     def test_one_chart_degenerates_to_local_functor(self):
         report = dgcat.one_chart_degenerate_check()

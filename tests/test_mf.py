@@ -191,6 +191,20 @@ class TestGlueObjects:
         bundle = mf.glue_objects(curve, face, windings)
         assert bundle.coefficients == {e: 3 * k for e in ("e01", "e02", "e12")}
 
+    def test_each_distinct_factorization_is_built_once(self, monkeypatch):
+        built = []
+        transform = mf.transform_object
+        monkeypatch.setattr(mf, "transform_object",
+                            lambda *args: built.append(args[1:]) or transform(*args))
+        curve = load_curve("kp2")
+        face = next(iter(curve.bounded_faces()))
+        bundle = mf.glue_objects(curve, face, dict.fromkeys(("e01", "e02", "e12"), 2))
+        assert bundle.coefficients == {e: curve.a2(e) + 2 for e in ("e01", "e02", "e12")}
+        assert sorted(built) == [("L", "S"), ("L", "S1")]
+        built.clear()
+        mf.glue_objects(curve, face, {"e01": 0, "e02": 2, "e12": -1})
+        assert sorted(built) == [("L", "S"), ("L", "S1"), ("L", "S1")]
+
     def test_chart_mismatch_detected(self, monkeypatch):
         curve = conifold_curve(2)
         face = face_with_edge(curve, "e")

@@ -9,7 +9,8 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tropmirror.dgcat import DgMorphism, random_dg_morphism, random_dg_piece
+from tropmirror.dgcat import DgMorphism, _random_conjugators, random_dg_morphism, random_dg_piece
+from tropmirror.signs import sign_pow
 from tropmirror.symbolic import AreaExp, SymPoly
 
 ZERO = SymPoly.zero()
@@ -31,13 +32,19 @@ def polys(max_terms=5):
         lambda terms: sum((SymPoly.term(*t) for t in terms), ZERO))
 
 
+def is_normal(x) -> bool:
+    """A rational in normal form: an ``int``, or a ``Fraction`` that is not
+    integral; never a float."""
+    return type(x) is int or (type(x) is Fraction and x.denominator != 1)
+
+
 def assert_canonical(p: SymPoly):
-    """The invariant the kernel keeps: canonical keys, nonzero Fraction scalars."""
+    """The invariant the kernel keeps: canonical keys, nonzero normal scalars."""
     for (area, mono), scalar in p.terms.items():
-        assert type(scalar) is Fraction and scalar != 0
+        assert is_normal(scalar) and scalar != 0
         assert area.coeffs == tuple(sorted(area.coeffs))
-        assert all(type(c) is Fraction and c for _, c in area.coeffs)
-        assert type(area.const) is Fraction
+        assert all(is_normal(c) and c for _, c in area.coeffs)
+        assert is_normal(area.const)
         assert mono == tuple(sorted(mono))
         assert all(type(e) is int and e for _, e in mono)
 
@@ -84,9 +91,48 @@ def test_ring_operations_reject_strings():
 @given(polys(), polys(), fractions, st.dictionaries(st.sampled_from(["x", "y"]), monomials))
 @settings(max_examples=100, deadline=None)
 def test_every_operation_keeps_the_invariant(a, b, k, images):
+    mixed = SymPoly.sum_of_products([(1, a, b), (-1, b, a), (1, a, a)])
     for result in (a + b, a - b, -a, a * b, a.scale(k), k * a, a * k,
-                   a.substitute(images), SymPoly.sum_of_products([(a, b), (b, a)])):
+                   a.substitute(images), SymPoly.sum_of_products([(1, a, b), (1, b, a)]), mixed):
         assert_canonical(result)
+    assert mixed == a * a
+
+
+def test_integral_results_come_back_as_ints():
+    half, two = SymPoly.scalar(Fraction(1, 2)), SymPoly.scalar(2)
+    for p in (half.scale(2), half * 2, half + half, half * two,
+              SymPoly.sum_of_products([(1, half, two * two), (-1, half, two)]),
+              SymPoly.term(Fraction(3, 1), AreaExp.of({"a": Fraction(4, 2)}, Fraction(2, 2)))):
+        (scalar, area, _), = [p.single_term()]
+        assert type(scalar) is int and scalar in (1, 3)
+        assert all(type(c) is int for _, c in area.coeffs) and type(area.const) is int
+    assert AreaExp.sym("a", Fraction(1, 2)).scale(2).coeffs == (("a", 1),)
+    assert type(AreaExp.sym("a", Fraction(1, 2)).scale(2).coeffs[0][1]) is int
+    for bad in (0.5, 1.0):
+        try:
+            SymPoly.scalar(bad)
+        except TypeError:
+            continue
+        raise AssertionError("a float was taken as a scalar")
+
+
+def test_int_scalars_stay_exact():
+    three = SymPoly.term(3, AreaExp.sym("a"), {"x": 2})
+    inverse = three.inv()
+    assert inverse.single_term()[0] == Fraction(1, 3)
+    assert type(inverse.single_term()[0]) is Fraction
+    assert inverse * three == ONE and type((inverse * three).single_term()[0]) is int
+    assert three.scale(Fraction(1, 3)) * inverse.scale(3) == ONE
+    assert three.scale(-2).scale(Fraction(-1, 2)) == three
+    rng = random.Random(3)
+    piece = random_dg_piece(rng, "D", objects=3)
+    for obj, (u, u_inv) in _random_conjugators(rng, piece).items():
+        assert piece.equal(piece.compose(u, u_inv), piece.identity(obj))
+        for g, col in u_inv.entries.items():
+            (c, _, _), = [col[g].single_term()]
+            assert is_normal(c) and c * u.entries[g][g].single_term()[0] == 1
+        f = random_dg_morphism(rng, piece, obj, obj, 0)
+        assert piece.equal(piece.scale(piece.scale(f, 3), Fraction(1, 3)), f)
 
 
 @given(polys(), st.dictionaries(st.sampled_from(["a", "b", "c"]), fractions, min_size=3),
@@ -146,6 +192,18 @@ def naive_compose(g, f):
     return entries
 
 
+def naive_sum(terms):
+    """sum sign * (g after f) over the (sign, g, f) of ``terms``, by SymPoly + and scale."""
+    entries = {}
+    for sign, g, f in terms:
+        for a, col in naive_compose(g, f).items():
+            out = entries.setdefault(a, {})
+            for h, v in col.items():
+                out[h] = out.get(h, SymPoly.zero()) + v.scale(sign)
+    return {a: kept for a, col in entries.items()
+            if (kept := {h: v for h, v in col.items() if not v.is_zero()})}
+
+
 def times(f, c):
     """f with every entry multiplied by the polynomial c."""
     return DgMorphism(f.src, f.tgt, f.degree,
@@ -170,6 +228,22 @@ def test_fused_compose_matches_sum_of_products(seed, p, q):
         for c in col.values():
             assert_canonical(c)
     assert fused.degree == piece._deg(f.degree + g.degree)
+
+    # signed sums of composites of one shape: combine, d (d_tgt o f -
+    # (-1)^{|f|} f o d_src) and add (a sum of identity composites)
+    f2 = random_dg_morphism(rng, piece, o1, o2, f.degree)
+    g2 = random_dg_morphism(rng, piece, o2, o3, g.degree)
+    d_src, d_tgt = (DgMorphism(o, o, 1, piece.module(o).d) for o in (o1, o2))
+    ident = piece.identity(o2)
+    for got, terms in (
+            (piece.combine([(1, g, f), (-1, g2, f2), (-1, g, f2)]),
+             [(1, g, f), (-1, g2, f2), (-1, g, f2)]),
+            (piece.d(f), [(1, d_tgt, f), (-sign_pow(f.degree), f, d_src)]),
+            (piece.add(f, f2, f), [(1, ident, f), (1, ident, f2), (1, ident, f)])):
+        assert got.entries == naive_sum(terms)
+        for col in got.entries.values():
+            for c in col.values():
+                assert_canonical(c)
 
 
 @given(st.integers(min_value=0, max_value=10**6), st.sampled_from([1, -1, 2, Fraction(-1, 3), 0]))
