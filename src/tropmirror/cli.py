@@ -350,7 +350,8 @@ def cmd_transform(cfg: RunConfig, curve) -> int:
         report["ok"] = False
         report["errors"] = [str(err)]
         _emit(cfg, report)
-        return 2
+        # a gluing that fails its check is a mathematical failure, not bad input
+        return 1 if isinstance(err, mf.GluingCheckFailed) else 2
 
     report["divisor"] = bundle.to_dict()
     report["divisor"]["terms"] = [

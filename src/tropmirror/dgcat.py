@@ -3,7 +3,7 @@
 Implements, following Appendix A of the paper:
 
   A.1  the A-infinity structure of a dg category with reversed morphisms
-       (``AinfFromDg``),
+       (m1 = ``d``, m2 as ``m2_term``),
   A.2  the homotopy fiber product B x^h_D C of dg categories over dg
        functors G: B -> D, L: C -> D (``HomotopyFiberProduct`` with its
        ``d`` and ``compose``),
@@ -30,12 +30,11 @@ The ``functor``, ``natural-transformations`` and ``flop`` verify suites
 report them.
 
 Every dg category here -- a finite ``DgPiece``, the Yoneda complexes of a
-local model (``YonedaPiece``) and a ``HomotopyFiberProduct`` -- offers the
-same operations ``d``, ``compose``, ``combine`` (a signed sum of composites
-in one pass), ``add``, ``scale`` and ``zero``, so the one A.1 construction
-supplies m1 and m2 everywhere: to the Yoneda complexes in M1/M2 of A.3, and
-to the fiber product of Yoneda complexes, where the Prop 13.2 functor
-equation is checked with A.1's m1 and m2.
+local model (``YonedaPiece``) and a ``HomotopyFiberProduct`` -- offers
+``d``, ``combine`` (a signed sum of composites in one pass) and
+``identity``.  ``combine`` is the only linear operation, and the A.1 m2 is
+one of its terms (``m2_term``), so M1 and M2 of A.3 on the Yoneda complexes
+and the Prop 13.2 functor equation on their fiber product each build one.
 Matrix factorizations form a ``DgPiece`` too (``mf_dg_piece``): the
 morphisms ``mf.transform_morphism`` builds are its ``DgMorphism``s, so the
 Section 10.2 chain-map and composition checks and the signs of the
@@ -122,7 +121,7 @@ class DgPiece:
     Morphism composition is ordinary matrix composition; the differential of
     a morphism is d(f) = d_N o f - (-1)^{|f|} f o d_M.  With ``mod2`` the
     grading (and all degree signs) are taken modulo 2, which is the matrix
-    factorization case.  ``compose``, ``d`` and ``add`` are all ``combine``.
+    factorization case.  ``compose`` and ``d`` are both ``combine``.
     """
 
     def __init__(self, name: str, modules: dict, mod2: bool = False):
@@ -157,14 +156,6 @@ class DgPiece:
         one = SymPoly.scalar(1)
         return DgMorphism(obj, obj, 0, {g: {g: one} for g in self.modules[obj].labels()})
 
-    def add(self, f: DgMorphism, *rest: DgMorphism) -> DgMorphism:
-        return self.combine((1, self.identity(f.tgt), g) for g in (f,) + rest)
-
-    def scale(self, f: DgMorphism, c) -> DgMorphism:
-        """c * f for an exact rational c."""
-        entries = {g: {h: v.scale(c) for h, v in col.items()} for g, col in f.entries.items()}
-        return DgMorphism(f.src, f.tgt, f.degree, entries)
-
     def combine(self, terms) -> DgMorphism:
         """sum sign * (g o f) over the (sign, g, f) of ``terms``, sign 1 or -1,
         with one ``SymPoly.sum_of_products`` per entry; all terms need one shape."""
@@ -190,10 +181,12 @@ class DgPiece:
         """The module differential of ``obj`` as a degree-1 endomorphism."""
         return DgMorphism(obj, obj, 1, self.modules[obj].d)
 
+    def d_terms(self, f) -> tuple:
+        """The two ``combine`` terms of d(f) = d_tgt o f - (-1)^{|f|} f o d_src."""
+        return ((1, self.object_d(f.tgt), f), (-sign_pow(f.degree), f, self.object_d(f.src)))
+
     def d(self, f: DgMorphism) -> DgMorphism:
-        """d(f) = d_tgt o f - (-1)^{|f|} f o d_src."""
-        return self.combine(((1, self.object_d(f.tgt), f),
-                             (-sign_pow(f.degree), f, self.object_d(f.src))))
+        return self.combine(self.d_terms(f))
 
     def equal(self, f: DgMorphism, g: DgMorphism) -> bool:
         """f == g, read off the two entry tables without subtracting.
@@ -232,6 +225,8 @@ class DgPiece:
 
 def _one_shape(piece, terms) -> tuple:
     """The (src, tgt, degree) of every g o f over the (sign, g, f) of ``terms``."""
+    if not terms:
+        raise ValueError("combine needs at least one term")
     _, g, f = terms[0]
     shape = (f.src, g.tgt, piece._deg(f.degree + g.degree))
     for _, g, f in terms:
@@ -297,32 +292,15 @@ def contractions(args, degrees, m):
             yield sign, args[:i] + (inner,) + args[j:]
 
 
-class AinfFromDg:
-    """A-infinity operations of a dg category after reversing all morphisms.
+def m2_term(sign, phi, psi) -> tuple:
+    """The ``combine`` term of sign * m2(phi, psi), in any dg category here.
 
-    ``piece`` is any dg category with ``d``, ``compose``, ``add``, ``scale``
-    and ``zero``: a ``DgPiece``, a ``YonedaPiece`` or a
-    ``HomotopyFiberProduct``.  Arguments to ``m`` are its morphisms; an
-    element of Hom_{A-infinity}(E, F) is stored as the dg map F -> E, so a
-    composable A-infinity tuple (a_1, ..., a_k) is a chain with
-    a_{i+1}.tgt == a_i.src.  m1 = d, m2(phi, psi) = (-1)^{|phi|} phi o psi,
-    m_{>=3} = 0.
+    A.1 reverses every morphism: an element of Hom_{A-infinity}(E, F) is
+    stored as the dg map F -> E, so a composable A-infinity tuple
+    (a_1, ..., a_k) is a chain with a_{i+1}.tgt == a_i.src.  Then m1 = d
+    (``d_terms``), m2(phi, psi) = (-1)^{|phi|} phi o psi and m_{>=3} = 0.
     """
-
-    def __init__(self, piece):
-        self.piece = piece
-
-    def m(self, args):
-        args = list(args)
-        if len(args) == 1:
-            return self.piece.d(args[0])
-        if len(args) == 2:
-            phi, psi = args
-            return self.piece.scale(self.piece.compose(phi, psi), sign_pow(phi.degree))
-        if not args:
-            raise ValueError("a dg category has no m_0")
-        return self.piece.zero(args[-1].src, args[0].tgt,
-                               sum(a.degree for a in args) + 2 - len(args))
+    return sign * sign_pow(phi.degree), phi, psi
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +312,6 @@ class AinfFromDg:
 class DgFunctor:
     """A dg functor that is the identity on objects, given by its morphism action."""
 
-    name: str
     source: object
     target: object
     mor_map: object  # callable morphism -> morphism
@@ -344,7 +321,7 @@ class DgFunctor:
 
 
 def identity_functor(piece) -> DgFunctor:
-    return DgFunctor("id", piece, piece, lambda f: f)
+    return DgFunctor(piece, piece, lambda f: f)
 
 
 def conjugation_functor(piece: DgPiece, units: dict) -> DgFunctor:
@@ -366,7 +343,7 @@ def conjugation_functor(piece: DgPiece, units: dict) -> DgFunctor:
         u_src_inv = units[f.src][1]
         return piece.compose(u_tgt, piece.compose(f, u_src_inv))
 
-    return DgFunctor("conj", piece, piece, act)
+    return DgFunctor(piece, piece, act)
 
 
 @dataclass
@@ -402,7 +379,8 @@ class HomotopyFiberProduct:
     """B x^h_D C over dg functors G: B -> D and L: C -> D (Appendix A.2).
 
     B, C and D are dg categories with the ``DgPiece`` operations; the fiber
-    product offers the same ones, so ``AinfFromDg`` runs on it too.
+    product offers the same ones, so ``m2_term`` and ``combine`` give its
+    A.1 structure too.
     """
 
     def __init__(self, B, C, D, G: DgFunctor, L: DgFunctor):
@@ -445,21 +423,6 @@ class HomotopyFiberProduct:
         return self.morphism(
             obj, obj, self.B.identity(obj.M), self.C.identity(obj.N),
             self.D.zero(obj.M, obj.N, -1), 0)
-
-    def zero(self, src: HfpObject, tgt: HfpObject, degree: int) -> FiberProductMorphism:
-        return self.morphism(src, tgt, self.B.zero(src.M, tgt.M, degree),
-                             self.C.zero(src.N, tgt.N, degree),
-                             self.D.zero(src.M, tgt.N, degree - 1), degree)
-
-    def add(self, m: FiberProductMorphism, *rest: FiberProductMorphism) -> FiberProductMorphism:
-        parts = (m,) + rest
-        return self.morphism(m.src, m.tgt, self.B.add(*(p.mu for p in parts)),
-                             self.C.add(*(p.nu for p in parts)),
-                             self.D.add(*(p.gamma for p in parts)), m.degree)
-
-    def scale(self, m: FiberProductMorphism, c) -> FiberProductMorphism:
-        return self.morphism(m.src, m.tgt, self.B.scale(m.mu, c), self.C.scale(m.nu, c),
-                             self.D.scale(m.gamma, c), m.degree)
 
     def d(self, m: FiberProductMorphism) -> FiberProductMorphism:
         """d(mu, nu, gamma) = (d mu, d nu, -d gamma - phi_2 G(mu) + L(nu) phi_1)."""
@@ -880,9 +843,10 @@ def _model_map(ops: ModelOps, src: tuple, tgt: tuple, degree: int, fn) -> HomMap
 class YonedaPiece:
     """The Yoneda complexes (Hom(C, ref), -m1) of a local model as a dg category.
 
-    Objects are (C, ref) pairs and morphisms are ``HomMap``s; the operations
-    match ``DgPiece``.  The differential of a map is d o f - (-1)^{|f|} f o d
-    with d = -m1, and a sum reduces its values through ``ModelOps.combine``.
+    Objects are (C, ref) pairs and morphisms are ``HomMap``s.  It shares
+    ``DgPiece``'s ``d_terms`` and ``d``: the differential of a map is
+    d o f - (-1)^{|f|} f o d with d = -m1.  A ``combine`` reduces its values
+    through one ``ModelOps.combine``.
     """
 
     def __init__(self, ops: ModelOps):
@@ -900,29 +864,14 @@ class YonedaPiece:
         return HomMap(*_one_shape(self, terms),
                       lambda el: self.ops.combine([(s, g(f(el))) for s, g, f in terms]))
 
-    def add(self, f: HomMap, *rest: HomMap) -> HomMap:
-        ident = HomMap(f.tgt, f.tgt, 0, lambda el: el)
-        return self.combine((1, ident, m) for m in (f,) + rest)
-
-    def scale(self, f: HomMap, coeff) -> HomMap:
-        """coeff * f for coeff = 1 or -1, the only scalars the A.1 and A.2 signs give."""
-        if coeff == 1:
-            return f
-        if coeff != -1:
-            raise ValueError(f"a Yoneda map is scaled only by 1 or -1, not {coeff}")
-        return HomMap(f.src, f.tgt, f.degree, lambda el: self.ops.negate(f(el)))
-
-    def compose(self, g: HomMap, f: HomMap) -> HomMap:
-        """g after f (plain composition, no sign)."""
-        if f.tgt != g.src:
-            raise ValueError(f"maps not composable: {f.tgt} then {g.src}")
-        return HomMap(f.src, g.tgt, (f.degree + g.degree) % 2, lambda el: g(f(el)))
+    def identity(self, obj) -> HomMap:
+        return HomMap(obj, obj, 0, lambda el: el)
 
     def object_d(self, obj) -> HomMap:
         """el -> -m1(el), the differential of the complex ``obj``."""
         return HomMap(obj, obj, 1, lambda el: self.ops.negate(self.ops.m([el])))
 
-    d = DgPiece.d  # the same formula, with object_d = -m1
+    d_terms, d = DgPiece.d_terms, DgPiece.d  # the same formula, with object_d = -m1
 
 
 class YonedaFunctor:
@@ -1040,13 +989,14 @@ def nat_M1(N: PreNatTransform) -> PreNatTransform:
              + sum_{a = a1 a2, a2 nonempty} m2(N(a1), F2(a2))
              - sum (-1)^{||N||' + |a1|'} N(a1, m(a2), a3),   a2 nonempty,
 
-    with m1, m2 the A.1 operations of the Yoneda complexes.  Inner m0
-    insertions are omitted: every component has a unit argument there and
+    with m1, m2 the A.1 operations of the Yoneda complexes.  A component is
+    one ``combine`` of the d terms of N(a), one ``m2_term`` per split and one
+    identity composite per contraction, or None when no term is left.  Inner
+    m0 insertions are omitted: every component has a unit argument there and
     vanishes by the unit conventions.
     """
     ops = N.ops
     yon = YonedaPiece(ops)
-    A = AinfFromDg(yon)
     nprime = shifted(N.norm)
 
     def comp(a, obj):
@@ -1054,7 +1004,7 @@ def nat_M1(N: PreNatTransform) -> PreNatTransform:
         terms = []
         base = N.component(a, obj)
         if base is not None:
-            terms.append(A.m([base]))
+            terms += yon.d_terms(base)
         for a1, a2 in _splits(a):
             if a1:
                 mid = ops.hom_pair(a1[-1])[1]
@@ -1062,20 +1012,18 @@ def nat_M1(N: PreNatTransform) -> PreNatTransform:
                 if n_part is not None:
                     f_part = N.source.component(a1)
                     s = sign_pow(nprime * shifted_sum(ops.degree(e) for e in a1))
-                    terms.append(yon.scale(A.m([f_part, n_part]), s))
+                    terms.append(m2_term(s, f_part, n_part))
             if a2:
                 mid = ops.hom_pair(a2[0])[0]
                 n_part = N.component(a1, mid)
                 if n_part is not None:
                     f_part = N.target.component(a2)
-                    terms.append(A.m([n_part, f_part]))
+                    terms.append(m2_term(1, n_part, f_part))
         for s, contracted in contractions(a, [ops.degree(e) for e in a], ops.m):
             part = N.component(contracted, obj)
             if part is not None:
-                terms.append(yon.scale(part, -sign_pow(nprime) * s))
-        if not terms:
-            return None
-        return yon.add(*terms)
+                terms.append((-sign_pow(nprime) * s, yon.identity(part.tgt), part))
+        return yon.combine(terms) if terms else None
 
     return PreNatTransform(ops, N.source, N.target, (N.norm + 1) % 2, comp)
 
@@ -1084,7 +1032,6 @@ def nat_M2(N1: PreNatTransform, N2: PreNatTransform) -> PreNatTransform:
     """M2(N1, N2)(a) = sum (-1)^{||N2||' |a1|'} m2(N1(a1), N2(a2)), m2 from A.1."""
     ops = N1.ops
     yon = YonedaPiece(ops)
-    A = AinfFromDg(yon)
     n2prime = shifted(N2.norm)
 
     def comp(a, obj):
@@ -1098,10 +1045,8 @@ def nat_M2(N1: PreNatTransform, N2: PreNatTransform) -> PreNatTransform:
             if p1 is None or p2 is None:
                 continue
             s = sign_pow(n2prime * shifted_sum(ops.degree(e) for e in a1))
-            terms.append(yon.scale(A.m([p1, p2]), s))
-        if not terms:
-            return None
-        return yon.add(*terms)
+            terms.append(m2_term(s, p1, p2))
+        return yon.combine(terms) if terms else None
 
     return PreNatTransform(ops, N1.source, N2.target, (N1.norm + N2.norm) % 2, comp)
 
@@ -1297,14 +1242,14 @@ def functor_equation_residuals(ops, alpha, beta_n, a, bullets) -> list:
     with p, q the components of Y^{L0}, Y^{L1}.  The residual is
     LHS - RHS with LHS = m1(F(a)) + sum_{a = a1 a2} m2(F(a1), F(a2)), m1 and
     m2 from A.1 on the fiber product, and RHS = sum (-1)^{|a1|'}
-    F(a1, m(a2), a3).  Inner m0 insertions vanish by the unit conventions
-    and are omitted.  ``bullets`` are (name, element, side) with side "p",
-    "q" or "gamma"; returns (name, side, residual) per bullet.
+    F(a1, m(a2), a3), built as one ``combine`` with m1(F(a)) and each F of a
+    contraction as an identity composite.  Inner m0 insertions vanish by the
+    unit conventions and are omitted.  ``bullets`` are (name, element, side)
+    with side "p", "q" or "gamma"; returns (name, side, residual) per bullet.
     """
     l0, l1 = ops.hom_pair(alpha)
     yon = YonedaPiece(ops)
     hfp = HomotopyFiberProduct(yon, yon, yon, identity_functor(yon), identity_functor(yon))
-    A = AinfFromDg(hfp)
     y_p = YonedaFunctor(ops, l0)
     y_q = YonedaFunctor(ops, l1)
     n_conn = nat_from_cocycle(ops, beta_n)
@@ -1320,11 +1265,12 @@ def functor_equation_residuals(ops, alpha, beta_n, a, bullets) -> list:
                             y_q.component(t), p, n_conn.component(t), p.degree)
 
     a = tuple(a)
-    terms = [A.m([F(a)])]
-    terms += [A.m([F(a[:i]), F(a[i:])]) for i in range(1, len(a))]
-    terms += [hfp.scale(F(c), -s)
-              for s, c in contractions(a, [ops.degree(e) for e in a], ops.m)]
-    residual = hfp.add(*terms)
+    whole = F(a)
+    ident = hfp.identity(whole.tgt)
+    terms = [(1, ident, hfp.d(whole))]
+    terms += [m2_term(1, F(a[:i]), F(a[i:])) for i in range(1, len(a))]
+    terms += [(-s, ident, F(c)) for s, c in contractions(a, [ops.degree(e) for e in a], ops.m)]
+    residual = hfp.combine(terms)
     sides = {"p": residual.nu, "q": residual.mu, "gamma": residual.gamma}
     return [(bname, side, sides[side](bullet)) for bname, bullet, side in bullets]
 

@@ -589,6 +589,10 @@ def _glue_edge(pants, wind, m: int, a1: int, a2: int) -> dict:
             "section_vanishing_order": section}
 
 
+class GluingCheckFailed(ValueError):
+    """A finite-edge gluing failed a mathematical check of ``glue_objects``."""
+
+
 def glue_objects(curve, face_point, windings) -> DivisorLineBundle:
     """Glue the local factorizations of L around a face into a divisor.
 
@@ -597,6 +601,7 @@ def glue_objects(curve, face_point, windings) -> DivisorLineBundle:
     B -> x1^{a2+m} D0 through the cokernel reduction of the exact winding
     factorization, whose vanishing order is the divisor coefficient, and
     checks that the gluing is a chain map; either failure raises
+    ``GluingCheckFailed``, while a bad face or winding raises a plain
     ``ValueError``.  An edge with m < 0 is not certified: no winding
     factorization exists below 0, so its coefficient a2 + m is asserted
     from the winding recursion (each extra turn multiplies the section by
@@ -628,10 +633,10 @@ def glue_objects(curve, face_point, windings) -> DivisorLineBundle:
             glued = _glue_edge(pants, winds[m], m, curve.edges[eid].a1, a2)
             k = glued["section_vanishing_order"]
             if k != a2 + m:
-                raise ValueError(
+                raise GluingCheckFailed(
                     f"traced vanishing order {k} on edge {eid} disagrees with a2+m={a2+m}")
             if not glued["chain_map"]:
-                raise ValueError(f"gluing on edge {eid} is not a chain map")
+                raise GluingCheckFailed(f"gluing on edge {eid} is not a chain map")
         coefficients[eid] = a2 + m
     return DivisorLineBundle(point, coefficients)
 

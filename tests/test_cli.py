@@ -11,6 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from tropmirror import ainf, cli, tropical
+from tropmirror.symbolic import SymPoly
 
 # SHA-256 of outputs that must stay byte-identical: a deliberate format
 # change re-records these.
@@ -256,6 +257,21 @@ class TestTransform:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert err.startswith("usage:") and "'1/0,0'" in err
+
+    @pytest.mark.parametrize("change,error", [
+        (lambda col: {g: -c for g, c in col.items()}, "gluing on edge e01 is not a chain map"),
+        (lambda col: {g: c * SymPoly.var("x1") for g, c in col.items()},
+         "traced vanishing order 4 on edge e01 disagrees with a2+m=3"),
+    ], ids=["negated_column", "extra_power"])
+    def test_failed_gluing_check_exits_1(self, capsys, monkeypatch, change, error):
+        # a well-formed face and windings whose gluing fails its check: a
+        # mathematical failure, not bad input
+        column = cli.mf.finite_edge_column
+        monkeypatch.setattr(cli.mf, "finite_edge_column", lambda *args: change(column(*args)))
+        code, report = run_json(capsys, "transform", "--curve", "kp2", "--face", "0,0",
+                                "--windings", "e01=2,e02=2,e12=2")
+        assert code == 1 and report["ok"] is False
+        assert report["errors"] == [error]
 
     def test_unbounded_face_errors(self, capsys):
         code, report = run_json(capsys, "transform", "--curve", "conifold",

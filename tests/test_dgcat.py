@@ -11,23 +11,48 @@ from tropmirror.signs import sign_pow
 from tropmirror.symbolic import AreaExp, SymPoly
 
 
-def relation_residual(A, args):
+def scaled(f, c):
+    """c * f for a ``DgMorphism`` f, entry by entry with ``SymPoly.scale``."""
+    return dgcat.DgMorphism(f.src, f.tgt, f.degree,
+                            {a: {b: v.scale(c) for b, v in col.items()}
+                             for a, col in f.entries.items()})
+
+
+def added(piece, *terms):
+    """sum s * f over the (s, f) of ``terms``, as a ``combine`` of identity composites."""
+    return piece.combine((s, piece.identity(f.tgt), f) for s, f in terms)
+
+
+def ainf_m(piece):
+    """The A.1 operations of a dg category: m1 = d, m2 from ``m2_term`` and
+    m_{>=3} = 0, which is None here, as is any m with a None argument."""
+    def m(args):
+        if len(args) > 2 or None in args:
+            return None
+        if len(args) == 1:
+            return piece.d(args[0])
+        return piece.combine([dgcat.m2_term(1, *args)])
+    return m
+
+
+def relation_residual(piece, args):
     """The A-infinity relation sum_{i<=j} +-m(a_1, m(a_i..a_j), a_k) at a tuple."""
-    terms = [A.piece.scale(A.m(c), sign) for sign, c in
-             dgcat.contractions(args, [a.degree for a in args], A.m)]
-    return A.piece.add(*terms)
+    m = ainf_m(piece)
+    return added(piece, *((sign, out) for sign, c in
+                          dgcat.contractions(args, [a.degree for a in args], m)
+                          if (out := m(c)) is not None))
 
 
 def equal_by_difference(piece, f, g):
     """The subtracting definition of equality: f - g vanishes."""
-    return piece.add(f, piece.scale(g, -1)).is_zero()
+    return added(piece, (1, f), (-1, g)).is_zero()
 
 
 def padded(piece, f, like):
     """``f`` with a zero entry wherever ``like`` has an entry and f has none,
     and an empty column for every source label f leaves out."""
     entries = {a: {} for a in piece.module(f.src).labels()}
-    for source in (piece.scale(like, 0), f):  # scaling by 0 keeps the entries, all zero
+    for source in (scaled(like, 0), f):  # scaling by 0 keeps the entries, all zero
         for a, col in source.entries.items():
             entries[a].update(col)
     return dgcat.DgMorphism(f.src, f.tgt, f.degree, entries)
@@ -65,20 +90,18 @@ class TestDgPieces:
         for _ in range(20):
             piece = dgcat.random_dg_piece(rng, "P", objects=3)
             assert piece.validate()["ok"]
-            A = dgcat.AinfFromDg(piece)
             names = sorted(piece.modules)
             # reversed chains: a_i in Hom(X_{i-1}, X_i) is a dg map X_i -> X_{i-1}
             f1 = dgcat.random_dg_morphism(rng, piece, names[1], names[0], rng.choice([0, 1]))
             f2 = dgcat.random_dg_morphism(rng, piece, names[2], names[1], rng.choice([0, 1]))
             f3 = dgcat.random_dg_morphism(rng, piece, names[0], names[2], rng.choice([0, 1]))
             for args in ([f1], [f1, f2], [f1, f2, f3]):
-                assert relation_residual(A, args).is_zero()
+                assert relation_residual(piece, args).is_zero()
         # the same construction on homotopy fiber products
         for seed in range(20):
             hfp, _, (m1, m2, m3) = dgcat.random_hfp_instance(seed)
-            A = dgcat.AinfFromDg(hfp)
             for args in ([m1], [m2, m1], [m3, m2, m1]):
-                assert relation_residual(A, args).is_zero()
+                assert relation_residual(hfp, args).is_zero()
 
     def test_mf_dg_piece_single_potential(self):
         mf0 = mf.transform_object(mf.winding_strip_model(0, exact=True), "L", "S1")
@@ -94,15 +117,15 @@ class TestDgPieces:
             o1, o2 = sorted(piece.modules)
             deg = rng.choice([0, 1])
             f, g = (dgcat.random_dg_morphism(rng, piece, o1, o2, deg) for _ in range(2))
-            total = piece.add(f, g)
+            total = added(piece, (1, f), (1, g))
             zero = piece.zero(o1, o2, deg)
-            candidates = [f, g, total, piece.add(total, piece.scale(g, -1)),
-                          padded(piece, f, g), reordered(f), piece.scale(f, 2),
-                          piece.scale(f, 0), zero, padded(piece, zero, f)]
+            candidates = [f, g, total, added(piece, (1, total), (-1, g)),
+                          padded(piece, f, g), reordered(f), scaled(f, 2),
+                          scaled(f, 0), zero, padded(piece, zero, f)]
             assert_equal_agrees(piece, candidates)
             # zero entries, empty columns and insertion order do not matter
             assert piece.equal(padded(piece, f, g), reordered(f))
-            assert piece.equal(piece.scale(f, 0), padded(piece, zero, g))
+            assert piece.equal(scaled(f, 0), padded(piece, zero, g))
             for other in (dgcat.random_dg_morphism(rng, piece, o2, o1, deg),
                           piece.zero(o1, o1, deg), piece.zero(o1, o2, deg + 1)):
                 with pytest.raises(ValueError):
@@ -118,8 +141,8 @@ class TestDgPieces:
         y, one, x, x2 = (mf.transform_morphism(model, f"P{i}", obj, obj) for i in (-1, 0, 1, 2))
         odd = [f for f in piece.basis_morphisms(obj.name, obj.name) if f.degree == 1]
         candidates = [y, one, x, x2, piece.compose(x, one), piece.compose(x, x),
-                      piece.scale(x, Fraction(1, 2)), padded(piece, x, y), reordered(x2),
-                      piece.identity(obj.name), piece.scale(one, 0),
+                      scaled(x, Fraction(1, 2)), padded(piece, x, y), reordered(x2),
+                      piece.identity(obj.name), scaled(one, 0),
                       piece.zero(obj.name, obj.name, 2)]
         assert_equal_agrees(piece, candidates)
         assert piece.equal(piece.compose(x, x), x2)
@@ -140,18 +163,16 @@ class TestDgPieces:
 
 def added_d(hfp, m):
     """The fiber-product differential as a sum of separately built composites."""
-    third = hfp.D.add(
-        hfp.D.scale(hfp.D.d(m.gamma), -1),
-        hfp.D.scale(hfp.D.compose(m.tgt.phi, hfp.G(m.mu)), -1),
-        hfp.D.compose(hfp.L(m.nu), m.src.phi))
+    third = added(hfp.D, (-1, hfp.D.d(m.gamma)),
+                  (-1, hfp.D.compose(m.tgt.phi, hfp.G(m.mu))),
+                  (1, hfp.D.compose(hfp.L(m.nu), m.src.phi)))
     return hfp.morphism(m.src, m.tgt, hfp.B.d(m.mu), hfp.C.d(m.nu), third, m.degree + 1)
 
 
 def added_compose(hfp, m2, m1):
     """The fiber-product composition as a sum of separately built composites."""
-    gamma = hfp.D.add(
-        hfp.D.compose(m2.gamma, hfp.G(m1.mu)),
-        hfp.D.scale(hfp.D.compose(hfp.L(m2.nu), m1.gamma), sign_pow(m2.degree)))
+    gamma = added(hfp.D, (1, hfp.D.compose(m2.gamma, hfp.G(m1.mu))),
+                  (sign_pow(m2.degree), hfp.D.compose(hfp.L(m2.nu), m1.gamma)))
     return hfp.morphism(m1.src, m2.tgt, hfp.B.compose(m2.mu, m1.mu),
                         hfp.C.compose(m2.nu, m1.nu), gamma, m1.degree + m2.degree)
 
@@ -172,6 +193,15 @@ def listed_conjugators(rng, piece):
     return units
 
 
+@pytest.mark.parametrize("category", ["DgPiece", "YonedaPiece", "HomotopyFiberProduct"])
+def test_combine_of_no_terms_is_refused(category):
+    piece = {"DgPiece": lambda: dgcat.random_dg_piece(random.Random(0)),
+             "YonedaPiece": lambda: dgcat.YonedaPiece(dgcat.ModelOps(ainf.load_model("two_pants"))),
+             "HomotopyFiberProduct": lambda: dgcat.random_hfp_instance(0)[0]}[category]()
+    with pytest.raises(ValueError, match="combine needs at least one term"):
+        piece.combine([])
+
+
 class TestHomotopyFiberProduct:
     def test_combined_d_and_compose_match_the_added_formulas(self):
         for seed in range(25):
@@ -185,8 +215,8 @@ class TestHomotopyFiberProduct:
                 assert hfp.equal(hfp.d(product), added_d(hfp, product))
                 # a signed sum of two composites (a Leibniz right side) in one pass
                 terms = ((1, hfp.d(m2), m1), (-1, m2, hfp.d(m1)))
-                added = hfp.add(*(hfp.scale(added_compose(hfp, b, a), s) for s, b, a in terms))
-                assert hfp.equal(hfp.combine(terms), added)
+                total = added(hfp, *((s, added_compose(hfp, b, a)) for s, b, a in terms))
+                assert hfp.equal(hfp.combine(terms), total)
 
     def test_instances_keep_the_listed_conjugator_draws(self, monkeypatch):
         seen = []
@@ -220,9 +250,8 @@ class TestHomotopyFiberProduct:
     def test_compose_sign_mutant_is_caught(self, monkeypatch):
         def compose(self, m2, m1):
             # the (-1)^{i'} twist on L(nu') o gamma, negated
-            gamma = self.D.add(
-                self.D.compose(m2.gamma, self.G(m1.mu)),
-                self.D.scale(self.D.compose(self.L(m2.nu), m1.gamma), -sign_pow(m2.degree)))
+            gamma = added(self.D, (1, self.D.compose(m2.gamma, self.G(m1.mu))),
+                          (-sign_pow(m2.degree), self.D.compose(self.L(m2.nu), m1.gamma)))
             return self.morphism(m1.src, m2.tgt, self.B.compose(m2.mu, m1.mu),
                                  self.C.compose(m2.nu, m1.nu), gamma, m1.degree + m2.degree)
 
@@ -234,10 +263,9 @@ class TestHomotopyFiberProduct:
     def test_differential_sign_mutant_is_caught(self, monkeypatch):
         def d(self, m):
             # the L(nu) phi_1 term with its sign flipped
-            third = self.D.add(
-                self.D.scale(self.D.d(m.gamma), -1),
-                self.D.scale(self.D.compose(m.tgt.phi, self.G(m.mu)), -1),
-                self.D.scale(self.D.compose(self.L(m.nu), m.src.phi), -1))
+            third = added(self.D, (-1, self.D.d(m.gamma)),
+                          (-1, self.D.compose(m.tgt.phi, self.G(m.mu))),
+                          (-1, self.D.compose(self.L(m.nu), m.src.phi)))
             return self.morphism(m.src, m.tgt, self.B.d(m.mu), self.C.d(m.nu),
                                  third, m.degree + 1)
 
@@ -253,7 +281,7 @@ class TestHomotopyFiberProduct:
         hfp, _, (m1, _, _) = dgcat.random_hfp_instance(0)
         assert hfp.equal(m1, replace(m1, mu=reordered(m1.mu)))
         assert not m1.mu.is_zero()
-        other_mu = hfp.B.scale(m1.mu, 2)
+        other_mu = scaled(m1.mu, 2)
         assert not hfp.equal(m1, replace(m1, mu=other_mu))
         # mu differs, and gamma or nu has the wrong shape: still a ValueError
         g = m1.gamma
@@ -271,10 +299,10 @@ class TestHomotopyFiberProduct:
         with pytest.raises(ValueError, match="invertible"):
             hfp.object(obj, obj, piece.zero(obj, obj, 0), piece.identity(obj))
         # an invertible phi with a wrong candidate inverse fails the certificate
-        phi = piece.scale(piece.identity(obj), 2)
+        phi = scaled(piece.identity(obj), 2)
         with pytest.raises(ValueError, match="invertible"):
             hfp.object(obj, obj, phi, piece.identity(obj))
-        hfp.object(obj, obj, phi, piece.scale(piece.identity(obj), Fraction(1, 2)))
+        hfp.object(obj, obj, phi, scaled(piece.identity(obj), Fraction(1, 2)))
 
     def test_non_closed_phi_rejected(self):
         rng = random.Random(7)
@@ -532,12 +560,26 @@ class TestYonedaEquivalence:
         n01 = dgcat.nat_from_cocycle(ops, beta_n).component((), l0)
         with pytest.raises(ValueError, match="evaluated on an element of Hom"):
             n01(ops.unit(l1))
-        # the A.1 and A.2 signs are the only scalars a Yoneda map meets
-        yon = dgcat.YonedaPiece(ops)
-        value = p(beta_n)
-        assert value and yon.scale(p, -1)(beta_n) == {g: -c for g, c in value.items()}
-        with pytest.raises(ValueError, match="scaled only by 1 or -1"):
-            yon.scale(p, 2)
+
+    def test_each_component_is_one_combine(self, monkeypatch):
+        # a component of M1 or M2 is one signed sum, so once the table
+        # products are memoized, evaluating it makes one ModelOps.combine
+        ops, alpha, beta_n, _ = dgcat.iso_setup("two_pants")
+        n01, n10 = dgcat.nat_from_cocycle(ops, beta_n), dgcat.nat_from_cocycle(ops, alpha)
+        l0, l1 = ops.hom_pair(alpha)
+        cases = [(dgcat.nat_M1(n01).component((alpha,)), ops.unit(l1)),
+                 (dgcat.nat_M1(n10).component((beta_n,)), ops.unit(l0)),
+                 (dgcat.nat_M2(n01, n10).component((alpha,)), beta_n),
+                 (dgcat.nat_M2(n01, n10).component((), l0), ops.unit(l0))]
+        calls = []
+        combine = dgcat.ModelOps.combine
+        monkeypatch.setattr(dgcat.ModelOps, "combine",
+                            lambda self, terms: calls.append(terms) or combine(self, terms))
+        for comp, bullet in cases:
+            first = comp(bullet)
+            calls.clear()
+            assert comp(bullet) == first
+            assert len(calls) == 1
 
     def test_two_pants_identities(self):
         report = dgcat.yoneda_equivalence_check("two_pants", arity_bound=2)

@@ -98,6 +98,28 @@ def test_dgcat_imports_no_higher_layer():
     assert not imported_modules(PACKAGE / "dgcat.py") & higher
 
 
+def class_attributes(path, names):
+    """{class name: names its body defines, by def or by assignment} for ``names``."""
+    found = {}
+    for cls in ast.parse(path.read_text()).body:
+        if isinstance(cls, ast.ClassDef) and cls.name in names:
+            found[cls.name] = {node.name for node in cls.body if isinstance(node, ast.FunctionDef)}
+            found[cls.name] |= {target.id for node in cls.body if isinstance(node, ast.Assign)
+                                for t in node.targets
+                                for target in (t.elts if isinstance(t, ast.Tuple) else [t])
+                                if isinstance(target, ast.Name)}
+    return found
+
+
+def test_dg_categories_have_no_add_or_scale():
+    # combine is the only linear operation on dg morphisms: a sum or a sign is
+    # a term of one combine, so no dg category defines add or scale
+    categories = ("DgPiece", "YonedaPiece", "HomotopyFiberProduct")
+    found = class_attributes(PACKAGE / "dgcat.py", categories)
+    linear = {name: attrs & {"add", "scale", "combine"} for name, attrs in found.items()}
+    assert linear == {name: {"combine"} for name in categories}
+
+
 def defaulted_parameters(path):
     """(called name, parameter, position or None, default, scope) for each
     defaulted parameter of a function, a method or a nested function.
