@@ -434,14 +434,25 @@ class HomotopyFiberProduct:
 
     def combine(self, terms) -> FiberProductMorphism:
         """sum sign * (b o a) over the (sign, b, a) of ``terms``, one ``combine`` per
-        component: b o a = (mu_b mu_a, nu_b nu_a, gamma_b G(mu_a) + (-1)^{|b|} L(nu_b) gamma_a)."""
+        component: b o a = (mu_b mu_a, nu_b nu_a, gamma_b G(mu_a) + (-1)^{|b|} L(nu_b) gamma_a).
+
+        A gamma term whose gamma factor is zero adds nothing, so it is left
+        out and G or L is not evaluated for it; with no gamma term left the
+        gamma component is ``D.zero``.
+        """
         terms = tuple(terms)
-        gamma = self.D.combine(t for s, b, a in terms for t in (
-            (s, b.gamma, self.G(a.mu)), (s * sign_pow(b.degree), self.L(b.nu), a.gamma)))
+        mu = self.B.combine((s, b.mu, a.mu) for s, b, a in terms)
+        nu = self.C.combine((s, b.nu, a.nu) for s, b, a in terms)
         _, m2, m1 = terms[0]
-        return self.morphism(m1.src, m2.tgt, self.B.combine((s, b.mu, a.mu) for s, b, a in terms),
-                             self.C.combine((s, b.nu, a.nu) for s, b, a in terms), gamma,
-                             m1.degree + m2.degree)
+        gamma_terms = []
+        for s, b, a in terms:
+            if not b.gamma.is_zero():
+                gamma_terms.append((s, b.gamma, self.G(a.mu)))
+            if not a.gamma.is_zero():
+                gamma_terms.append((s * sign_pow(b.degree), self.L(b.nu), a.gamma))
+        gamma = (self.D.combine(gamma_terms) if gamma_terms
+                 else self.D.zero(m1.src.M, m2.tgt.N, m1.degree + m2.degree - 1))
+        return self.morphism(m1.src, m2.tgt, mu, nu, gamma, m1.degree + m2.degree)
 
     def compose(self, m2: FiberProductMorphism, m1: FiberProductMorphism) -> FiberProductMorphism:
         """m2 o m1, with the (-1)^{i'} twist of ``combine``."""
@@ -824,6 +835,15 @@ class HomMap:
     def __call__(self, el: _Element) -> _Element:
         return self.fn(el)
 
+    def is_zero(self) -> bool:
+        """Whether this is the zero map by construction (``YonedaPiece.zero``);
+        a map that only evaluates to zero reads False."""
+        return self.fn is _no_element
+
+
+def _no_element(el: _Element) -> _Element:
+    return _Element()
+
 
 def _model_map(ops: ModelOps, src: tuple, tgt: tuple, degree: int, fn) -> HomMap:
     """A HomMap on elements of a local model that only accepts Hom(src).
@@ -856,7 +876,7 @@ class YonedaPiece:
         return n % 2
 
     def zero(self, src, tgt, degree) -> HomMap:
-        return HomMap(src, tgt, degree % 2, lambda el: _Element())
+        return HomMap(src, tgt, degree % 2, _no_element)
 
     def combine(self, terms) -> HomMap:
         """``DgPiece.combine`` with one ``ModelOps.combine`` per element."""

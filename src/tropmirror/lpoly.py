@@ -11,6 +11,11 @@ imports this module: its ``transition_map`` builds every chart map, and
 its ``atlas`` holds each exact one in both orientations.  The A-infinity
 models, matrix factorizations and dg layer compute with
 :mod:`tropmirror.symbolic` instead.
+
+Exponent vectors are tuples of ``int``; every rational inside a coefficient
+is in the normal form of :mod:`tropmirror.symbolic` (an ``int`` when
+integral, otherwise a ``Fraction``, never a float), which
+:mod:`tropmirror.novikov` keeps.  Nothing here divides.
 """
 
 from __future__ import annotations

@@ -533,22 +533,28 @@ def finite_edge_column(x: str, y: str, m: int, a2: int) -> dict:
             f"D{2*m-1}": SymPoly.term(-1, None, {x: a2 + 1})}
 
 
+class GluingCheckFailed(ValueError):
+    """A finite-edge gluing failed a mathematical check of ``glue_objects``."""
+
+
 def section_vanishing_order(mf: MatrixFactorization, m: int, a2: int) -> int:
     """Order of vanishing at x1 = 0 of the glued section of the cokernel.
 
     Traces ``finite_edge_column`` through the cokernel reduction of the
     winding factorization, projecting away the trivial summands; the result
     is the exponent of the surviving multiple of D0 (the divisor integer,
-    independent of the sign and of any Novikov unit).
+    independent of the sign and of any Novikov unit).  A section that does
+    not land on D0, or is not a power of x1 there, raises
+    ``GluingCheckFailed``.
     """
     _, _, subs, trivial = _reduce_presentation(mf)
     x, y = mf.variables[:2]
     out = _expand(finite_edge_column(x, y, m, a2), subs, drop=trivial)
     if set(out) != {"D0"}:
-        raise ValueError(f"glued section does not land on D0: {sorted(out)}")
+        raise GluingCheckFailed(f"glued section does not land on D0: {sorted(out)}")
     exps = _mono_exponents(out["D0"])
     if exps is None or set(exps) - {x}:
-        raise ValueError(f"glued section is not a power of {x}: {out['D0']}")
+        raise GluingCheckFailed(f"glued section is not a power of {x}: {out['D0']}")
     return exps.get(x, 0)
 
 
@@ -589,10 +595,6 @@ def _glue_edge(pants, wind, m: int, a1: int, a2: int) -> dict:
             "section_vanishing_order": section}
 
 
-class GluingCheckFailed(ValueError):
-    """A finite-edge gluing failed a mathematical check of ``glue_objects``."""
-
-
 def glue_objects(curve, face_point, windings) -> DivisorLineBundle:
     """Glue the local factorizations of L around a face into a divisor.
 
@@ -600,7 +602,8 @@ def glue_objects(curve, face_point, windings) -> DivisorLineBundle:
     ``glue_edge`` at the edge's own a1 and a2 traces the section gluing
     B -> x1^{a2+m} D0 through the cokernel reduction of the exact winding
     factorization, whose vanishing order is the divisor coefficient, and
-    checks that the gluing is a chain map; either failure raises
+    checks that the gluing is a chain map.  A failed check (a section off
+    D0, not a power of x1 or of the wrong order, or no chain map) raises
     ``GluingCheckFailed``, while a bad face or winding raises a plain
     ``ValueError``.  An edge with m < 0 is not certified: no winding
     factorization exists below 0, so its coefficient a2 + m is asserted

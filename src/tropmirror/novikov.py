@@ -5,6 +5,11 @@ rational exponents ``A_i`` and nonzero rational coefficients.  Every
 operation is exact, so ``==`` on two series is exact equality, and only
 monomials ``a * T^A`` are invertible.  These are the coefficients of the
 tropical chart maps in :mod:`tropmirror.lpoly`.
+
+Every exponent and coefficient is in the normal form of
+:mod:`tropmirror.symbolic` (``symbolic._frac``): an ``int`` when integral,
+otherwise a ``Fraction``, never a float.  A quotient is built as
+``_frac(Fraction(a, b))``, since ``int / int`` would give a float.
 """
 
 from __future__ import annotations
@@ -13,10 +18,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
+from .symbolic import _frac
 
-def _as_rational(x, what: str) -> Fraction:
+
+def _as_rational(x, what: str) -> int | Fraction:
+    """``x`` in normal form; anything but an int or a ``Fraction`` raises TypeError."""
     if isinstance(x, (int, Fraction)):
-        return Fraction(x)
+        return _frac(x)
     raise TypeError(f"{what} must be rational: {x!r}")
 
 
@@ -24,15 +32,16 @@ def _as_rational(x, what: str) -> Fraction:
 class NovikovSeries:
     """Finite sum of (exponent, coefficient) terms, exponents strictly increasing."""
 
-    terms: tuple  # tuple[(Fraction, Fraction), ...]
+    terms: tuple  # ((exponent, coefficient), ...), each an int or a non-integral Fraction
 
     @staticmethod
     def from_terms(pairs: Iterable) -> "NovikovSeries":
         acc: dict = {}
         for e, c in pairs:
             e = _as_rational(e, "exponent")
-            acc[e] = acc.get(e, Fraction(0)) + _as_rational(c, "coefficient")
-        return NovikovSeries(tuple((e, acc[e]) for e in sorted(acc) if acc[e]))
+            c = _as_rational(c, "coefficient")
+            acc[e] = acc[e] + c if e in acc else c
+        return NovikovSeries(tuple((e, _frac(acc[e])) for e in sorted(acc) if acc[e]))
 
     @staticmethod
     def monomial(exponent, coefficient=1) -> "NovikovSeries":
@@ -58,7 +67,7 @@ class NovikovSeries:
         other = as_series(other)
         if len(self.terms) == 1 and len(other.terms) == 1:
             ((e1, c1),), ((e2, c2),) = self.terms, other.terms
-            return NovikovSeries(((e1 + e2, c1 * c2),))
+            return NovikovSeries(((_frac(e1 + e2), _frac(c1 * c2)),))
         return NovikovSeries.from_terms(
             (e1 + e2, c1 * c2) for e1, c1 in self.terms for e2, c2 in other.terms)
 
@@ -72,7 +81,7 @@ class NovikovSeries:
             return self.inv() ** -n
         if len(self.terms) == 1:
             ((e, c),) = self.terms
-            return NovikovSeries(((e * n, c ** n),))
+            return NovikovSeries(((_frac(e * n), _frac(c ** n)),))
         out = as_series(1)
         for _ in range(n):
             out = out * self
@@ -85,7 +94,7 @@ class NovikovSeries:
         if len(self.terms) > 1:
             raise ValueError(f"only monomials are invertible, not {self}")
         ((e, c),) = self.terms
-        return NovikovSeries(((-e, 1 / c),))
+        return NovikovSeries(((-e, _frac(Fraction(1, c))),))
 
     def __str__(self) -> str:
         if not self.terms:
@@ -107,7 +116,7 @@ def as_series(x) -> NovikovSeries:
     if isinstance(x, NovikovSeries):
         return x
     c = _as_rational(x, "coefficient")
-    return NovikovSeries(((Fraction(0), c),) if c else ())
+    return NovikovSeries(((0, c),) if c else ())
 
 
 def T(exponent) -> NovikovSeries:

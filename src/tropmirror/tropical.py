@@ -6,6 +6,15 @@ finite edges.  This module loads and validates curve documents, builds the
 dual fan, computes the exact/immersed chart transitions and their cocycle
 and potential checks, and runs the chart-covering algorithm with its
 pairwise-overlap certificate, all in exact rational arithmetic.
+
+Every rational -- a position, dual point, exact offset, affine length,
+chart delta, shift or stratum-interval end -- is in the normal form of
+:mod:`tropmirror.symbolic` (``symbolic._frac``): an ``int`` when integral,
+otherwise a ``Fraction``, never a float.  Only an interval end may also be
+``-inf`` or ``inf``.  A document value is read through its ``str``
+(``_parse_rational``), so a JSON float keeps its decimal digits exactly, and
+then normalized; a quotient is built as ``_frac(Fraction(a, b))``, since
+``int / int`` would give a float.
 """
 
 from __future__ import annotations
@@ -21,6 +30,7 @@ from pathlib import Path
 
 from .lpoly import LaurentPoly, MonomialMap
 from .novikov import T
+from .symbolic import _frac
 
 NEG_INF = -inf
 POS_INF = inf
@@ -28,8 +38,9 @@ POS_INF = inf
 LETTERS = ("x", "y", "z")
 
 
-def _frac(v) -> Fraction:
-    return Fraction(str(v))
+def _parse_rational(v) -> int | Fraction:
+    """A document value as an exact rational in normal form."""
+    return _frac(str(v))
 
 
 def _dot(u, v):
@@ -69,7 +80,7 @@ def _angle_cmp(u, v) -> int:
 @dataclass(frozen=True)
 class Vertex:
     id: str
-    position: tuple  # (Fraction, Fraction)
+    position: tuple  # two exact rationals in normal form
     edges: tuple  # three incident edge ids, binding local variables x, y, z
 
 
@@ -100,7 +111,7 @@ class TropicalCurve:
         self.vertices = dict(vertices)
         self.edges = dict(edges)
         if anchor is None:
-            anchor = {"edge": min(self.edges, default=None), "left": (Fraction(0), Fraction(0))}
+            anchor = {"edge": min(self.edges, default=None), "left": (0, 0)}
         self.anchor = anchor
         errors = self._validate()
         if not errors:
@@ -128,13 +139,13 @@ class TropicalCurve:
     def chart_vars(self, vertex_id: str):
         return tuple(f"{vertex_id}.{l}" for l in LETTERS)
 
-    def affine_length(self, edge_id: str) -> Fraction:
+    def affine_length(self, edge_id: str) -> int | Fraction:
         e = self.edges[edge_id]
         p1 = self.vertices[e.ends[0]].position
         p2 = self.vertices[e.ends[1]].position
         disp = (p2[0] - p1[0], p2[1] - p1[1])
         d = e.direction
-        return disp[0] / d[0] if d[0] else disp[1] / d[1]
+        return _frac(Fraction(disp[0], d[0]) if d[0] else Fraction(disp[1], d[1]))
 
     def pairing(self, edge_id: str):
         """Pair the non-edge directions at the two ends of a finite edge.
@@ -174,10 +185,10 @@ class TropicalCurve:
         base = e.a1 if e.a1_doc is None else e.a1_doc
         return base + self.twist(edge_id)
 
-    def exact_offset(self, vertex_id: str, edge_id: str) -> Fraction:
+    def exact_offset(self, vertex_id: str, edge_id: str) -> int | Fraction:
         """x_ex = T^offset * x with offset = -(v, (a,b))."""
         v = self.vertices[vertex_id]
-        return -Fraction(_dot(self.direction_at(edge_id, vertex_id), v.position))
+        return _frac(-_dot(self.direction_at(edge_id, vertex_id), v.position))
 
     # -- validation -----------------------------------------------------------
 
@@ -276,7 +287,7 @@ class TropicalCurve:
             return [node]
 
         aedge = self.edges[self.anchor["edge"]]
-        left = tuple(Fraction(str(c)) for c in self.anchor["left"])
+        left = tuple(_parse_rational(c) for c in self.anchor["left"])
         queue = setp((aedge.ends[0], self.anchor["edge"]), left)
         while queue:
             vid, start = queue.pop()
@@ -329,7 +340,7 @@ class TropicalCurve:
 
     def face_boundary(self, point):
         """Counterclockwise boundary darts (vertex, edge) of a bounded face."""
-        point = tuple(Fraction(str(c)) for c in point)
+        point = tuple(_parse_rational(c) for c in point)
         if point not in self._bounded_faces:
             where = ",".join(str(c) for c in point)
             raise ValueError(f"face {where} is not bounded" if point in self._faces
@@ -347,11 +358,11 @@ class Fan:
 
 
 def dual_fan(curve: TropicalCurve) -> Fan:
-    rays = sorted({(p[0], p[1], Fraction(1)) for p in curve._dual_points.values()})
+    rays = sorted({(p[0], p[1], 1) for p in curve._dual_points.values()})
     cones = {}
     for vid in curve.vertices:
         pts = [curve._dual_points[(vid, s)] for s, _ in curve._gaps[vid]]
-        cones[vid] = tuple(sorted((p[0], p[1], Fraction(1)) for p in pts))
+        cones[vid] = tuple(sorted((p[0], p[1], 1) for p in pts))
     return Fan(tuple(rays), cones)
 
 
@@ -452,7 +463,7 @@ def _parse_document(doc, overrides: dict):
     for vid, spec in doc["vertices"].items():
         def build_vertex():
             _known_keys(spec, VERTEX_KEYS, "a vertex")
-            return Vertex(vid, _pair(spec["position"], _frac), _ids(spec["edges"]))
+            return Vertex(vid, _pair(spec["position"], _parse_rational), _ids(spec["edges"]))
         vertex = parse(f"vertex {vid}", build_vertex)
         if vertex is not None:
             vertices[vid] = vertex
@@ -478,7 +489,7 @@ def _parse_document(doc, overrides: dict):
     anchor = doc.get("anchor")
     if anchor is not None:
         parse("anchor", lambda: (_known_keys(anchor, ANCHOR_KEYS, "an anchor"),
-                                 _ids([anchor["edge"]]), _pair(anchor["left"], _frac)))
+                                 _ids([anchor["edge"]]), _pair(anchor["left"], _parse_rational)))
     errors += [f"a1 override {eid!r}: names no finite edge" for eid in sorted(overrides)
                if eid not in edges or not edges[eid].finite]
     return vertices, edges, errors
@@ -519,8 +530,8 @@ def _split_area(curve, edge_id):
     p2 = curve.vertices[e.ends[1]].position
     disp = (p2[0] - p1[0], p2[1] - p1[1])
     _, b_edge, _ = curve.pairing(edge_id)["y"]
-    return (Fraction(_dot(e.direction, disp)),
-            Fraction(_dot(curve.direction_at(b_edge, e.ends[1]), disp)))
+    return (_frac(_dot(e.direction, disp)),
+            _frac(_dot(curve.direction_at(b_edge, e.ends[1]), disp)))
 
 
 def _unimodular_inverse(M):
@@ -724,26 +735,35 @@ class Chart:
     """A vertex chart with an accumulated stack of deformations.
 
     Each deformation is (letter, shift): it lowers the valuation bound of
-    the named variable by the shift and raises the other two by it.
+    the named variable by the shift and raises the other two by it.  The
+    deltas and the hash are computed once, at construction; ``deltas()``
+    returns that one dict, which callers only read.
     """
 
     vertex: str
     deformations: tuple = ()
+
+    def __post_init__(self):
+        d = dict.fromkeys(LETTERS, 0)
+        for letter, shift in self.deformations:
+            for l in LETTERS:
+                d[l] += shift if l != letter else -shift
+        object.__setattr__(self, "_deltas", {l: _frac(v) for l, v in d.items()})
+        object.__setattr__(self, "_hash", hash((self.vertex, self.deformations)))
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def label(self) -> str:
         tags = "".join(f"~{letter}[{shift}]" for letter, shift in self.deformations)
         return f"S({self.vertex}){tags}"
 
-    def deltas(self):
-        d = {l: Fraction(0) for l in LETTERS}
-        for letter, shift in self.deformations:
-            for l in LETTERS:
-                d[l] += shift if l != letter else -shift
-        return d
+    def deltas(self) -> dict:
+        return self._deltas
 
     def deformed(self, letter, shift) -> "Chart":
-        return Chart(self.vertex, self.deformations + ((letter, Fraction(shift)),))
+        return Chart(self.vertex, self.deformations + ((letter, _frac(shift)),))
 
 
 def _mat_mul(A, B):
@@ -798,9 +818,9 @@ def stratum_interval(chart, rows):
     for letter, m, offset in rows:
         rhs = deltas[letter] + offset
         if m > 0:
-            lo = max(lo, rhs / m)
+            lo = max(lo, _frac(Fraction(rhs, m)))
         elif m < 0:
-            hi = min(hi, rhs / m)
+            hi = min(hi, _frac(Fraction(rhs, m)))
         elif rhs > 0:
             return None
     if lo > hi:
@@ -815,7 +835,7 @@ def _intervals(rows):
 
 def required_interval(curve, edge_id):
     e = curve.edges[edge_id]
-    return (NEG_INF, POS_INF) if e.finite else (Fraction(0), POS_INF)
+    return (NEG_INF, POS_INF) if e.finite else (0, POS_INF)
 
 
 def _covers(intervals, required):
@@ -889,8 +909,8 @@ def _ring(curve, face_point):
     """Clockwise vertex ring around a bounded face."""
     verts = curve.face_vertices(face_point)
     n = len(verts)
-    cx = sum(curve.vertices[v].position[0] for v in verts) / n
-    cy = sum(curve.vertices[v].position[1] for v in verts) / n
+    cx = _frac(Fraction(sum(curve.vertices[v].position[0] for v in verts), n))
+    cy = _frac(Fraction(sum(curve.vertices[v].position[1] for v in verts), n))
 
     def rel(v):
         p = curve.vertices[v].position
@@ -909,7 +929,7 @@ def _edge_between(curve, u, w):
 @cache
 def _shifts() -> tuple:
     """Deformation shifts n/d, 1 <= d <= 4, 1 <= n <= 400, smallest first."""
-    return tuple(sorted({Fraction(n, d) for d in range(1, 5) for n in range(1, 401)}))
+    return tuple(sorted({_frac(Fraction(n, d)) for d in range(1, 5) for n in range(1, 401)}))
 
 
 def covering_collection(curve, atlas):
@@ -1032,26 +1052,27 @@ def _shift_range(rows, base, letter, prev_iv):
     if rows is None or prev_iv is None:
         return empty
     deltas = base.deltas()
-    lower = [(Fraction(0), prev_iv[0])] if prev_iv[0] != NEG_INF else []
-    upper = [(Fraction(0), prev_iv[1])] if prev_iv[1] != POS_INF else []
+    lower = [(0, prev_iv[0])] if prev_iv[0] != NEG_INF else []
+    upper = [(0, prev_iv[1])] if prev_iv[1] != POS_INF else []
     lo, hi = NEG_INF, POS_INF
     for l, m, offset in rows:
         slope = -1 if l == letter else 1
-        const = deltas[l] + offset
+        const = _frac(deltas[l] + offset)
         if m == 0:
             if slope > 0:
                 hi = min(hi, -const)
             else:
                 lo = max(lo, const)
         else:
-            (lower if m > 0 else upper).append((Fraction(slope, m), const / m))
+            (lower if m > 0 else upper).append((_frac(Fraction(slope, m)),
+                                                _frac(Fraction(const, m))))
     for a, b in lower:
         for c, d in upper:
             # a*h + b < c*h + d
             if a > c:
-                hi = min(hi, (d - b) / (a - c))
+                hi = min(hi, _frac(Fraction(d - b, a - c)))
             elif a < c:
-                lo = max(lo, (d - b) / (a - c))
+                lo = max(lo, _frac(Fraction(d - b, a - c)))
             elif b >= d:
                 return empty
     return lo, hi
@@ -1112,7 +1133,7 @@ def cone_image(curve, chart, atlas) -> dict:
     cv = curve.vertices[chart.vertex]
     rhs = [deltas[LETTERS[s]] + curve.exact_offset(chart.vertex, cv.edges[s])
            for s in range(3)]
-    apex = [sum(Minv[i][j] * rhs[j] for j in range(3)) for i in range(3)]
+    apex = [_frac(sum(Minv[i][j] * rhs[j] for j in range(3))) for i in range(3)]
     keep = [0, 1]
     rays = []
     for j in range(3):
@@ -1149,12 +1170,10 @@ def divisor_data(curve, face_point, windings) -> list:
 
 def line_bundle_degree(curve, face_point, windings):
     """k with m^e = k n^e - a2^e for every edge of the face, or None."""
-    ks = set()
-    for row in divisor_data(curve, face_point, windings):
-        k = Fraction(row["coefficient"], 1) / row["n"]
-        ks.add(k)
+    ks = {_frac(Fraction(row["coefficient"], row["n"]))
+          for row in divisor_data(curve, face_point, windings)}
     if len(ks) == 1:
         k = ks.pop()
-        if k.denominator == 1:
-            return int(k)
+        if type(k) is int:
+            return k
     return None

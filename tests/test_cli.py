@@ -273,6 +273,16 @@ class TestTransform:
         assert code == 1 and report["ok"] is False
         assert report["errors"] == [error]
 
+    def test_section_off_d0_exits_1(self, capsys, monkeypatch):
+        # the winding-1 factorization for winding 2: the traced section does
+        # not land on D0, a failed check like the two above
+        one_turn = cli.mf.winding_strip_model(1, exact=True)
+        monkeypatch.setattr(cli.mf, "winding_strip_model", lambda m, exact=False: one_turn)
+        code, report = run_json(capsys, "transform", "--curve", "kp2", "--face", "0,0",
+                                "--windings", "e01=2,e02=2,e12=2")
+        assert code == 1 and report["ok"] is False
+        assert report["errors"] == ["glued section does not land on D0: ['D3', 'D4']"]
+
     def test_unbounded_face_errors(self, capsys):
         code, report = run_json(capsys, "transform", "--curve", "conifold",
                                 "--face", "0,0", "--windings", "e=1")

@@ -277,6 +277,40 @@ class TestHomotopyFiberProduct:
         # functors, so the phi terms of d(d(m)) cancel in pairs
         assert all(f.startswith("leibniz") for fs in failures for f in fs)
 
+    def test_combine_evaluates_no_functor_for_a_zero_gamma_factor(self):
+        # gamma_b G(mu_a) vanishes when gamma_b = 0, and L(nu_b) gamma_a when
+        # gamma_a = 0: neither functor is evaluated for such a term
+        hfp, _, (m1, m2, _) = dgcat.random_hfp_instance(0)
+        calls = []
+
+        def counted(tag, F):
+            return dgcat.DgFunctor(F.source, F.target, lambda f: calls.append(tag) or F(f))
+
+        hfp.G, hfp.L = counted("G", hfp.G), counted("L", hfp.L)
+        start, end = hfp.identity(m1.src), hfp.identity(m1.tgt)
+        assert not m1.gamma.is_zero() and not m2.gamma.is_zero()
+        for terms, evaluated, expected in (
+                ([(1, end, m1)], ["L"], m1), ([(1, m1, start)], ["G"], m1),
+                ([(1, m2, m1)], ["G", "L"], added_compose(hfp, m2, m1)),
+                ([(1, start, start)], [], start)):
+            calls.clear()
+            assert hfp.equal(hfp.combine(terms), expected)
+            assert calls == evaluated
+        assert hfp.combine([(1, start, start)]).gamma == hfp.D.zero(m1.src.M, m1.src.N, -1)
+
+    def test_zero_yoneda_gamma_is_not_evaluated(self):
+        # the Yoneda zero map reads as zero, so an identity composite of the
+        # functor equation's fiber product calls no functor
+        ops, alpha, _, _ = dgcat.iso_setup("two_pants")
+        yon = dgcat.YonedaPiece(ops)
+        calls = []
+        counted = dgcat.DgFunctor(yon, yon, lambda f: calls.append(f) or f)
+        hfp = dgcat.HomotopyFiberProduct(yon, yon, yon, counted, counted)
+        pair = ops.hom_pair(alpha)
+        start = hfp.identity(dgcat.HfpObject(pair, pair, yon.identity(pair)))
+        assert start.gamma.is_zero() and not yon.identity(pair).is_zero()
+        assert hfp.combine([(1, start, start)]).gamma.is_zero() and not calls
+
     def test_equal_checks_every_component_shape(self):
         hfp, _, (m1, _, _) = dgcat.random_hfp_instance(0)
         assert hfp.equal(m1, replace(m1, mu=reordered(m1.mu)))

@@ -98,6 +98,26 @@ def test_dgcat_imports_no_higher_layer():
     assert not imported_modules(PACKAGE / "dgcat.py") & higher
 
 
+def divisions_outside_normal_form(path):
+    """Lines of the true divisions in a source file that are not inside a
+    ``_frac(...)`` call."""
+    tree = ast.parse(path.read_text())
+    inside = {id(node) for call in ast.walk(tree) if isinstance(call, ast.Call)
+              and isinstance(call.func, ast.Name) and call.func.id == "_frac"
+              for node in ast.walk(call)}
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div)
+            and id(node) not in inside]
+
+
+def test_chart_stack_never_divides_into_a_float():
+    # int / int is a float; the chart stack keeps every rational in the
+    # normal form of symbolic._frac, so a quotient is _frac(Fraction(a, b))
+    found = {name: divisions_outside_normal_form(PACKAGE / name)
+             for name in ("tropical.py", "novikov.py", "lpoly.py")}
+    assert found == {name: [] for name in found}
+
+
 def class_attributes(path, names):
     """{class name: names its body defines, by def or by assignment} for ``names``."""
     found = {}

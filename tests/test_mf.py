@@ -210,7 +210,7 @@ class TestGlueObjects:
         face = face_with_edge(curve, "e")
         one_turn = mf.winding_strip_model(1, exact=True)
         monkeypatch.setattr(mf, "winding_strip_model", lambda m, exact: one_turn)
-        with pytest.raises(ValueError, match="does not land on D0"):
+        with pytest.raises(mf.GluingCheckFailed, match="does not land on D0"):
             mf.glue_objects(curve, face, {"e": 2})
 
     def test_traced_order_must_match_the_winding(self, monkeypatch):

@@ -72,6 +72,10 @@ def rescaled_curve(name, r):
     return tr.load_curve(doc)
 
 
+# positive rescalings p/q of a curve, q <= 8, p/q <= 4
+SCALES = st.integers(1, 8).flatmap(lambda q: st.integers(1, 4 * q).map(lambda p: Fraction(p, q)))
+
+
 def conifold_document(k):
     curve = tr.conifold_curve(k)
     return {
@@ -235,15 +239,16 @@ class TestTransitions:
         e = curve.edges["e01"]
         A, Ay = tr._split_area(curve, "e01")
         pairs = curve.pairing("e01")
-        shift = {curve.var(e.ends[1], pairs["y"][1]): A / 2 - Ay,
-                 curve.var(e.ends[1], pairs["z"][1]): Ay - A / 2}
+        half_area = Fraction(A, 2)
+        shift = {curve.var(e.ends[1], pairs["y"][1]): half_area - Ay,
+                 curve.var(e.ends[1], pairs["z"][1]): Ay - half_area}
         imm = tr.transition_map(curve, "e01", exact=False)
         half = MonomialMap(imm.source, imm.target, tuple(
             unit * T(shift.get(v, 0)) for v, unit in zip(imm.source, imm.units)), imm.rows)
         rescaled = tr.offset_rescaling(curve, e.ends[1], sign=1).compose(half).compose(
             tr.offset_rescaling(curve, e.ends[0], sign=-1))
         exact = tr.transition_map(curve, "e01", exact=True)
-        assert Ay != A / 2 and tr.absorbs_offsets(curve, "e01", tr.atlas(curve))
+        assert Ay != half_area and tr.absorbs_offsets(curve, "e01", tr.atlas(curve))
         assert any(rescaled.image_of(v) != exact.image_of(v) for v in rescaled.source)
 
     def test_immersed_factors(self):
@@ -420,9 +425,7 @@ class TestCovering:
         assert_same_search(tr.load_curve(name))
 
     @settings(deadline=None)
-    @given(name=st.sampled_from(["kp2", "toriccyeg"]),
-           r=st.integers(1, 8).flatmap(
-               lambda q: st.integers(1, 4 * q).map(lambda p: Fraction(p, q))))
+    @given(name=st.sampled_from(["kp2", "toriccyeg"]), r=SCALES)
     def test_search_matches_brute_force_on_rescaled_curves(self, name, r):
         assert_same_search(rescaled_curve(name, r))
 
@@ -475,7 +478,7 @@ class TestCovering:
             if end not in (tr.NEG_INF, tr.POS_INF):
                 probes |= {end, end - Fraction(1, 64), end + Fraction(1, 64)}
         if lo < hi and tr.NEG_INF < lo and hi < tr.POS_INF:
-            probes.add((lo + hi) / 2)
+            probes.add(Fraction(lo + hi, 2))
         for h in probes:
             iv = tr.stratum_interval(base.deformed(letter, h), rows)
             overlaps = (iv is not None and prev is not None
@@ -597,3 +600,50 @@ def test_conifold_properties(k, a1):
     assert atlas.maps[("e", "v2")].compose(atlas.maps[("e", "v1")]).is_identity()
     assert tr.global_potential_check(curve, atlas, exact=False)["ok"]
     assert tr.absorbs_offsets(curve, "e", atlas)
+
+
+def is_normal(x) -> bool:
+    """A rational in normal form: an ``int``, or a ``Fraction`` that is not
+    integral; never a float."""
+    return type(x) is int or (type(x) is Fraction and x.denominator != 1)
+
+
+def chart_rationals(curve):
+    """(every exact rational the chart pipeline makes on ``curve``, every
+    end of the covering charts' stratum intervals)."""
+    atlas = tr.atlas(curve)
+    charts, _ = tr.covering_collection(curve, atlas)
+    finite = [eid for eid, e in sorted(curve.edges.items()) if e.finite]
+    values = [c for v in curve.vertices.values() for c in v.position]
+    values += [c for point in curve.faces() for c in point]
+    values += [curve.exact_offset(vid, eid) for vid, v in curve.vertices.items() for eid in v.edges]
+    values += [curve.affine_length(eid) for eid in finite]
+    values += list(tr._shifts())
+    values += [d for c in charts for d in c.deltas().values()]
+    values += [shift for c in charts for _, shift in c.deformations]
+    maps = list(atlas.maps.values())
+    for eid in finite:
+        e = curve.edges[eid]
+        imm = tr.transition_map(curve, eid, exact=False)
+        maps += [imm, tr.offset_rescaling(curve, e.ends[1], sign=1).compose(imm).compose(
+            tr.offset_rescaling(curve, e.ends[0], sign=-1))]
+        values += [x for c in imm.substitute(tr.potential(curve, e.ends[1])).terms.values()
+                   for term in c.terms for x in term]
+    values += [x for m in maps for unit in m.units for term in unit.terms for x in term]
+    rows = tr._stratum_rows(curve, atlas)
+    ends = [end for c in charts for eid in sorted(curve.edges)
+            for iv in [tr.stratum_interval(c, rows[(c.vertex, eid)])] if iv is not None
+            for end in iv]
+    return values, ends
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=st.one_of(st.integers(-30, 30),
+                      st.tuples(st.sampled_from(["kp2", "toriccyeg"]), SCALES)))
+def test_chart_rationals_are_in_normal_form(case):
+    # conifold_curve(k) for an int case, else a rescaled shipped curve
+    curve = tr.conifold_curve(case) if isinstance(case, int) else rescaled_curve(*case)
+    values, ends = chart_rationals(curve)
+    assert values and ends
+    assert [v for v in values if not is_normal(v)] == []
+    assert [v for v in ends if not (is_normal(v) or v in (tr.NEG_INF, tr.POS_INF))] == []
