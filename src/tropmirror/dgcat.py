@@ -124,8 +124,7 @@ class DgPiece:
     factorization case.  ``compose`` and ``d`` are both ``combine``.
     """
 
-    def __init__(self, name: str, modules: dict, mod2: bool = False):
-        self.name = name
+    def __init__(self, modules: dict, mod2: bool = False):
         self.modules = dict(modules)
         self.mod2 = mod2
 
@@ -266,7 +265,7 @@ def mf_dg_piece(factorizations) -> DgPiece:
     for mf in factorizations:
         basis = tuple((g, mf.parity[g]) for g in mf.generators)
         modules[mf.name] = DgModule(mf.name, basis, {g: dict(col) for g, col in mf.delta.items()})
-    return DgPiece("MF", modules, mod2=True)
+    return DgPiece(modules, mod2=True)
 
 
 # ---------------------------------------------------------------------------
@@ -425,10 +424,10 @@ class HomotopyFiberProduct:
             self.D.zero(obj.M, obj.N, -1), 0)
 
     def d(self, m: FiberProductMorphism) -> FiberProductMorphism:
-        """d(mu, nu, gamma) = (d mu, d nu, -d gamma - phi_2 G(mu) + L(nu) phi_1)."""
-        third = self.D.combine(((-1, self.D.object_d(m.gamma.tgt), m.gamma),
-                                (sign_pow(m.gamma.degree), m.gamma, self.D.object_d(m.gamma.src)),
-                                (-1, m.tgt.phi, self.G(m.mu)), (1, self.L(m.nu), m.src.phi)))
+        """d(mu, nu, gamma) = (d mu, d nu, -d gamma - phi_2 G(mu) + L(nu) phi_1),
+        with -d gamma read from ``D.d_terms``, the one place of d's sign."""
+        third = self.D.combine([(-s, g, f) for s, g, f in self.D.d_terms(m.gamma)]
+                               + [(-1, m.tgt.phi, self.G(m.mu)), (1, self.L(m.nu), m.src.phi)])
         return self.morphism(m.src, m.tgt, self.B.d(m.mu), self.C.d(m.nu),
                              third, m.degree + 1)
 
@@ -489,7 +488,7 @@ def random_dg_piece(rng: random.Random, name: str = "P", objects: int = 2) -> Dg
             if rng.random() < 0.7:
                 d[f"{obj}a{i}"] = {f"{obj}b{i}": _random_monomial(rng)}
         modules[obj] = DgModule(obj, basis, d)
-    return DgPiece(name, modules)
+    return DgPiece(modules)
 
 
 def _random_monomial(rng: random.Random) -> SymPoly:
@@ -598,35 +597,14 @@ def hfp_axiom_check(seed: int) -> dict:
 _UNCACHED = object()  # ``ModelOps.m``'s memo miss
 
 
-def _term_order(term: tuple) -> tuple:
-    (area, mono), _, _ = term
-    return mono, area.coeffs, area.const
-
-
-def _terms_key(c) -> tuple:
-    """A coefficient's terms as ``(key, numerator, denominator)``, sorted."""
-    terms = c.terms
-    if len(terms) == 1:
-        ((key, s),) = terms.items()
-        return ((key, s.numerator, s.denominator),)
-    return tuple(sorted(((key, s.numerator, s.denominator) for key, s in terms.items()),
-                        key=_term_order))
-
-
-def _element_key(el: dict) -> tuple:
+def _element_key(el: dict) -> frozenset:
     """Order-free form of a formal sum, for ``ModelOps.m``'s memo.
 
-    Generators are sorted, and each one's terms are sorted by monomial and
-    area; a one-term coefficient and a one-generator element are taken as
-    they stand, since sorting them gives the same tuple.  A term is its
-    ``(AreaExp, mono)`` key, whose ``AreaExp`` hash is cached, with its
-    scalar's numerator and denominator, so hashing the key hashes no
-    ``Fraction``.  ``ModelOps`` builds it once per element (``_Element.key``).
+    Coefficients are canonical ``SymPoly``s, so two elements are equal
+    exactly when their keys are, whatever their insertion order.
+    ``ModelOps`` builds it once per element (``_Element.key``).
     """
-    if len(el) == 1:
-        ((g, c),) = el.items()
-        return ((g, _terms_key(c)),)
-    return tuple(sorted((g, _terms_key(c)) for g, c in el.items()))
+    return frozenset((g, frozenset(c.terms.items())) for g, c in el.items())
 
 
 def _read_only(self, *args, **kwargs):
@@ -634,7 +612,7 @@ def _read_only(self, *args, **kwargs):
 
 
 class _Element(dict):
-    """A formal sum built by ``ModelOps``: a read-only dict.
+    """A formal sum built by ``ModelOps``: a read-only dict of reduced coefficients.
 
     Its slots hold its memo key (``_element_key``), its Hom pair and its
     degree, each filled on first use; ``ModelOps.m``, ``degree`` and
@@ -653,7 +631,7 @@ class _Element(dict):
     __setitem__ = __delitem__ = __ior__ = _read_only
     update = pop = popitem = setdefault = clear = _read_only
 
-    def key(self) -> tuple:
+    def key(self) -> frozenset:
         if self._key is None:
             self._key = _element_key(self)
         return self._key
@@ -667,12 +645,21 @@ class ModelOps:
     are therefore added formally on full unit multiples.  A coordinate change
     (from ``solve_isomorphism``) is substituted into every output.
 
+    Every ``_Element`` is reduced when built: areas normalized, no solved
+    variable of the coordinate change.  ``clean`` is the only reduction; it
+    runs where a value enters from outside (the table output in ``m``, the
+    raw alpha and beta~ of ``iso_setup``).  Sums, products and negations of
+    reduced polynomials stay reduced, and no image of the change holds a
+    solved variable (``solve_isomorphism`` substitutes earlier solutions
+    before it solves the next one).  So ``combine`` and the unit action in
+    ``m`` need no second reduction, and unit coefficients are compared as
+    they stand.
+
     ``m``, ``degree`` and ``hom_pair`` take only elements that ``ModelOps``
-    built: read-only ``_Element``s from ``m``, ``clean`` (and so
-    ``scale_el`` and ``combine``), ``negate``, ``unit`` and ``generator``.
-    Each keeps its memo key, Hom pair and degree once built, so each is
-    built once per element; a plain dict has no slots and raises
-    ``AttributeError``.  ``m`` is memoized per instance, so a memo lives as
+    built: read-only ``_Element``s from ``m``, ``clean``, ``combine``,
+    ``negate``, ``unit`` and ``generator``.  Each keeps its memo key, Hom
+    pair and degree once built, so each is built once per element; a plain
+    dict has no slots and raises ``AttributeError``.  ``m`` is memoized per instance, so a memo lives as
     long as one model, one coordinate change and the check that holds them.
     Its key holds each input's ``_element_key``, so equal inputs share an
     entry whatever their insertion order.  ``m`` returns the memoized
@@ -693,14 +680,11 @@ class ModelOps:
 
     # -- elements -------------------------------------------------------------
 
-    def reduce(self, poly: SymPoly) -> SymPoly:
-        poly = self.model.normalize(poly)
-        if self.change is not None:
-            poly = self.change.substitute(poly)
-        return poly
-
     def clean(self, el: dict) -> _Element:
-        out = {g: self.reduce(c) for g, c in el.items()}
+        """``el`` with areas normalized, then the coordinate change substituted."""
+        out = {g: self.model.normalize(c) for g, c in el.items()}
+        if self.change is not None:
+            out = {g: self.change.substitute(c) for g, c in out.items()}
         return _Element((g, c) for g, c in out.items() if not c.is_zero())
 
     def unit(self, obj: str) -> _Element:
@@ -724,32 +708,27 @@ class ModelOps:
             el._hom = self.model.hom_pair(el)
         return el._hom
 
-    def scale_el(self, el: dict, c: SymPoly) -> _Element:
-        return self.clean({g: v * c for g, v in el.items()})
-
     def negate(self, el: _Element) -> _Element:
         """-el; negating reduced coefficients leaves them reduced."""
         return _Element((g, -c) for g, c in el.items())
 
     def combine(self, terms) -> _Element:
-        """The reduced formal sum of s * el over (s, el) pairs, s = 1 or -1."""
+        """The formal sum of s * el over (s, el) pairs, s = 1 or -1; reduced as it stands."""
         total: dict = {}
         for s, el in terms:
             for g, c in el.items():
                 if s < 0:
                     c = -c
                 total[g] = total[g] + c if g in total else c
-        return self.clean(total)
+        return _Element((g, c) for g, c in total.items() if not c.is_zero())
 
     # -- units ----------------------------------------------------------------
 
     def _unit_multiple(self, part: dict):
         """(object, scalar) if ``part`` is scalar * full unit, else None."""
         for obj, us in self.model.units.items():
-            if us and set(part) == set(us):
-                vals = [self.reduce(part[u]) for u in us]
-                if all(v == vals[0] for v in vals[1:]):
-                    return obj, vals[0]
+            if us and set(part) == set(us) and all(part[u] == part[us[0]] for u in us):
+                return obj, part[us[0]]
         return None
 
     def unit_part(self, el: dict):
@@ -773,26 +752,18 @@ class ModelOps:
 
     def _m(self, inputs) -> _Element:
         """``m`` computed from the table, past the memo."""
-        terms = [(1, self.model.deformed_m(inputs))]
+        terms = [(1, self.clean(self.model.deformed_m(inputs)))]
         if len(inputs) == 2:
-            ups = [self.unit_part(e) if any(g in self.all_units for g in e) else None
-                   for e in inputs]
-            if ups[0] is not None and ups[1] is not None:
+            left, right = (self.unit_part(e) for e in inputs)
+            if left is not None and right is not None:
                 # both formal actions below count the unit * unit product once each
-                u_obj, s1 = ups[0]
-                _, s2 = ups[1]
-                terms.append((-1, {u: s1 * s2 for u in self.model.units[u_obj]}))
-            for pos in (0, 1):
-                if ups[pos] is None:
-                    continue
-                _, sc = ups[pos]
-                psi = inputs[1 - pos]
-                if pos == 0:
-                    terms.append((1, {g: cf * sc for g, cf in psi.items()}))
-                else:
-                    gens = self.model.generators
-                    terms.append((1, {g: cf * sc * sign_pow(gens[g].degree)
-                                      for g, cf in psi.items()}))
+                terms.append((-1, {u: left[1] * right[1] for u in self.model.units[left[0]]}))
+            if left is not None:
+                terms.append((1, {g: cf * left[1] for g, cf in inputs[1].items()}))
+            if right is not None:
+                gens = self.model.generators
+                terms.append((1, {g: cf * right[1] * sign_pow(gens[g].degree)
+                                  for g, cf in inputs[0].items()}))
         return self.combine(terms)
 
 
@@ -1100,7 +1071,8 @@ def iso_setup(model):
         raise ValueError(
             f"two-sided scalars differ: {scalar} vs {scalar_rev}; cannot normalize beta")
     ops = ModelOps(model, change)
-    beta_n = ops.scale_el(beta, scalar.inv())
+    inv = scalar.inv()
+    beta_n = ops.clean({g: c * inv for g, c in beta.items()})
     return ops, ops.clean(alpha), beta_n, {"change": change, "scalar": scalar}
 
 

@@ -70,18 +70,11 @@ class MatrixFactorization:
     def odd(self) -> tuple:
         return tuple(g for g in self.generators if self.parity[g] == 1)
 
-    def apply(self, element: dict) -> dict:
-        """delta of a formal sum {generator: SymPoly}."""
-        out: dict = {}
-        for g, c in element.items():
-            for h, d in self.delta.get(g, {}).items():
-                out[h] = out.get(h, SymPoly.zero()) + c * d
-        return {h: v for h, v in out.items() if not v.is_zero()}
-
 
 def check_mf(mf: MatrixFactorization, assignment: dict = None):
     """delta^2 - W * Id, computed exactly; returns (ok, residual).
 
+    delta^2 is a ``DgPiece.compose`` in the factorization's ``mf_dg_piece``.
     The comparison is symbolic under the model constraints.  With
     ``assignment`` every coefficient is first normalized and its areas are
     instantiated at those exact rationals, so the same check runs at one
@@ -94,10 +87,13 @@ def check_mf(mf: MatrixFactorization, assignment: dict = None):
             mf, potential=at_point(mf.potential),
             delta={g: {h: at_point(c) for h, c in col.items()}
                    for g, col in mf.delta.items()})
+    piece = mf_dg_piece([mf])
+    delta = piece.object_d(mf.name)
+    square = piece.compose(delta, delta).entries
     residual = {}
     w = mf.potential.normalize(mf.constraints)
     for g in mf.generators:
-        sq = mf.apply(mf.delta.get(g, {}))
+        sq = square.get(g, {})
         keys = set(sq) | {g}
         for k in keys:
             want = w if k == g else SymPoly.zero()

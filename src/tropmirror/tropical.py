@@ -43,6 +43,11 @@ def _parse_rational(v) -> int | Fraction:
     return _frac(str(v))
 
 
+def _show(pair) -> str:
+    """A pair of rationals as ``(a, b)``, each printed by ``str`` (``-1/2``)."""
+    return f"({pair[0]}, {pair[1]})"
+
+
 def _dot(u, v):
     return u[0] * v[0] + u[1] * v[1]
 
@@ -233,7 +238,7 @@ class TropicalCurve:
                 disp = (p2[0] - p1[0], p2[1] - p1[1])
                 if _cross(disp, e.direction) != 0 or _dot(disp, e.direction) <= 0:
                     errors.append(
-                        f"edge {eid}: displacement {disp} is not a positive "
+                        f"edge {eid}: displacement {_show(disp)} is not a positive "
                         f"multiple of direction {e.direction}"
                     )
             else:
@@ -280,7 +285,7 @@ class TropicalCurve:
                 if points[node] != p:
                     errors.append(
                         f"dual triangulation inconsistent at {node}: "
-                        f"{points[node]} vs {p}"
+                        f"{_show(points[node])} vs {_show(p)}"
                     )
                 return []
             points[node] = p

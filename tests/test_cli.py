@@ -103,6 +103,18 @@ class TestMirror:
         assert not report["ok"]
         assert report["errors"]
 
+    def test_rational_displacement_error_exits_2(self, capsys, tmp_path):
+        doc = json.loads(resources.files("tropmirror.curves").joinpath(
+            "conifold.json").read_text())
+        doc["vertices"]["v1"]["position"] = ["1/2", 1]
+        doc["vertices"]["v2"]["position"] = [0, 0]
+        path = tmp_path / "rational.json"
+        path.write_text(json.dumps(doc))
+        code, report = run_json(capsys, "mirror", "--curve", str(path))
+        assert code == 2 and report["ok"] is False
+        assert ("edge e: displacement (-1/2, -1) is not a positive multiple of "
+                "direction (0, 1)") in report["errors"]
+
     @pytest.mark.parametrize("kind", ["unknown_name", "bad_json", "bad_anchor_edge",
                                       "empty_object", "not_an_object",
                                       "vertex_without_position", "fractional_direction",

@@ -298,6 +298,16 @@ class TestHomotopyFiberProduct:
             assert calls == evaluated
         assert hfp.combine([(1, start, start)]).gamma == hfp.D.zero(m1.src.M, m1.src.N, -1)
 
+    def test_d_reads_each_sign_of_d_from_d_terms(self, monkeypatch):
+        # the sign of d lives only in DgPiece.d_terms: one call per component
+        hfp, _, (m1, _, _) = dgcat.random_hfp_instance(0)
+        calls = []
+        d_terms = dgcat.DgPiece.d_terms
+        monkeypatch.setattr(dgcat.DgPiece, "d_terms",
+                            lambda self, f: calls.append(id(f)) or d_terms(self, f))
+        hfp.d(m1)
+        assert sorted(calls) == sorted(map(id, (m1.mu, m1.nu, m1.gamma)))
+
     def test_zero_yoneda_gamma_is_not_evaluated(self):
         # the Yoneda zero map reads as zero, so an identity composite of the
         # functor equation's fiber product calls no functor
@@ -430,15 +440,7 @@ class TestModelOps:
         assert outs[4] == outs[0]
         assert all(outs[i] != outs[j] for i in range(4) for j in range(i))
 
-    def test_memo_key_equals_the_fully_sorted_key(self):
-        def sorted_key(el):
-            # every generator and every coefficient's terms sorted, one term or many
-            return tuple(sorted(
-                (g, tuple(sorted(((key, s.numerator, s.denominator)
-                                  for key, s in c.terms.items()),
-                                 key=dgcat._term_order)))
-                for g, c in el.items()))
-
+    def test_memo_key_is_order_free_and_separates_elements(self):
         model = ainf.load_model("two_pants")
         names = sorted(model.generators)
         rng = random.Random(18)
@@ -453,13 +455,66 @@ class TestModelOps:
                                                       rng.randint(1, 3)), area, mono)
             return total
 
+        def neighbours(el):
+            # copies that differ in one scalar, one area or one monomial
+            g = rng.choice(sorted(el))
+            (area, mono), s = rng.choice(sorted(el[g].terms.items(), key=str))
+            rest = {k: v for k, v in el[g].terms.items() if k != (area, mono)}
+            for changed in (SymPoly.term(s * 2, area, dict(mono)),
+                            SymPoly.term(s, area + AreaExp.sym("k4"), dict(mono)),
+                            SymPoly.term(s, area, {**dict(mono), "w": 1})):
+                c = changed
+                for (a, m), t in rest.items():
+                    c = c + SymPoly.term(t, a, dict(m))
+                yield {**el, g: c}
+
+        elements = []
         for _ in range(300):
             el = {g: coefficient() for g in rng.sample(names, rng.randint(1, 3))}
             if rng.random() < 0.2:
                 el[rng.choice(names)] = SymPoly.scalar(rng.choice((1, -2, Fraction(1, 2))))
+            el = {g: c for g, c in el.items() if c.terms}
+            if not el:
+                continue
             key = dgcat._element_key(el)
-            assert key == sorted_key(el)
+            assert type(key) is frozenset
             assert dgcat._element_key(dict(reversed(el.items()))) == key
+            # the same element built term by term in reversed order
+            rebuilt = {g: sum((SymPoly.term(s, a, dict(m))
+                               for (a, m), s in reversed(c.terms.items())), SymPoly.zero())
+                       for g, c in reversed(el.items())}
+            assert rebuilt == el and dgcat._element_key(rebuilt) == key
+            for other in neighbours(el):
+                assert other != el
+                assert dgcat._element_key(other) != key
+            elements += [el, rebuilt]
+        # equal keys exactly when the elements are equal
+        keys = [dgcat._element_key(el) for el in elements]
+        for i in range(len(elements)):
+            for j in range(i):
+                assert (keys[i] == keys[j]) == (elements[i] == elements[j])
+
+    def test_sums_and_unit_parts_are_not_reduced_again(self, monkeypatch):
+        # elements are reduced when they enter (clean); a sum of reduced
+        # elements and a unit coefficient are used as they stand
+        ops, alpha, beta_n, _ = dgcat.iso_setup("two_pants")
+        comp = ops.m([alpha, beta_n])
+        assert ops.unit_part(comp) is not None
+        scaled = ops.clean({"P4": SymPoly.term(Fraction(1, 3), AreaExp.sym("k1"), {"x": 1})})
+        calls = []
+        substitute, normalize = ainf.CoordinateChange.substitute, ainf.AInfLocalModel.normalize
+        monkeypatch.setattr(ainf.CoordinateChange, "substitute",
+                            lambda self, p: calls.append("substitute") or substitute(self, p))
+        monkeypatch.setattr(ainf.AInfLocalModel, "normalize",
+                            lambda self, p: calls.append("normalize") or normalize(self, p))
+        total = ops.combine([(1, alpha), (1, scaled), (-1, alpha), (1, scaled)])
+        units = ops.combine([(1, comp), (-1, ops.unit(ops.hom_pair(comp)[0]))])
+        obj, scalar = ops.unit_part(comp)
+        assert not calls
+        assert dict(total) == {"P4": scaled["P4"].scale(2)}
+        assert not units and (obj, str(scalar)) == (ops.hom_pair(comp)[0], "1")
+        assert ops.clean(total) == total
+        assert calls  # clean reduces
 
     def test_memo_is_per_coordinate_change(self):
         model = ainf.load_model("two_pants")

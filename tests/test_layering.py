@@ -118,6 +118,32 @@ def test_chart_stack_never_divides_into_a_float():
     assert found == {name: [] for name in found}
 
 
+def reduction_calls(tree):
+    """(line, called name) of each ``self.model.normalize`` and
+    ``self.change.substitute`` call under ``tree``."""
+    wanted = {("model", "normalize"), ("change", "substitute")}
+    return sorted((node.lineno, f"{node.func.value.attr}.{node.func.attr}")
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                  and isinstance(node.func.value, ast.Attribute)
+                  and isinstance(node.func.value.value, ast.Name)
+                  and node.func.value.value.id == "self"
+                  and (node.func.value.attr, node.func.attr) in wanted)
+
+
+def test_model_elements_are_reduced_only_by_clean():
+    # a ModelOps element is reduced once, where it enters from outside;
+    # sums, products and unit parts of reduced elements are not reduced again
+    tree = ast.parse((PACKAGE / "dgcat.py").read_text())
+    ops = next(node for node in tree.body
+               if isinstance(node, ast.ClassDef) and node.name == "ModelOps")
+    clean = next(node for node in ops.body
+                 if isinstance(node, ast.FunctionDef) and node.name == "clean")
+    assert reduction_calls(tree) == reduction_calls(clean)
+    assert {name for _, name in reduction_calls(clean)} == {"model.normalize",
+                                                             "change.substitute"}
+
+
 def class_attributes(path, names):
     """{class name: names its body defines, by def or by assignment} for ``names``."""
     found = {}

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from tropmirror import mf
 from tropmirror.ainf import random_area_assignment
-from tropmirror.dgcat import mf_dg_piece
+from tropmirror.dgcat import DgPiece, mf_dg_piece
 from tropmirror.symbolic import AreaExp, SymPoly
 from tropmirror.tropical import conifold_curve, load_curve
 
@@ -83,6 +83,16 @@ class TestCheckMF:
             ok, residual = mf.check_mf(obj, random_area_assignment(model, rng))
             assert not ok
             assert residual
+
+    def test_delta_is_squared_by_the_dg_piece(self, monkeypatch):
+        # delta o delta is DgPiece's one Hom-complex product
+        obj = mf.transform_object(mf.winding_strip_model(1), "L", "S1")
+        calls = []
+        combine = DgPiece.combine
+        monkeypatch.setattr(DgPiece, "combine",
+                            lambda self, terms: calls.append(1) or combine(self, terms))
+        assert mf.check_mf(obj)[0]
+        assert calls
 
     def test_zero_module_passes(self):
         empty = mf.MatrixFactorization(

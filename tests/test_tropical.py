@@ -133,6 +133,17 @@ class TestValidation:
             tr.load_curve(doc)
         assert any("missing a1" in e for e in exc.value.errors)
 
+    def test_rational_displacement_is_printed_with_str(self):
+        doc = json.loads(resources.files("tropmirror.curves").joinpath(
+            "conifold.json").read_text())
+        doc["vertices"]["v1"]["position"] = ["1/2", 1]
+        doc["vertices"]["v2"]["position"] = [0, 0]
+        with pytest.raises(tr.CurveValidationError) as exc:
+            tr.load_curve(doc)
+        assert exc.value.errors[0] == (
+            "edge e: displacement (-1/2, -1) is not a positive multiple of "
+            "direction (0, 1)")
+
 
 class TestDualFan:
     def test_pair_of_pants_is_c3(self):
