@@ -108,24 +108,26 @@ class AInfLocalModel:
     def _match_entry(self, entry: Entry, seq, slots):
         """All ways to read an entry as (b-insertions interleaved with seq).
 
-        Returns a list of variable-name tuples, one per match.
+        Returns a list of variable-name tuples, one per match, in depth-first
+        order: a token read as the next input of ``seq`` comes before the
+        same token read as a b-insertion.  The walk keeps its own stack, so
+        a call leaves no reference cycle behind.
         """
         tokens = entry.inputs
         results = []
-
-        def go(ti, si, acc):
+        stack = [(0, 0, ())]  # the sequence-input branch is pushed last, so popped first
+        while stack:
+            ti, si, acc = stack.pop()
             if ti == len(tokens):
                 if si == len(seq):
-                    results.append(tuple(acc))
-                return
+                    results.append(acc)
+                continue
             tok = tokens[ti]
-            if si < len(seq) and tok == seq[si]:
-                go(ti + 1, si + 1, acc)
             var = self.deformations.get(slots[si], {}).get(tok)
             if var is not None:
-                go(ti + 1, si, acc + [var])
-
-        go(0, 0, [])
+                stack.append((ti + 1, si, acc + (var,)))
+            if si < len(seq) and tok == seq[si]:
+                stack.append((ti + 1, si + 1, acc))
         return results
 
     def deformed_m(self, inputs, obj=None) -> dict:

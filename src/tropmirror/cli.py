@@ -15,12 +15,13 @@ emitted in sorted order, randomized suites derive every case from the
 from __future__ import annotations
 
 import argparse
-import json
 import random
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
+from json.encoder import encode_basestring_ascii as _json_str
+from math import inf
 from pathlib import Path
 
 from . import ainf, dgcat, mf, tropical
@@ -237,30 +238,116 @@ def cones_svg(curve, charts, atlas) -> str:
 
 
 def _emit(cfg: RunConfig, report: dict) -> None:
+    """Write ``report`` to stdout, and to ``--out`` when given.
+
+    The structured text is byte for byte
+    ``json.dumps(report, indent=2, sort_keys=True, default=str) + "\n"``,
+    built in one pass by ``_json_text``; the text format has one
+    ``dotted.path: value`` line per leaf, from ``_text_lines``.
+    """
     if cfg.format == "structured":
-        text = json.dumps(report, indent=2, sort_keys=True, default=str) + "\n"
+        chunks = []
+        _json_text(report, "\n", chunks)
+        text = "".join(chunks) + "\n"
     else:
         lines = []
-
-        def walk(prefix, value):
-            if isinstance(value, dict):
-                for k in sorted(value, key=str):
-                    walk(f"{prefix}{k}." if prefix else f"{k}.", value[k])
-            elif isinstance(value, (list, tuple)):
-                if all(not isinstance(v, (dict, list, tuple)) for v in value):
-                    lines.append(f"{prefix[:-1]}: {', '.join(str(v) for v in value)}")
-                else:
-                    for i, v in enumerate(value):
-                        walk(f"{prefix}{i}.", v)
-            else:
-                lines.append(f"{prefix[:-1]}: {value}")
-
-        walk("", report)
+        _text_lines("", report, lines)
         text = "\n".join(lines) + "\n"
     sys.stdout.write(text)
     if cfg.out:
         suffix = "json" if cfg.format == "structured" else "txt"
         (Path(cfg.out) / f"{cfg.command}-report.{suffix}").write_text(text)
+
+
+def _json_float(x: float) -> str:
+    """A float as ``json`` writes it, NaN and the infinities included."""
+    if x != x:
+        return "NaN"
+    if x == inf:
+        return "Infinity"
+    if x == -inf:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _json_key(key) -> str:
+    """The text ``json`` writes, in quotes, for a dict key."""
+    if isinstance(key, str):
+        return key
+    if isinstance(key, float):
+        return _json_float(key)
+    if key is True:
+        return "true"
+    if key is False:
+        return "false"
+    if key is None:
+        return "null"
+    if isinstance(key, int):
+        return int.__repr__(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+
+
+def _json_text(value, newline: str, out: list) -> None:
+    """Append the text ``json.dumps(value, indent=2, sort_keys=True,
+    default=str)`` gives for ``value`` to ``out``; ``newline`` is a newline
+    followed by the indent of the line ``value`` starts on.
+
+    The type tests run in ``json.encoder``'s order, so subclasses of str,
+    int, float, list, tuple and dict are written as ``json`` writes them,
+    and any other value as the string ``str`` makes of it.
+    """
+    if isinstance(value, str):
+        out.append(_json_str(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, float):
+        out.append(_json_float(value))
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in value:
+            out.append(sep)
+            _json_text(item, inner, out)
+            sep = "," + inner
+        out.append(newline + "]")
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, item in sorted(value.items()):
+            out.append(f"{sep}{_json_str(_json_key(key))}: ")
+            _json_text(item, inner, out)
+            sep = "," + inner
+        out.append(newline + "}")
+    else:
+        out.append(_json_str(str(value)))
+
+
+def _text_lines(prefix: str, value, out: list) -> None:
+    """Append one ``path: value`` line per leaf of ``value`` to ``out``; a
+    list of leaves makes one line, its items joined by commas."""
+    if isinstance(value, dict):
+        for k in sorted(value, key=str):
+            _text_lines(f"{prefix}{k}." if prefix else f"{k}.", value[k], out)
+    elif isinstance(value, (list, tuple)):
+        if all(not isinstance(v, (dict, list, tuple)) for v in value):
+            out.append(f"{prefix[:-1]}: {', '.join(str(v) for v in value)}")
+        else:
+            for i, v in enumerate(value):
+                _text_lines(f"{prefix}{i}.", v, out)
+    else:
+        out.append(f"{prefix[:-1]}: {value}")
 
 
 def _write_svgs(curve, charts, atlas, out_dir: Path) -> dict:

@@ -681,10 +681,14 @@ class ModelOps:
     # -- elements -------------------------------------------------------------
 
     def clean(self, el: dict) -> _Element:
-        """``el`` with areas normalized, then the coordinate change substituted."""
-        out = {g: self.model.normalize(c) for g, c in el.items()}
-        if self.change is not None:
-            out = {g: self.change.substitute(c) for g, c in out.items()}
+        """``el`` with the coordinate change substituted, or with areas
+        normalized when there is no change.  ``CoordinateChange.substitute``
+        normalizes by the model's constraints after it substitutes, so each
+        coefficient is reduced once either way."""
+        if self.change is None:
+            out = {g: self.model.normalize(c) for g, c in el.items()}
+        else:
+            out = {g: self.change.substitute(c) for g, c in el.items()}
         return _Element((g, c) for g, c in out.items() if not c.is_zero())
 
     def unit(self, obj: str) -> _Element:

@@ -772,11 +772,9 @@ class Chart:
 
 
 def _mat_mul(A, B):
-    n, m, p = len(A), len(B), len(B[0])
-    return [
-        [sum(A[i][k] * B[k][j] for k in range(m)) for j in range(p)]
-        for i in range(n)
-    ]
+    """The product of two 3x3 integer matrices."""
+    cols = tuple(zip(*B))
+    return [[a0 * b0 + a1 * b1 + a2 * b2 for b0, b1, b2 in cols] for a0, a1, a2 in A]
 
 
 def _stratum_rows(curve, atlas) -> dict:
@@ -790,11 +788,13 @@ def _stratum_rows(curve, atlas) -> dict:
     firsts = {e.ends[0] for e in curve.edges.values()}
     relative = {(vid, u): _mat_mul(atlas.matrices[vid], atlas.inverses[u])
                 for u in firsts for vid in curve.vertices}
+    offsets = {vid: [curve.exact_offset(vid, eid) for eid in cv.edges]
+               for vid, cv in curve.vertices.items()}
     table = {}
     for eid, e in curve.edges.items():
         u = e.ends[0]
         idx = curve.vertices[u].edges.index(eid)
-        for vid, cv in curve.vertices.items():
+        for vid in curve.vertices:
             N = relative[(vid, u)]
             rows = []
             for s in range(3):
@@ -803,7 +803,7 @@ def _stratum_rows(curve, atlas) -> dict:
                     rows = None
                     break
                 if not any(c > 0 for c in vanish):
-                    rows.append((LETTERS[s], N[s][idx], curve.exact_offset(vid, cv.edges[s])))
+                    rows.append((LETTERS[s], N[s][idx], offsets[vid][s]))
             table[(vid, eid)] = rows
     return table
 
@@ -873,12 +873,6 @@ def _triple_violations(charts, ivs):
     return bad
 
 
-def _stratum(curve, interval, charts, edge_id):
-    """The charts' intervals on an edge stratum, whether they cover it, and their triple overlaps."""
-    ivs = [interval(c, edge_id) for c in charts]
-    return ivs, _covers(ivs, required_interval(curve, edge_id)), _triple_violations(charts, ivs)
-
-
 def covering_certificate(curve, charts, atlas) -> dict:
     """Exact coverage and pairwise-only-overlap certificate for a chart list."""
     return _certificate(curve, charts, _intervals(_stratum_rows(curve, atlas)))
@@ -888,7 +882,9 @@ def _certificate(curve, charts, interval) -> dict:
     strata = []
     ok = True
     for eid in sorted(curve.edges):
-        ivs, covered, triples = _stratum(curve, interval, charts, eid)
+        ivs = [interval(c, eid) for c in charts]
+        covered = _covers(ivs, required_interval(curve, eid))
+        triples = _triple_violations(charts, ivs)
         ok = ok and covered and not triples
         strata.append({
             "edge": eid,
@@ -916,12 +912,11 @@ def _ring(curve, face_point):
     n = len(verts)
     cx = _frac(Fraction(sum(curve.vertices[v].position[0] for v in verts), n))
     cy = _frac(Fraction(sum(curve.vertices[v].position[1] for v in verts), n))
-
-    def rel(v):
-        p = curve.vertices[v].position
-        return (p[0] - cx, p[1] - cy)
-
-    return sorted(verts, key=cmp_to_key(lambda a, b: -_angle_cmp(rel(a), rel(b))))
+    rel = {}
+    for v in verts:
+        x, y = curve.vertices[v].position
+        rel[v] = (x - cx, y - cy)
+    return sorted(verts, key=cmp_to_key(lambda a, b: -_angle_cmp(rel[a], rel[b])))
 
 
 def _edge_between(curve, u, w):
@@ -959,16 +954,18 @@ def covering_collection(curve, atlas):
     lies in; the shifts in it are then tried smallest first with the exact
     test.  Every shift below L fails the overlap test, so the first shift
     accepted is the first admissible one of all of ``_shifts()``, and an
-    empty range is a failed placement.  The placed charts' own triples and
-    pairwise intersections are computed once per placement, so each
-    candidate is tested only in the triples that contain it.
+    empty range is a failed placement.  The placed charts' intervals,
+    pairwise intersections and triples are kept in one ``_OverlapTable``,
+    updated as each chart is placed, so each candidate is tested only in
+    the triples that contain it.
     """
     rows = _stratum_rows(curve, atlas)
     interval = _intervals(rows)
-    charts = []
+    placed = _OverlapTable(curve.edges, interval)
+    charts = placed.charts
     for vid in sorted(curve.vertices, key=lambda v: (curve.vertices[v].position, v)):
         if any(not curve.edges[e].finite for e in curve.vertices[vid].edges):
-            charts.append(Chart(vid))
+            placed.add(Chart(vid))
     failures = []
     for point in sorted(curve.bounded_faces()):
         ring = _ring(curve, point)
@@ -984,10 +981,9 @@ def covering_collection(curve, atlas):
             if shared is None:
                 continue
             existing_here = [c for c in charts if c.vertex == v]
-            if existing_here:
-                _, covered, triples = _stratum(curve, interval, charts, shared)
-                if covered and not triples:
-                    continue
+            if (existing_here and shared not in placed.triples
+                    and _covers(placed.intervals[shared], required_interval(curve, shared))):
+                continue
             base = existing_here[-1] if existing_here else Chart(v)
             if pre_face.get(prev_v):
                 prev_chart = pre_face[prev_v][0]
@@ -996,20 +992,19 @@ def covering_collection(curve, atlas):
                 if not cands:
                     continue
                 prev_chart = cands[-1]
-            chart = _place(curve, rows, interval, charts, base,
-                           curve.letter(v, shared), prev_chart, shared)
+            chart = _place(rows, placed, base, curve.letter(v, shared), prev_chart, shared)
             if chart is None:
                 failures.append({"face": [str(c) for c in point], "vertex": v,
                                  "edge": shared})
             else:
-                charts.append(chart)
+                placed.add(chart)
     cert = _certificate(curve, charts, interval)
     if not cert["ok"]:
         for stratum in cert["strata"]:
             edge = curve.edges[stratum["edge"]]
             if not stratum["covered"] and edge.finite:
                 vid = edge.ends[0]
-                charts.append(Chart(vid).deformed(
+                placed.add(Chart(vid).deformed(
                     curve.letter(vid, stratum["edge"]),
                     curve.affine_length(stratum["edge"]) + Fraction(1, 2)))
         cert = _certificate(curve, charts, interval)
@@ -1020,17 +1015,54 @@ def covering_collection(curve, atlas):
     return charts, cert
 
 
-def _place(curve, rows, interval, charts, base, letter, prev_chart, shared):
-    """``base`` deformed along ``letter`` by the smallest admissible shift, or None."""
+class _OverlapTable:
+    """The placed charts, with their intervals and nonempty pairwise
+    intersections on every edge stratum, kept as each chart is added.
+
+    A triple shares a point exactly when its last chart meets the
+    intersection of the other two, so ``add`` finds each triple as its
+    last chart arrives.  Charts are only ever added, so an edge in
+    ``triples`` stays there.
+    """
+
+    def __init__(self, edges, interval):
+        self.interval = interval
+        self.charts = []
+        self.intervals = {eid: [] for eid in edges}  # nonempty ones, in placement order
+        self.pairs = {eid: [] for eid in edges}
+        self.triples = set()  # edges on which three placed charts share a point
+
+    def add(self, chart):
+        self.charts.append(chart)
+        for eid, ivs in self.intervals.items():
+            iv = self.interval(chart, eid)
+            if iv is None:
+                continue
+            pairs = self.pairs[eid]
+            if _meets(pairs, iv):
+                self.triples.add(eid)
+            pairs += [(max(lo, iv[0]), min(hi, iv[1])) for lo, hi in ivs
+                      if max(lo, iv[0]) <= min(hi, iv[1])]
+            ivs.append(iv)
+
+    def overlaps(self, rows, vertex):
+        """The nonempty pairwise intersections on the edge strata that a
+        chart at ``vertex`` can meet, by edge; ``rows`` as ``_stratum_rows``."""
+        return {eid: pairs for eid, pairs in self.pairs.items()
+                if pairs and rows[(vertex, eid)] is not None}
+
+
+def _place(rows, placed, base, letter, prev_chart, shared):
+    """``base`` deformed along ``letter`` by the smallest admissible shift, or
+    None, given the ``_OverlapTable`` of the charts ``placed`` so far."""
+    interval = placed.interval
     prev_iv = interval(prev_chart, shared)
     lo, hi = _shift_range(rows[(base.vertex, shared)], base, letter, prev_iv)
     shifts = _shifts()
     tried = shifts[bisect_left(shifts, lo):bisect_right(shifts, hi)]
-    if not tried:
-        return None
-    overlaps = _pair_overlaps(curve, rows, interval, charts, base.vertex)
-    if overlaps is None:
-        return None  # three placed charts already share a point
+    if not tried or placed.triples:
+        return None  # no shift overlaps, or three placed charts already share a point
+    overlaps = placed.overlaps(rows, base.vertex)
     for h in tried:
         cand = base.deformed(letter, h)
         if _admissible(interval, cand, prev_iv, shared, overlaps):
@@ -1081,30 +1113,6 @@ def _shift_range(rows, base, letter, prev_iv):
             elif b >= d:
                 return empty
     return lo, hi
-
-
-def _pair_overlaps(curve, rows, interval, charts, vertex):
-    """The charts' nonempty pairwise intersections on each edge stratum that
-    ``vertex`` meets, or None when three charts already share a point.
-
-    A triple shares a point exactly when its last chart meets the
-    intersection of the other two, so one pass in list order finds them all.
-    """
-    overlaps = {}
-    for eid in curve.edges:
-        ivs, pairs = [], []
-        for chart in charts:
-            iv = interval(chart, eid)
-            if iv is None:
-                continue
-            if _meets(pairs, iv):
-                return None
-            pairs += [(max(lo, iv[0]), min(hi, iv[1])) for lo, hi in ivs
-                      if max(lo, iv[0]) <= min(hi, iv[1])]
-            ivs.append(iv)
-        if pairs and rows[(vertex, eid)] is not None:
-            overlaps[eid] = pairs
-    return overlaps
 
 
 def _meets(intervals, iv):

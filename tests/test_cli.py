@@ -1,7 +1,10 @@
 """Tests for the command-line interface: reports, determinism, exit codes."""
 
 import argparse
+import contextlib
+import gc
 import hashlib
+import io
 import json
 from dataclasses import replace
 from importlib import resources
@@ -445,6 +448,90 @@ class TestVerify:
         assert code == 0
         on_disk = json.loads((out / "verify-report.json").read_text())
         assert on_disk == report
+
+
+class Str(str):
+    pass
+
+
+class Int(int):
+    pass
+
+
+class Dict(dict):
+    pass
+
+
+class List(list):
+    pass
+
+
+class Opaque:
+    """A value ``json`` cannot encode, written through ``default=str``."""
+
+    def __init__(self, tag):
+        self.tag = tag
+
+    def __str__(self):
+        return f"<opaque {self.tag}>"
+
+
+TEXT = st.text(max_size=4) | st.text(st.sampled_from('"\\/\n\t\x00\x1f\x7f é€😀'), max_size=4)
+REPORT_LEAVES = (
+    TEXT | TEXT.map(Str)
+    | st.integers() | st.integers(-2**200, 2**200) | st.integers().map(Int)
+    | st.booleans() | st.none() | st.floats()
+    | st.fractions() | st.builds(Opaque, TEXT))
+REPORT_KEYS = TEXT | TEXT.map(Str)
+# keys of other types mix only where ``sorted`` can order them
+OTHER_KEYS = st.integers(-5, 5) | st.floats(allow_nan=False) | st.booleans() | st.integers().map(Int)
+REPORTS = st.recursive(
+    REPORT_LEAVES,
+    lambda inner: (st.lists(inner, max_size=3) | st.lists(inner, max_size=3).map(tuple)
+                   | st.lists(inner, max_size=3).map(List)
+                   | st.dictionaries(REPORT_KEYS, inner, max_size=3)
+                   | st.dictionaries(REPORT_KEYS, inner, max_size=3).map(Dict)
+                   | st.dictionaries(OTHER_KEYS | st.none(), inner, max_size=3)),
+    max_leaves=12)
+
+
+class TestStructuredWriter:
+    @settings(max_examples=400)
+    @given(report=REPORTS)
+    def test_matches_json_dumps(self, report):
+        # the golden bytes are those of this json.dumps call
+        try:
+            expected = json.dumps(report, indent=2, sort_keys=True, default=str) + "\n"
+        except TypeError as err:  # keys that sorted() cannot order, or None among others
+            with pytest.raises(type(err)):
+                cli._emit(cli.RunConfig("mirror", format="structured"), report)
+            return
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            cli._emit(cli.RunConfig("mirror", format="structured"), report)
+        assert out.getvalue() == expected
+
+
+# a warmed-up run of each leaves no garbage cycle behind
+GC_COMMANDS = [
+    ["mirror", "--curve", "kp2", "--format", "structured"],
+    ["mirror", "--curve", "kp2"],
+    ["transform", "--curve", "kp2", "--face", "0,0", "--windings", "e01=2,e02=2,e12=2"],
+    ["verify", "morphisms"],
+    ["verify", "functor", "--arity", "2"],
+]
+
+
+@pytest.mark.parametrize("argv", GC_COMMANDS, ids=" ".join)
+def test_a_run_leaves_no_reference_cycles(capsys, argv):
+    cli.main(argv)  # fills the module-level caches
+    gc.collect()
+    gc.disable()
+    try:
+        assert cli.main(argv) == 0
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 class TestGoldenStability:

@@ -516,6 +516,28 @@ class TestModelOps:
         assert ops.clean(total) == total
         assert calls  # clean reduces
 
+    def test_clean_reduces_each_coefficient_once(self, monkeypatch):
+        # CoordinateChange.substitute normalizes by the model's constraints
+        # after it substitutes, so with a change clean does not normalize
+        # first; without one it only normalizes
+        ops, _, _, _ = dgcat.iso_setup("two_pants")
+        plain = dgcat.ModelOps(ops.model)
+        raw = {"P4": SymPoly.term(Fraction(1, 3), AreaExp.sym("ALtb"), {"x'": 1, "y": 1}),
+               "P6": SymPoly.term(2, AreaExp.sym("ALb"), {"z'": 1})}
+        two_pass = {g: ops.change.substitute(ops.model.normalize(c)) for g, c in raw.items()}
+        normalized = {g: ops.model.normalize(c) for g, c in raw.items()}
+        calls = []
+        substitute, normalize = ainf.CoordinateChange.substitute, ainf.AInfLocalModel.normalize
+        monkeypatch.setattr(ainf.CoordinateChange, "substitute",
+                            lambda self, p: calls.append("substitute") or substitute(self, p))
+        monkeypatch.setattr(ainf.AInfLocalModel, "normalize",
+                            lambda self, p: calls.append("normalize") or normalize(self, p))
+        assert dict(ops.clean(raw)) == two_pass
+        assert calls == ["substitute", "substitute"]
+        calls.clear()
+        assert dict(plain.clean(raw)) == normalized
+        assert calls == ["normalize", "normalize"]
+
     def test_memo_is_per_coordinate_change(self):
         model = ainf.load_model("two_pants")
         changed, alpha, beta_n, _ = dgcat.iso_setup(model)

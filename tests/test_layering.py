@@ -118,6 +118,35 @@ def test_chart_stack_never_divides_into_a_float():
     assert found == {name: [] for name in found}
 
 
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def self_referring_nested_functions(path):
+    """``file:outer.inner`` for each function of a source file, nested in
+    another function, whose body names itself."""
+    found = set()
+    for outer in ast.walk(ast.parse(path.read_text())):
+        if not isinstance(outer, FUNCTIONS):
+            continue
+        for inner in ast.walk(outer):
+            if inner is not outer and isinstance(inner, FUNCTIONS) and any(
+                    isinstance(node, ast.Name) and node.id == inner.name
+                    for node in ast.walk(inner)):
+                found.add(f"{path.name}:{outer.name}.{inner.name}")
+    return found
+
+
+def test_no_nested_function_refers_to_itself():
+    # a nested function that names itself is a closure holding its own cell:
+    # each call of the outer function leaves a reference cycle that only the
+    # cyclic garbage collector frees, so recursion lives at module level or
+    # walks an explicit stack
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        found |= self_referring_nested_functions(path)
+    assert found == set()
+
+
 def reduction_calls(tree):
     """(line, called name) of each ``self.model.normalize`` and
     ``self.change.substitute`` call under ``tree``."""

@@ -50,15 +50,80 @@ def brute_force_place(curve, interval, charts, base, letter, prev_chart, shared)
     return None
 
 
+def pair_overlaps(curve, rows, interval, charts, vertex):
+    """The charts' nonempty pairwise intersections on each edge stratum that
+    ``vertex`` meets, or None when three charts already share a point, all
+    computed from scratch: the reference for ``_OverlapTable``.
+
+    A triple shares a point exactly when its last chart meets the
+    intersection of the other two, so one pass in list order finds them all.
+    """
+    overlaps = {}
+    for eid in curve.edges:
+        ivs, pairs = [], []
+        for chart in charts:
+            iv = interval(chart, eid)
+            if iv is None:
+                continue
+            if tr._meets(pairs, iv):
+                return None
+            pairs += [(max(lo, iv[0]), min(hi, iv[1])) for lo, hi in ivs
+                      if max(lo, iv[0]) <= min(hi, iv[1])]
+            ivs.append(iv)
+        if pairs and rows[(vertex, eid)] is not None:
+            overlaps[eid] = pairs
+    return overlaps
+
+
+def overlap_table(curve, interval, charts):
+    """An ``_OverlapTable`` with ``charts`` added in turn."""
+    table = tr._OverlapTable(curve.edges, interval)
+    for chart in charts:
+        table.add(chart)
+    return table
+
+
+def assert_table_matches_from_scratch(curve, charts):
+    """After each chart is added, the ``_OverlapTable`` agrees with
+    ``pair_overlaps`` and with the triples of ``_triple_violations``."""
+    rows = tr._stratum_rows(curve, tr.atlas(curve))
+    interval = tr._intervals(rows)
+    table = tr._OverlapTable(curve.edges, interval)
+    for k, chart in enumerate(charts, 1):
+        table.add(chart)
+        placed = charts[:k]
+        assert table.charts == placed
+        for eid in curve.edges:
+            ivs = [interval(c, eid) for c in placed]
+            assert table.intervals[eid] == [iv for iv in ivs if iv is not None]
+            assert (eid in table.triples) == bool(tr._triple_violations(placed, ivs))
+        for vertex in curve.vertices:
+            reference = pair_overlaps(curve, rows, interval, placed, vertex)
+            if reference is None:
+                assert table.triples
+            else:
+                assert not table.triples
+                assert table.overlaps(rows, vertex) == reference
+
+
+def deformed_chart(vertex, *deformations):
+    """``Chart(vertex)`` deformed by each (letter, shift) in turn."""
+    chart = tr.Chart(vertex)
+    for letter, shift in deformations:
+        chart = chart.deformed(letter, shift)
+    return chart
+
+
 def covering(curve):
     return tr.covering_collection(curve, tr.atlas(curve))
 
 
 def assert_same_search(curve):
-    """The search agrees with one whose placements run ``brute_force_place``."""
+    """The search agrees with one whose placements run ``brute_force_place``
+    on the charts placed so far."""
     charts, cert = covering(curve)
-    with mock.patch.object(tr, "_place", lambda curve, rows, *rest:
-                           brute_force_place(curve, *rest)):
+    with mock.patch.object(tr, "_place", lambda rows, placed, *rest:
+                           brute_force_place(curve, placed.interval, placed.charts, *rest)):
         ref_charts, ref_cert = covering(curve)
     assert [c.label for c in charts] == [c.label for c in ref_charts]
     assert cert == ref_cert
@@ -319,6 +384,16 @@ class TestIntegerInverse:
             tr._unimodular_inverse(rows)
 
 
+class TestMatMul:
+    @given(st.lists(st.lists(st.integers(-10**30, 10**30), min_size=3, max_size=3),
+                    min_size=6, max_size=6))
+    def test_matches_the_loop(self, entries):
+        A, B = entries[:3], tuple(map(tuple, entries[3:]))
+        expected = [[sum(A[i][k] * B[k][j] for k in range(3)) for j in range(3)]
+                    for i in range(3)]
+        assert tr._mat_mul(A, B) == expected
+
+
 class TestCocycle:
     def test_trees_trivially_pass(self):
         for name in ("pair_of_pants", "conifold"):
@@ -411,6 +486,32 @@ class TestCovering:
         cert = tr.covering_certificate(curve, charts, tr.atlas(curve))
         assert not cert["ok"]
         assert any(s["triple_overlaps"] for s in cert["strata"])
+
+    @pytest.mark.parametrize("specs", [
+        # S(v1) and S(v2)~y[6] touch at 3 on e12
+        [("v0",), ("v1",), ("v2",), ("v2", ("y", 6))],
+        # a placed triple
+        [("v0",), ("v0",), ("v0",), ("v1",), ("v2",)],
+        # the S(v2) pair of test_candidate_meeting_a_placed_pair_is_rejected,
+        # then a chart touching the S(v1) pair
+        [("v0",), ("v1",), ("v2",), ("v1", ("x", Fraction(13, 4))), ("v2",),
+         ("v2", ("y", Fraction(37, 4)))],
+    ])
+    def test_overlap_table_on_kp2_placements(self, specs):
+        charts = [deformed_chart(*spec) for spec in specs]
+        assert_table_matches_from_scratch(tr.load_curve("kp2"), charts)
+
+    @settings(deadline=None, max_examples=40)
+    @given(data=st.data(), curve_case=st.one_of(
+        st.just(("kp2", 1)), st.tuples(st.just("toriccyeg"), SCALES)))
+    def test_overlap_table_on_random_placements(self, data, curve_case):
+        curve = rescaled_curve(*curve_case)
+        deformation = st.tuples(st.sampled_from(tr.LETTERS),
+                                st.integers(0, 40).map(lambda n: Fraction(n, 4)))
+        chart = st.builds(lambda vertex, deformations: deformed_chart(vertex, *deformations),
+                          st.sampled_from(sorted(curve.vertices)),
+                          st.lists(deformation, max_size=2))
+        assert_table_matches_from_scratch(curve, data.draw(st.lists(chart, max_size=8)))
 
     def test_toriccyeg_collection(self):
         curve = tr.load_curve("toriccyeg")
@@ -505,8 +606,9 @@ class TestCovering:
         # S(v2) placed twice: the pair shares (3, inf) on e02, and no third
         # placed chart meets it there
         placed = [v0, v1, v2, v1.deformed("x", Fraction(13, 4)), v2]
-        overlaps = tr._pair_overlaps(curve, rows, interval, placed, "v2")
-        assert overlaps is not None and (3, tr.POS_INF) in overlaps["e02"]
+        table = overlap_table(curve, interval, placed)
+        overlaps = table.overlaps(rows, "v2")
+        assert not table.triples and (3, tr.POS_INF) in overlaps["e02"]
         cand = v2.deformed("y", Fraction(25, 4))
         prev_iv = interval(v1, "e12")
         # the candidate passes the shared-stratum overlap on e12 ...
@@ -515,23 +617,23 @@ class TestCovering:
         assert not tr._admissible(interval, cand, prev_iv, "e12", {"e02": overlaps["e02"]})
         assert not tr._admissible(interval, cand, prev_iv, "e12", overlaps)
         # every shift meets it, so the placement fails, as in the full walk
-        assert tr._place(curve, rows, interval, placed, v2, "y", v1, "e12") is None
+        assert tr._place(rows, table, v2, "y", v1, "e12") is None
         assert brute_force_place(curve, interval, placed, v2, "y", v1, "e12") is None
         # without the second S(v2) the same walk places the kp2 chart
-        assert (tr._place(curve, rows, interval, placed[:-1], v2, "y", v1, "e12")
+        table = overlap_table(curve, interval, placed[:-1])
+        assert (tr._place(rows, table, v2, "y", v1, "e12")
                 == brute_force_place(curve, interval, placed[:-1], v2, "y", v1, "e12")
                 == cand)
         # a single common point is a triple overlap: on e12 S(v2)~y[37/4]
         # ends at 25/4, where the S(v1) pair's overlap begins
-        overlaps = tr._pair_overlaps(curve, rows, interval, placed[:-1], "v2")
+        overlaps = table.overlaps(rows, "v2")
         touching = v2.deformed("y", Fraction(37, 4))
         assert interval(touching, "e12") == (tr.NEG_INF, Fraction(25, 4))
         assert not tr._admissible(interval, touching, prev_iv, "e12", overlaps)
         assert tr._admissible(interval, v2.deformed("y", 9), prev_iv, "e12", overlaps)
         # and two placed charts that share one point make a pairwise intersection
-        touching_pair = tr._pair_overlaps(curve, rows, interval,
-                                          [v0, v1, v2, v2.deformed("y", 6)], "v1")
-        assert (3, 3) in touching_pair["e12"]
+        touching_pair = overlap_table(curve, interval, [v0, v1, v2, v2.deformed("y", 6)])
+        assert (3, 3) in touching_pair.overlaps(rows, "v1")["e12"]
 
     def test_placed_triple_rejects_every_candidate(self):
         curve = tr.load_curve("kp2")
@@ -539,8 +641,9 @@ class TestCovering:
         interval = tr._intervals(rows)
         v0, v1, v2 = (tr.Chart(v) for v in ("v0", "v1", "v2"))
         placed = [v0, v0, v0, v1, v2]
-        assert tr._pair_overlaps(curve, rows, interval, placed, "v2") is None
-        assert tr._place(curve, rows, interval, placed, v2, "y", v1, "e12") is None
+        table = overlap_table(curve, interval, placed)
+        assert table.triples
+        assert tr._place(rows, table, v2, "y", v1, "e12") is None
         assert brute_force_place(curve, interval, placed, v2, "y", v1, "e12") is None
 
 
