@@ -56,7 +56,10 @@ def _parse_kv_ints(text: str) -> dict:
         key = key.strip()
         if key in out:
             raise argparse.ArgumentTypeError(f"key {key!r} given twice in {text!r}")
-        out[key] = int(val)
+        try:
+            out[key] = int(val)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected key=integer, got {item!r}") from None
     return out
 
 
@@ -94,14 +97,16 @@ def _parser() -> argparse.ArgumentParser:
 
     p_trans = curve_input(sub.add_parser("transform", help="divisor line bundle of a face"))
     p_trans.add_argument("--face", type=_parse_face, required=True,
-                         help="dual point of the face, e.g. 0,0")
+                         help="dual point of the face, e.g. 0,0; give a negative "
+                              "first coordinate as --face=-1,-1")
     p_trans.add_argument("--windings", type=_parse_kv_ints, default=argparse.SUPPRESS,
                          help="winding integers per finite edge, e.g. e=2")
 
     p_verify = output(sub.add_parser("verify", help="run acceptance-criteria suites"))
     p_verify.add_argument("--seed", type=int, default=7)
     p_verify.add_argument("--arity", type=int, default=2, choices=(2, 3))
-    p_verify.add_argument("suite", nargs="?", default="all",
+    p_verify.add_argument("suite", nargs="?", default="all", metavar="suite",
+                          choices=SUITE_ORDER + ("all",),
                           help=f"one of: {', '.join(SUITE_ORDER)}, all")
 
     curve_input(sub.add_parser("render", help="write SVG diagrams of a curve"))
@@ -739,11 +744,6 @@ SUITE_ORDER = tuple(SUITES)
 
 
 def cmd_verify(cfg: RunConfig) -> int:
-    if cfg.suite != "all" and cfg.suite not in SUITES:
-        sys.stderr.write(
-            f"unknown suite {cfg.suite!r}; choose from: "
-            f"{', '.join(SUITE_ORDER)}, all\n")
-        return 2
     names = SUITE_ORDER if cfg.suite == "all" else (cfg.suite,)
     report = {"config": _config_echo(cfg), "suites": {}}
     for name in names:

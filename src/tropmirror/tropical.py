@@ -833,11 +833,6 @@ def stratum_interval(chart, rows):
     return (lo, hi)
 
 
-def _intervals(rows):
-    """(chart, edge) -> stratum interval, each computed once, from a stratum table."""
-    return cache(lambda chart, eid: stratum_interval(chart, rows[(chart.vertex, eid)]))
-
-
 def required_interval(curve, edge_id):
     e = curve.edges[edge_id]
     return (NEG_INF, POS_INF) if e.finite else (0, POS_INF)
@@ -859,43 +854,12 @@ def _covers(intervals, required):
     return covered >= hi
 
 
-def _triple_violations(charts, ivs):
-    """Chart triples with a common point on a stratum, given their intervals."""
-    items = [(c, iv) for c, iv in zip(charts, ivs) if iv is not None]
-    bad = []
-    for i in range(len(items)):
-        for j in range(i + 1, len(items)):
-            for k in range(j + 1, len(items)):
-                lo = max(items[i][1][0], items[j][1][0], items[k][1][0])
-                hi = min(items[i][1][1], items[j][1][1], items[k][1][1])
-                if lo <= hi:
-                    bad.append((items[i][0], items[j][0], items[k][0]))
-    return bad
-
-
 def covering_certificate(curve, charts, atlas) -> dict:
     """Exact coverage and pairwise-only-overlap certificate for a chart list."""
-    return _certificate(curve, charts, _intervals(_stratum_rows(curve, atlas)))
-
-
-def _certificate(curve, charts, interval) -> dict:
-    strata = []
-    ok = True
-    for eid in sorted(curve.edges):
-        ivs = [interval(c, eid) for c in charts]
-        covered = _covers(ivs, required_interval(curve, eid))
-        triples = _triple_violations(charts, ivs)
-        ok = ok and covered and not triples
-        strata.append({
-            "edge": eid,
-            "covered": covered,
-            "intervals": [
-                {"chart": c.label, "lo": _fmt_end(iv[0]), "hi": _fmt_end(iv[1])}
-                for c, iv in zip(charts, ivs) if iv is not None
-            ],
-            "triple_overlaps": [[c.label for c in t] for t in triples],
-        })
-    return {"ok": ok, "strata": strata}
+    table = _OverlapTable(curve, _stratum_rows(curve, atlas))
+    for chart in charts:
+        table.add(chart)
+    return table.certificate()
 
 
 def _fmt_end(v):
@@ -938,12 +902,14 @@ def covering_collection(curve, atlas):
     Starts with undeformed charts at vertices touching an infinite edge,
     then walks the bounded faces in increasing order of their dual point,
     deforming each ring chart toward its clockwise predecessor with the
-    smallest shift n/d (1 <= d <= 4, 1 <= n <= 400) that keeps a genuine
-    overlap and creates no triple overlap.  That walk leaves a finite edge
-    that borders no bounded face (the conifold's) uncovered, so a stretched
-    chart -- the winding-strip chart of Section 8 in tropical terms -- is
-    added across it, deformed from the edge's first end by the edge length
-    plus 1/2.  The strata come from the chart matrices of ``atlas``.
+    smallest shift of ``_shifts()`` that keeps a genuine overlap and
+    creates no triple overlap.  That walk leaves a finite edge that borders
+    no bounded face (the conifold's) uncovered, so a stretched chart -- the
+    winding-strip chart of Section 8 in tropical terms -- is added across
+    it, deformed from the edge's first end by the edge length plus 1/2.
+    The strata come from the chart matrices of ``atlas``.  Every chart is
+    added to one ``_OverlapTable`` as it is placed, and the certificate is
+    read from that table once, after the last chart.
     Returns (charts, certificate).
 
     A placement does not walk all of ``_shifts()``.  Each end of a
@@ -954,115 +920,135 @@ def covering_collection(curve, atlas):
     lies in; the shifts in it are then tried smallest first with the exact
     test.  Every shift below L fails the overlap test, so the first shift
     accepted is the first admissible one of all of ``_shifts()``, and an
-    empty range is a failed placement.  The placed charts' intervals,
-    pairwise intersections and triples are kept in one ``_OverlapTable``,
-    updated as each chart is placed, so each candidate is tested only in
-    the triples that contain it.
+    empty range is a failed placement.  Each candidate is tested only
+    against the table's pairwise intersections, that is, only in the
+    triples that contain it.
     """
-    rows = _stratum_rows(curve, atlas)
-    interval = _intervals(rows)
-    placed = _OverlapTable(curve.edges, interval)
-    charts = placed.charts
+    placed = _OverlapTable(curve, _stratum_rows(curve, atlas))
+    at = placed.at
     for vid in sorted(curve.vertices, key=lambda v: (curve.vertices[v].position, v)):
         if any(not curve.edges[e].finite for e in curve.vertices[vid].edges):
             placed.add(Chart(vid))
     failures = []
     for point in sorted(curve.bounded_faces()):
         ring = _ring(curve, point)
-        with_chart = [v for v in ring if any(c.vertex == v for c in charts)] or ring
-        start = min(with_chart, key=lambda v: (curve.vertices[v].position, v))
+        start = min([v for v in ring if at[v]] or ring,
+                    key=lambda v: (curve.vertices[v].position, v))
         i0 = ring.index(start)
         ring = ring[i0:] + ring[:i0]
-        pre_face = {v: [c for c in charts if c.vertex == v] for v in ring}
+        pre_face = {v for v in ring if at[v]}
         for pos in list(range(1, len(ring))) + [0]:
             v = ring[pos]
             prev_v = ring[pos - 1]
             shared = _edge_between(curve, v, prev_v)
             if shared is None:
                 continue
-            existing_here = [c for c in charts if c.vertex == v]
-            if (existing_here and shared not in placed.triples
-                    and _covers(placed.intervals[shared], required_interval(curve, shared))):
+            if at[v] and shared not in placed.triples and placed.covers(shared):
                 continue
-            base = existing_here[-1] if existing_here else Chart(v)
-            if pre_face.get(prev_v):
-                prev_chart = pre_face[prev_v][0]
-            else:
-                cands = [c for c in charts if c.vertex == prev_v]
-                if not cands:
-                    continue
-                prev_chart = cands[-1]
-            chart = _place(rows, placed, base, curve.letter(v, shared), prev_chart, shared)
+            if not at[prev_v]:
+                continue
+            base = at[v][-1] if at[v] else Chart(v)
+            prev_chart = at[prev_v][0] if prev_v in pre_face else at[prev_v][-1]
+            chart = _place(placed, base, curve.letter(v, shared), prev_chart, shared)
             if chart is None:
                 failures.append({"face": [str(c) for c in point], "vertex": v,
                                  "edge": shared})
             else:
                 placed.add(chart)
-    cert = _certificate(curve, charts, interval)
-    if not cert["ok"]:
-        for stratum in cert["strata"]:
-            edge = curve.edges[stratum["edge"]]
-            if not stratum["covered"] and edge.finite:
-                vid = edge.ends[0]
-                placed.add(Chart(vid).deformed(
-                    curve.letter(vid, stratum["edge"]),
-                    curve.affine_length(stratum["edge"]) + Fraction(1, 2)))
-        cert = _certificate(curve, charts, interval)
+    # the gaps are read before any stretched chart is added
+    gaps = [eid for eid in sorted(curve.edges)
+            if curve.edges[eid].finite and not placed.covers(eid)]
+    for eid in gaps:
+        vid = curve.edges[eid].ends[0]
+        placed.add(Chart(vid).deformed(curve.letter(vid, eid),
+                                       curve.affine_length(eid) + Fraction(1, 2)))
+    cert = placed.certificate()
     if failures:
-        cert = dict(cert)
         cert["ok"] = False
         cert["failures"] = failures
-    return charts, cert
+    return placed.charts, cert
 
 
 class _OverlapTable:
-    """The placed charts, with their intervals and nonempty pairwise
-    intersections on every edge stratum, kept as each chart is added.
+    """The charts placed on a curve, numbered in placement order, with their
+    intervals, nonempty pairwise intersections and triples sharing a point
+    on every edge stratum, kept as each chart is added.
 
     A triple shares a point exactly when its last chart meets the
     intersection of the other two, so ``add`` finds each triple as its
     last chart arrives.  Charts are only ever added, so an edge in
-    ``triples`` stays there.
+    ``triples`` stays there.  The covering certificate is read from the
+    table (``certificate``).  ``rows`` are the curve's stratum rows, as
+    ``_stratum_rows`` gives them; each chart's interval on each stratum is
+    computed once.
     """
 
-    def __init__(self, edges, interval):
-        self.interval = interval
+    def __init__(self, curve, rows):
+        self.curve = curve
+        self.rows = rows
+        self.interval = cache(lambda chart, eid: stratum_interval(chart, rows[(chart.vertex, eid)]))
         self.charts = []
-        self.intervals = {eid: [] for eid in edges}  # nonempty ones, in placement order
-        self.pairs = {eid: [] for eid in edges}
-        self.triples = set()  # edges on which three placed charts share a point
+        self.at = {vid: [] for vid in curve.vertices}  # charts by vertex, in placement order
+        self.intervals = {eid: [] for eid in curve.edges}  # (chart number, nonempty interval)
+        self.pairs = {eid: [] for eid in curve.edges}  # (i, j, nonempty intersection), i < j
+        self.triples = {}  # edge -> (i, j, k) of the triples sharing a point there
 
     def add(self, chart):
+        k = len(self.charts)
         self.charts.append(chart)
+        self.at[chart.vertex].append(chart)
         for eid, ivs in self.intervals.items():
             iv = self.interval(chart, eid)
             if iv is None:
                 continue
             pairs = self.pairs[eid]
-            if _meets(pairs, iv):
-                self.triples.add(eid)
-            pairs += [(max(lo, iv[0]), min(hi, iv[1])) for lo, hi in ivs
+            met = [(i, j, k) for i, j, (lo, hi) in pairs if max(lo, iv[0]) <= min(hi, iv[1])]
+            if met:
+                self.triples.setdefault(eid, []).extend(met)
+            pairs += [(i, k, (max(lo, iv[0]), min(hi, iv[1]))) for i, (lo, hi) in ivs
                       if max(lo, iv[0]) <= min(hi, iv[1])]
-            ivs.append(iv)
+            ivs.append((k, iv))
 
-    def overlaps(self, rows, vertex):
+    def covers(self, eid) -> bool:
+        """Whether the charts' intervals cover the edge's required interval."""
+        return _covers([iv for _, iv in self.intervals[eid]],
+                       required_interval(self.curve, eid))
+
+    def overlaps(self, vertex):
         """The nonempty pairwise intersections on the edge strata that a
-        chart at ``vertex`` can meet, by edge; ``rows`` as ``_stratum_rows``."""
-        return {eid: pairs for eid, pairs in self.pairs.items()
-                if pairs and rows[(vertex, eid)] is not None}
+        chart at ``vertex`` can meet, by edge."""
+        return {eid: [iv for _, _, iv in pairs] for eid, pairs in self.pairs.items()
+                if pairs and self.rows[(vertex, eid)] is not None}
+
+    def certificate(self) -> dict:
+        """Exact coverage and pairwise-only-overlap certificate of the charts
+        added: each edge's intervals in chart order, its triples by (i, j, k)."""
+        labels = [c.label for c in self.charts]
+        strata = []
+        for eid in sorted(self.intervals):
+            triples = sorted(self.triples.get(eid, ()))
+            strata.append({
+                "edge": eid,
+                "covered": self.covers(eid),
+                "intervals": [{"chart": labels[n], "lo": _fmt_end(lo), "hi": _fmt_end(hi)}
+                              for n, (lo, hi) in self.intervals[eid]],
+                "triple_overlaps": [[labels[n] for n in t] for t in triples],
+            })
+        ok = all(s["covered"] and not s["triple_overlaps"] for s in strata)
+        return {"ok": ok, "strata": strata}
 
 
-def _place(rows, placed, base, letter, prev_chart, shared):
+def _place(placed, base, letter, prev_chart, shared):
     """``base`` deformed along ``letter`` by the smallest admissible shift, or
     None, given the ``_OverlapTable`` of the charts ``placed`` so far."""
     interval = placed.interval
     prev_iv = interval(prev_chart, shared)
-    lo, hi = _shift_range(rows[(base.vertex, shared)], base, letter, prev_iv)
+    lo, hi = _shift_range(placed.rows[(base.vertex, shared)], base, letter, prev_iv)
     shifts = _shifts()
     tried = shifts[bisect_left(shifts, lo):bisect_right(shifts, hi)]
     if not tried or placed.triples:
         return None  # no shift overlaps, or three placed charts already share a point
-    overlaps = placed.overlaps(rows, base.vertex)
+    overlaps = placed.overlaps(base.vertex)
     for h in tried:
         cand = base.deformed(letter, h)
         if _admissible(interval, cand, prev_iv, shared, overlaps):

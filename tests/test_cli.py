@@ -304,6 +304,13 @@ class TestTransform:
         assert code == 2
         assert report["errors"] == ["face 0,0 is not bounded"]
 
+    def test_negative_face_is_given_with_equals(self, capsys):
+        # "--face -1,-1" reads -1,-1 as an option; "--face=-1,-1" reaches the face lookup
+        code, report = run_json(capsys, "transform", "--curve", "kp2", "--face=-1,-1",
+                                "--windings", "e12=1")
+        assert code == 2
+        assert report["errors"] == ["face -1,-1 is not bounded"]
+
 
 class TestFlags:
     # each subcommand registers only the flags it reads
@@ -318,6 +325,18 @@ class TestFlags:
             cli.main(argv)
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["mirror", "--curve", "kp2", "--a1", "e01=x"],
+        ["transform", "--curve", "kp2", "--face", "0,0", "--windings", "e01=x"],
+    ])
+    def test_non_integer_value_is_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "expected key=integer, got 'e01=x'" in err
+        assert "_parse_kv_ints" not in err
 
     def test_parser_is_built_once(self, monkeypatch):
         built = []
@@ -378,10 +397,11 @@ class TestRepeatedKeys:
 
 class TestVerify:
     def test_unknown_suite_is_usage_error(self, capsys):
-        code = cli.main(["verify", "nosuchsuite"])
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", "nosuchsuite"])
+        assert exc.value.code == 2
         err = capsys.readouterr().err
-        assert code == 2
-        assert "unknown suite" in err
+        assert "usage:" in err and "invalid choice: 'nosuchsuite'" in err
 
     def test_coordinate_changes_suite(self, capsys):
         code, report = run_json(capsys, "verify", "coordinate-changes")

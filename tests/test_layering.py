@@ -350,3 +350,20 @@ def test_only_symbolic_builds_polynomials_unchecked():
                for node in ast.walk(ast.parse(path.read_text()))
                if isinstance(node, ast.Attribute) and node.attr == "_of_clean"}
     assert callers == {"src/tropmirror/symbolic.py"}
+
+
+def certificate_builders(path):
+    """Top-level statements of a source file holding a dict literal with a
+    ``"triple_overlaps"`` key: a definition by its name, others by line."""
+    return {getattr(node, "name", f"line {node.lineno}")
+            for node in ast.parse(path.read_text()).body
+            for inner in ast.walk(node)
+            if isinstance(inner, ast.Dict) and any(
+                isinstance(key, ast.Constant) and key.value == "triple_overlaps"
+                for key in inner.keys)}
+
+
+def test_one_covering_certificate_builder():
+    # the search's overlap table already knows each stratum's intervals and
+    # triples, so the certificate is read from it and built nowhere else
+    assert certificate_builders(PACKAGE / "tropical.py") == {"_OverlapTable"}

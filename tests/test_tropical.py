@@ -44,10 +44,47 @@ def brute_force_place(curve, interval, charts, base, letter, prev_chart, shared)
         if max(new_iv[0], prev_iv[0]) >= min(new_iv[1], prev_iv[1]):
             continue
         trial = charts + [cand]
-        if not any(tr._triple_violations(trial, [interval(c, eid) for c in trial])
+        if not any(triple_violations(trial, [interval(c, eid) for c in trial])
                    for eid in curve.edges):
             return cand
     return None
+
+
+def triple_violations(charts, ivs):
+    """Chart triples with a common point on a stratum, given their intervals,
+    found by trying every triple: the reference for ``_OverlapTable.triples``."""
+    items = [(c, iv) for c, iv in zip(charts, ivs) if iv is not None]
+    bad = []
+    for i in range(len(items)):
+        for j in range(i + 1, len(items)):
+            for k in range(j + 1, len(items)):
+                lo = max(items[i][1][0], items[j][1][0], items[k][1][0])
+                hi = min(items[i][1][1], items[j][1][1], items[k][1][1])
+                if lo <= hi:
+                    bad.append((items[i][0], items[j][0], items[k][0]))
+    return bad
+
+
+def certificate(curve, charts, interval):
+    """The covering certificate of ``charts`` computed from scratch: the
+    reference for ``_OverlapTable.certificate``."""
+    strata = []
+    ok = True
+    for eid in sorted(curve.edges):
+        ivs = [interval(c, eid) for c in charts]
+        covered = tr._covers(ivs, tr.required_interval(curve, eid))
+        triples = triple_violations(charts, ivs)
+        ok = ok and covered and not triples
+        strata.append({
+            "edge": eid,
+            "covered": covered,
+            "intervals": [
+                {"chart": c.label, "lo": tr._fmt_end(iv[0]), "hi": tr._fmt_end(iv[1])}
+                for c, iv in zip(charts, ivs) if iv is not None
+            ],
+            "triple_overlaps": [[c.label for c in t] for t in triples],
+        })
+    return {"ok": ok, "strata": strata}
 
 
 def pair_overlaps(curve, rows, interval, charts, vertex):
@@ -75,9 +112,15 @@ def pair_overlaps(curve, rows, interval, charts, vertex):
     return overlaps
 
 
-def overlap_table(curve, interval, charts):
+def stratum_intervals(curve):
+    """(chart, edge) -> stratum interval, straight from ``stratum_interval``."""
+    rows = tr._stratum_rows(curve, tr.atlas(curve))
+    return lambda chart, eid: tr.stratum_interval(chart, rows[(chart.vertex, eid)])
+
+
+def overlap_table(curve, charts):
     """An ``_OverlapTable`` with ``charts`` added in turn."""
-    table = tr._OverlapTable(curve.edges, interval)
+    table = tr._OverlapTable(curve, tr._stratum_rows(curve, tr.atlas(curve)))
     for chart in charts:
         table.add(chart)
     return table
@@ -85,25 +128,32 @@ def overlap_table(curve, interval, charts):
 
 def assert_table_matches_from_scratch(curve, charts):
     """After each chart is added, the ``_OverlapTable`` agrees with
-    ``pair_overlaps`` and with the triples of ``_triple_violations``."""
+    ``pair_overlaps``, with the triples of ``triple_violations`` and with
+    the from-scratch ``certificate``."""
     rows = tr._stratum_rows(curve, tr.atlas(curve))
-    interval = tr._intervals(rows)
-    table = tr._OverlapTable(curve.edges, interval)
+    table = tr._OverlapTable(curve, rows)
+    interval = stratum_intervals(curve)
     for k, chart in enumerate(charts, 1):
         table.add(chart)
         placed = charts[:k]
         assert table.charts == placed
+        for vertex in curve.vertices:
+            assert table.at[vertex] == [c for c in placed if c.vertex == vertex]
         for eid in curve.edges:
             ivs = [interval(c, eid) for c in placed]
-            assert table.intervals[eid] == [iv for iv in ivs if iv is not None]
-            assert (eid in table.triples) == bool(tr._triple_violations(placed, ivs))
+            assert table.intervals[eid] == [(n, iv) for n, iv in enumerate(ivs) if iv is not None]
+            triples = triple_violations(placed, ivs)
+            assert (eid in table.triples) == bool(triples)
+            assert [tuple(placed[n] for n in t)
+                    for t in sorted(table.triples.get(eid, ()))] == triples
         for vertex in curve.vertices:
             reference = pair_overlaps(curve, rows, interval, placed, vertex)
             if reference is None:
                 assert table.triples
             else:
                 assert not table.triples
-                assert table.overlaps(rows, vertex) == reference
+                assert table.overlaps(vertex) == reference
+        assert table.certificate() == certificate(curve, placed, interval)
 
 
 def deformed_chart(vertex, *deformations):
@@ -122,7 +172,7 @@ def assert_same_search(curve):
     """The search agrees with one whose placements run ``brute_force_place``
     on the charts placed so far."""
     charts, cert = covering(curve)
-    with mock.patch.object(tr, "_place", lambda rows, placed, *rest:
+    with mock.patch.object(tr, "_place", lambda placed, *rest:
                            brute_force_place(curve, placed.interval, placed.charts, *rest)):
         ref_charts, ref_cert = covering(curve)
     assert [c.label for c in charts] == [c.label for c in ref_charts]
@@ -511,7 +561,37 @@ class TestCovering:
         chart = st.builds(lambda vertex, deformations: deformed_chart(vertex, *deformations),
                           st.sampled_from(sorted(curve.vertices)),
                           st.lists(deformation, max_size=2))
-        assert_table_matches_from_scratch(curve, data.draw(st.lists(chart, max_size=8)))
+        charts = data.draw(st.lists(chart, max_size=8))
+        assert_table_matches_from_scratch(curve, charts)
+        assert (tr.covering_certificate(curve, charts, tr.atlas(curve))
+                == certificate(curve, charts, stratum_intervals(curve)))
+
+    def test_four_charts_sharing_a_point_list_every_triple(self):
+        # on e12, S(v1)~y[3] = [0, inf), S(v2)~y[6] = (-inf, 3],
+        # S(v1)~y[2] = [1, inf) and S(v2)~y[5] = (-inf, 2] all hold [1, 2];
+        # no other edge holds three of them
+        curve = tr.load_curve("kp2")
+        charts = [deformed_chart("v1", ("y", 3)), deformed_chart("v2", ("y", 6)),
+                  deformed_chart("v1", ("y", 2)), deformed_chart("v2", ("y", 5))]
+        a, b, c, d = (chart.label for chart in charts)
+        cert = tr.covering_certificate(curve, charts, tr.atlas(curve))
+        assert not cert["ok"]
+        triples = {s["edge"]: s["triple_overlaps"] for s in cert["strata"]}
+        assert triples.pop("e12") == [[a, b, c], [a, b, d], [a, c, d], [b, c, d]]
+        assert not any(triples.values())
+        assert_table_matches_from_scratch(curve, charts)
+
+    @pytest.mark.parametrize("name", ["conifold", "kp2"])
+    def test_collection_reads_one_certificate(self, name, monkeypatch):
+        # the conifold needs a stretched chart, kp2 does not: either way the
+        # certificate is read from the table once
+        calls = []
+        read = tr._OverlapTable.certificate
+        monkeypatch.setattr(tr._OverlapTable, "certificate",
+                            lambda table: calls.append(len(table.charts)) or read(table))
+        charts, cert = covering(tr.load_curve(name))
+        assert cert["ok"]
+        assert calls == [len(charts)]
 
     def test_toriccyeg_collection(self):
         curve = tr.load_curve("toriccyeg")
@@ -600,14 +680,13 @@ class TestCovering:
 
     def test_candidate_meeting_a_placed_pair_is_rejected(self):
         curve = tr.load_curve("kp2")
-        rows = tr._stratum_rows(curve, tr.atlas(curve))
-        interval = tr._intervals(rows)
         v0, v1, v2 = (tr.Chart(v) for v in ("v0", "v1", "v2"))
         # S(v2) placed twice: the pair shares (3, inf) on e02, and no third
         # placed chart meets it there
         placed = [v0, v1, v2, v1.deformed("x", Fraction(13, 4)), v2]
-        table = overlap_table(curve, interval, placed)
-        overlaps = table.overlaps(rows, "v2")
+        table = overlap_table(curve, placed)
+        interval = table.interval
+        overlaps = table.overlaps("v2")
         assert not table.triples and (3, tr.POS_INF) in overlaps["e02"]
         cand = v2.deformed("y", Fraction(25, 4))
         prev_iv = interval(v1, "e12")
@@ -617,34 +696,32 @@ class TestCovering:
         assert not tr._admissible(interval, cand, prev_iv, "e12", {"e02": overlaps["e02"]})
         assert not tr._admissible(interval, cand, prev_iv, "e12", overlaps)
         # every shift meets it, so the placement fails, as in the full walk
-        assert tr._place(rows, table, v2, "y", v1, "e12") is None
+        assert tr._place(table, v2, "y", v1, "e12") is None
         assert brute_force_place(curve, interval, placed, v2, "y", v1, "e12") is None
         # without the second S(v2) the same walk places the kp2 chart
-        table = overlap_table(curve, interval, placed[:-1])
-        assert (tr._place(rows, table, v2, "y", v1, "e12")
+        table = overlap_table(curve, placed[:-1])
+        assert (tr._place(table, v2, "y", v1, "e12")
                 == brute_force_place(curve, interval, placed[:-1], v2, "y", v1, "e12")
                 == cand)
         # a single common point is a triple overlap: on e12 S(v2)~y[37/4]
         # ends at 25/4, where the S(v1) pair's overlap begins
-        overlaps = table.overlaps(rows, "v2")
+        overlaps = table.overlaps("v2")
         touching = v2.deformed("y", Fraction(37, 4))
         assert interval(touching, "e12") == (tr.NEG_INF, Fraction(25, 4))
         assert not tr._admissible(interval, touching, prev_iv, "e12", overlaps)
         assert tr._admissible(interval, v2.deformed("y", 9), prev_iv, "e12", overlaps)
         # and two placed charts that share one point make a pairwise intersection
-        touching_pair = overlap_table(curve, interval, [v0, v1, v2, v2.deformed("y", 6)])
-        assert (3, 3) in touching_pair.overlaps(rows, "v1")["e12"]
+        touching_pair = overlap_table(curve, [v0, v1, v2, v2.deformed("y", 6)])
+        assert (3, 3) in touching_pair.overlaps("v1")["e12"]
 
     def test_placed_triple_rejects_every_candidate(self):
         curve = tr.load_curve("kp2")
-        rows = tr._stratum_rows(curve, tr.atlas(curve))
-        interval = tr._intervals(rows)
         v0, v1, v2 = (tr.Chart(v) for v in ("v0", "v1", "v2"))
         placed = [v0, v0, v0, v1, v2]
-        table = overlap_table(curve, interval, placed)
+        table = overlap_table(curve, placed)
         assert table.triples
-        assert tr._place(rows, table, v2, "y", v1, "e12") is None
-        assert brute_force_place(curve, interval, placed, v2, "y", v1, "e12") is None
+        assert tr._place(table, v2, "y", v1, "e12") is None
+        assert brute_force_place(curve, table.interval, placed, v2, "y", v1, "e12") is None
 
 
 class TestConeImage:
