@@ -9,8 +9,8 @@ model's area symbols) and an optional holonomy monomial.
 
 Operations: the deformed operations m_k^{b_0,...,b_k}, weak Maurer-Cartan
 verification, solving for coordinate changes from the vanishing of m_1 of an
-isomorphism candidate, verification of the isomorphism equations, and
-reduction to exact (T-free) models.
+isomorphism candidate, and reduction to exact (T-free) models.  The
+isomorphism equations themselves are verified in ``dgcat.iso_setup``.
 """
 
 from __future__ import annotations
@@ -221,10 +221,6 @@ class CoordinateChange:
     def substitute(self, poly: SymPoly) -> SymPoly:
         return poly.substitute(self.solved).normalize(self.constraints)
 
-    def apply(self, element: dict) -> dict:
-        out = {g: self.substitute(c) for g, c in element.items()}
-        return {g: c for g, c in out.items() if not c.is_zero()}
-
 
 def solve_isomorphism(model: AInfLocalModel, alpha: dict, unknowns) -> CoordinateChange:
     """Coordinate change making the candidate alpha a Floer cocycle.
@@ -285,39 +281,6 @@ def _solve_binomial(poly: SymPoly, unknowns, solved):
             expr = SymPoly.term(-oscalar, oarea, dict(omono)) * rest.inv()
             return var, expr if exp == 1 else expr.inv()
     return None
-
-
-def verify_isomorphism(model: AInfLocalModel, alpha: dict, beta: dict, change: CoordinateChange):
-    """Check m1(alpha) = m1(beta) = 0 and m2(alpha,beta) = c * unit both ways.
-
-    Returns {"scalar": c, "scalar_rev": c'}; raises with the residual
-    otherwise (nonzero homotopies are out of scope for the shipped models,
-    which satisfy the identities on the nose).
-    """
-    src, mid = model.hom_pair(alpha)
-    mid2, src2 = model.hom_pair(beta)
-    if (mid, src) != (mid2, src2):
-        raise ValueError("beta is not a candidate inverse of alpha")
-    for name, el in (("alpha", alpha), ("beta", beta)):
-        image = change.apply(model.deformed_m([el]))
-        if image:
-            raise ValueError(f"m1({name}) != 0 after coordinate change: {image}")
-    out = {}
-    for tag, first, second, obj in (
-        ("scalar", alpha, beta, src),
-        ("scalar_rev", beta, alpha, mid),
-    ):
-        prod = change.apply(model.deformed_m([first, second]))
-        units = tuple(model.units[obj])
-        extra = {g: c for g, c in prod.items() if g not in units}
-        if extra:
-            raise ValueError(f"m2 product has non-unit output: {extra}")
-        coeffs = [prod.get(u, SymPoly.zero()) for u in units]
-        for c in coeffs[1:]:
-            if c != coeffs[0]:
-                raise ValueError(f"m2 product is not a multiple of the unit: {prod}")
-        out[tag] = coeffs[0]
-    return out
 
 
 def potential_invariance(model: AInfLocalModel, obj_from: str, obj_to: str, change: CoordinateChange) -> bool:

@@ -503,9 +503,7 @@ def _suite_coordinate_changes(cfg) -> dict:
     T = SymPoly.term
     cases = {}
 
-    model = ainf.load_model("isotopy_pair")
-    change = ainf.solve_isomorphism(model, model.element([("P6", 1)]),
-                                    ("x'", "y'", "z'"))
+    change = dgcat.iso_change(ainf.load_model("isotopy_pair"))
     d = A({"k1": 2, "k5": 4, "k6": 2, "k7": 3})  # 2k1+k2-k5-k6-k7 eliminated
     cases["section5"] = (
         change.solved["x'"] == T(1, d.scale(2), {"x": 1})
@@ -523,9 +521,7 @@ def _suite_coordinate_changes(cfg) -> dict:
             and change.solved["y'"] == T(1, -e, {"x": a, "y": 1})
             and change.solved["z'"] == T(1, -e, {"x": 2 - a, "z": 1}))
 
-    model = ainf.load_model("circle_seidel")
-    change = ainf.solve_isomorphism(
-        model, model.element([("P1", 1), ("P2", 1)]), ("x1", "y1", "z1"))
+    change = dgcat.iso_change(ainf.load_model("circle_seidel"))
     d = A({"k7": 1, "k1": -1, "k2": -1, "k3": -1, "k4": -1, "k5": -1})
     h1 = A({"k7": 1, "k1": -2, "k2": -1})
     h2 = A({"k7": 1, "k4": -1, "k5": -2})
@@ -547,8 +543,7 @@ def _suite_isomorphism_units(cfg) -> dict:
     }
     cases = {}
     for name, scalar in expected.items():
-        _, _, _, setup = dgcat.iso_setup(name)
-        cases[name] = setup["scalar"] == scalar
+        cases[name] = dgcat.iso_setup(name)[3] == scalar
     return {"ok": all(cases.values()), "cases": cases}
 
 
@@ -561,10 +556,8 @@ def _suite_potential(cfg) -> dict:
              "circle_seidel": ("C", "S1")}
     for name, (src, tgt) in pairs.items():
         model = ainf.load_model(name)
-        data = dgcat.ISO_DATA[name]
-        change = ainf.solve_isomorphism(
-            model, model.element(data["alpha"]), data["unknowns"])
-        cases[f"model:{name}"] = ainf.potential_invariance(model, src, tgt, change)
+        cases[f"model:{name}"] = ainf.potential_invariance(
+            model, src, tgt, dgcat.iso_change(model))
     for name in ("pair_of_pants", "conifold", "kp2", "toriccyeg"):
         curve = tropical.load_curve(name)
         atlas = tropical.atlas(curve)
@@ -684,8 +677,7 @@ def _suite_functor(cfg) -> dict:
     yoneda = dgcat.yoneda_equivalence_check("two_pants", arity_bound=cfg.arity)
     equation = dgcat.functor_equation_check("two_pants", cfg.arity)
     glued = mf.glue_edge(0, curve.edges["e"].a1, curve.a2("e"))
-    return {"ok": (certificate["ok"] and all(v["ok"] for v in yoneda["identities"].values())
-                   and equation["ok"] and glued["ok"]),
+    return {"ok": certificate["ok"] and yoneda["ok"] and equation["ok"] and glued["ok"],
             "certificate": certificate["ok"],
             "charts": [c.label for c in charts],
             "functor_equation_cases": equation["cases"],

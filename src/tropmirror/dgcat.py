@@ -50,9 +50,15 @@ on the *isomorphism sector* -- all composable tuples drawn from alpha, the
 unit-normalized beta and the identity elements -- at arities <= 2 by
 default (configurable to 3).  That sector is exactly where the paper
 expands the identities; the arity bound and domain are a declared
-verification scope, not a numerical tolerance.  Identities that are formal
-consequences of the unit conventions (M1(N_id) = 0 and the M2 unit laws)
-are checked on arbitrary generator tuples.
+verification scope, not a numerical tolerance.  ``iso_setup`` verifies the
+pair itself, and one walk (``sector_walk``) visits the sector for the four
+sector identities of ``yoneda_equivalence_check`` and for
+``functor_equation_check``; each of these reports as ``cases`` the number
+of (tuple, bullet) pairs it evaluated, one per bullet and, in the functor
+equation, per component (``bench/worker.py``'s ``checked_count`` sums
+them).  Identities that are formal consequences of the unit conventions
+(M1(N_id) = 0 and the M2 unit laws) are checked on arbitrary generator
+tuples and report no count.
 
 Sign conventions (Appendix A): Hom_{A-infinity}(E, F) is Hom_dg(F, E), so
 an A-infinity morphism is stored as the underlying dg map in the reversed
@@ -68,7 +74,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import ainf as ainf_mod
-from .ainf import AInfLocalModel, CoordinateChange, Entry, Generator, solve_isomorphism, verify_isomorphism
+from .ainf import AInfLocalModel, CoordinateChange, Entry, Generator, solve_isomorphism
 from .signs import shifted, shifted_sum, sign_pow
 from .symbolic import AreaExp, SymPoly
 
@@ -648,7 +654,7 @@ class ModelOps:
     Every ``_Element`` is reduced when built: areas normalized, no solved
     variable of the coordinate change.  ``clean`` is the only reduction; it
     runs where a value enters from outside (the table output in ``m``, the
-    raw alpha and beta~ of ``iso_setup``).  Sums, products and negations of
+    raw alpha, beta and beta~ of ``iso_setup``).  Sums, products and negations of
     reduced polynomials stay reduced, and no image of the change holds a
     solved variable (``solve_isomorphism`` substitutes earlier solutions
     before it solves the next one).  So ``combine`` and the unit action in
@@ -1061,56 +1067,96 @@ ISO_DATA = {
 }
 
 
+def iso_change(model: AInfLocalModel) -> CoordinateChange:
+    """The coordinate change that makes the ``ISO_DATA`` alpha of a model a cocycle."""
+    data = ISO_DATA[model.name]
+    return solve_isomorphism(model, model.element(data["alpha"]), data["unknowns"])
+
+
 def iso_setup(model):
-    """Solve and normalize the ``ISO_DATA`` pair of a model; returns (ops, alpha, beta~)."""
+    """Solve, verify and normalize the ``ISO_DATA`` pair of a model.
+
+    Returns (ops, alpha, beta~, scalar): the model's ``ModelOps`` under the
+    pair's coordinate change, alpha, beta~ = beta / scalar, and the scalar c
+    with m2(alpha, beta) = m2(beta, alpha) = c * unit.  Checks, through
+    ``ops``, that beta runs opposite to alpha, that m1(alpha) = m1(beta) = 0
+    and that both m2 products are one multiple of the unit; raises with the
+    residual otherwise (nonzero homotopies are out of scope for the shipped
+    models, which satisfy the identities on the nose).
+    """
     if isinstance(model, str):
         model = ainf_mod.load_model(model)
-    data = ISO_DATA[model.name]
-    alpha = model.element(data["alpha"])
-    beta = model.element(data["beta"])
-    change = solve_isomorphism(model, alpha, data["unknowns"])
-    out = verify_isomorphism(model, alpha, beta, change)
-    scalar, scalar_rev = out["scalar"], out["scalar_rev"]
+    ops = ModelOps(model, iso_change(model))
+    alpha, beta = (ops.clean(model.element(ISO_DATA[model.name][k])) for k in ("alpha", "beta"))
+    src, mid = ops.hom_pair(alpha)
+    if ops.hom_pair(beta) != (mid, src):
+        raise ValueError("beta is not a candidate inverse of alpha")
+    for name, el in (("alpha", alpha), ("beta", beta)):
+        if image := ops.m([el]):
+            raise ValueError(f"m1({name}) != 0 after coordinate change: {image}")
+    scalars = []
+    for first, second, obj in ((alpha, beta, src), (beta, alpha, mid)):
+        prod = ops.m([first, second])
+        units = model.units[obj]
+        if extra := {g: c for g, c in prod.items() if g not in units}:
+            raise ValueError(f"m2 product has non-unit output: {extra}")
+        coeffs = [prod.get(u, SymPoly.zero()) for u in units]
+        if any(c != coeffs[0] for c in coeffs[1:]):
+            raise ValueError(f"m2 product is not a multiple of the unit: {prod}")
+        scalars.append(coeffs[0])
+    scalar, scalar_rev = scalars
     if scalar != scalar_rev:
         raise ValueError(
             f"two-sided scalars differ: {scalar} vs {scalar_rev}; cannot normalize beta")
-    ops = ModelOps(model, change)
     inv = scalar.inv()
-    beta_n = ops.clean({g: c * inv for g, c in beta.items()})
-    return ops, ops.clean(alpha), beta_n, {"change": change, "scalar": scalar}
-
-
-def sector_elements(ops: ModelOps, alpha: _Element, beta: _Element) -> dict:
-    """Arrows of the isomorphism sector, keyed by (source, target)."""
-    a_src, a_tgt = ops.hom_pair(alpha)
-    arrows = {
-        (a_src, a_tgt): [("alpha", alpha)],
-        (a_tgt, a_src): [("beta~", beta)],
-        (a_src, a_src): [("1_" + a_src, ops.unit(a_src))],
-        (a_tgt, a_tgt): [("1_" + a_tgt, ops.unit(a_tgt))],
-    }
-    return arrows
+    return ops, alpha, ops.clean({g: c * inv for g, c in beta.items()}), scalar
 
 
 def sector_tuples(ops: ModelOps, arrows: dict, arity: int):
-    """Composable labelled tuples of the given arity."""
+    """Composable labelled tuples of the given arity over ``arrows``, one
+    (label, element) per (source, target)."""
     if arity == 0:
         for obj in sorted({o for o, _ in arrows}):
             yield (), obj, obj
         return
-    chains = [((name, el),) for (s, t), items in sorted(arrows.items())
-              for name, el in items]
+    chains = [(arrow,) for _, arrow in sorted(arrows.items())]
     for _ in range(arity - 1):
-        new = []
-        for chain in chains:
-            tail_tgt = ops.hom_pair(chain[-1][1])[1]
-            for (s, t), items in sorted(arrows.items()):
-                if s == tail_tgt:
-                    for name, el in items:
-                        new.append(chain + ((name, el),))
-        chains = new
+        chains = [chain + (arrow,) for chain in chains
+                  for (s, _), arrow in sorted(arrows.items())
+                  if s == ops.hom_pair(chain[-1][1])[1]]
     for chain in chains:
         yield chain, ops.hom_pair(chain[0][1])[0], ops.hom_pair(chain[-1][1])[1]
+
+
+def sector_walk(ops: ModelOps, alpha: _Element, beta: _Element, arity_bound: int):
+    """The composable tuples of the isomorphism sector, arity 0 to ``arity_bound``.
+
+    The sector's arrows are alpha, beta~ and the identities of their two
+    objects.  Yields (names, a, c0, bullets) per tuple, in ``sector_tuples``
+    order: its labels, its elements, the object it starts at, and the
+    (target, name, element) of each arrow that leaves its end, by Hom pair.
+    """
+    a_src, a_tgt = ops.hom_pair(alpha)
+    arrows = {(a_src, a_tgt): ("alpha", alpha), (a_tgt, a_src): ("beta~", beta),
+              (a_src, a_src): ("1_" + a_src, ops.unit(a_src)),
+              (a_tgt, a_tgt): ("1_" + a_tgt, ops.unit(a_tgt))}
+    for k in range(arity_bound + 1):
+        for chain, c0, ck in sector_tuples(ops, arrows, k):
+            bullets = [(t, *arrow) for (s, t), arrow in sorted(arrows.items()) if s == ck]
+            yield tuple(n for n, _ in chain), tuple(el for _, el in chain), c0, bullets
+
+
+def _sector_record(cases) -> dict:
+    """``{"ok", "cases", "failures"}`` of (case, residual) pairs, where a case
+    is the dict that names a tuple and a bullet: one failure per nonzero
+    residual."""
+    failures = []
+    count = 0
+    for case, res in cases:
+        count += 1
+        if res:
+            failures.append({**case, "residual": {g: str(c) for g, c in res.items()}})
+    return {"ok": not failures, "cases": count, "failures": failures}
 
 
 def _evaluate_nat(terms, a, obj, bullet) -> _Element:
@@ -1136,8 +1182,7 @@ def yoneda_equivalence_check(model, arity_bound: int = 2) -> dict:
 
     The strict isomorphism case has gamma = 0, so each H has a single term.
     """
-    ops, alpha, beta_n, setup = iso_setup(model)
-    arrows = sector_elements(ops, alpha, beta_n)
+    ops, alpha, beta_n, scalar = iso_setup(model)
     a_src, a_tgt = ops.hom_pair(alpha)
 
     n_beta = nat_from_cocycle(ops, beta_n)   # N01, values: Hom(., a_tgt) -> Hom(., a_src)
@@ -1147,35 +1192,22 @@ def yoneda_equivalence_check(model, arity_bound: int = 2) -> dict:
     id_src = nat_identity(ops, YonedaFunctor(ops, a_src))
     id_tgt = nat_identity(ops, YonedaFunctor(ops, a_tgt))
 
-    report = {"model": ops.model.name, "arity_bound": arity_bound, "identities": {}}
-
-    def run(tag, terms, bullet_ref):
-        failures = []
-        count = 0
-        for k in range(arity_bound + 1):
-            for chain, c0, ck in sector_tuples(ops, arrows, k):
-                a = tuple(el for _, el in chain)
-                for (s, t), items in sorted(arrows.items()):
-                    if s != ck or t != bullet_ref:
-                        continue
-                    for bname, bullet in items:
-                        count += 1
-                        res = _evaluate_nat(terms, a, c0 if not a else None, bullet)
-                        if res:
-                            failures.append({
-                                "tuple": tuple(n for n, _ in chain), "bullet": bname,
-                                "residual": {g: str(c) for g, c in res.items()}})
-        report["identities"][tag] = {"ok": not failures, "cases": count,
-                                     "failures": failures}
-
-    # closedness of the two transformations
-    run("M1(N01)=0", [(1, nat_M1(n_beta))], a_tgt)
-    run("M1(N10)=0", [(1, nat_M1(n_alpha))], a_src)
-    # the homotopy identity, both composites
-    run("M2(N01,N10)-id=M1(H0)",
-        [(1, nat_M2(n_beta, n_alpha)), (-1, id_src), (-1, nat_M1(h_src))], a_src)
-    run("M2(N10,N01)-id=M1(H1)",
-        [(1, nat_M2(n_alpha, n_beta)), (-1, id_tgt), (-1, nat_M1(h_tgt))], a_tgt)
+    sector = {
+        # closedness of the two transformations
+        "M1(N01)=0": ([(1, nat_M1(n_beta))], a_tgt),
+        "M1(N10)=0": ([(1, nat_M1(n_alpha))], a_src),
+        # the homotopy identity, both composites
+        "M2(N01,N10)-id=M1(H0)":
+            ([(1, nat_M2(n_beta, n_alpha)), (-1, id_src), (-1, nat_M1(h_src))], a_src),
+        "M2(N10,N01)-id=M1(H1)":
+            ([(1, nat_M2(n_alpha, n_beta)), (-1, id_tgt), (-1, nat_M1(h_tgt))], a_tgt),
+    }
+    walk = list(sector_walk(ops, alpha, beta_n, arity_bound))
+    report = {"model": ops.model.name, "arity_bound": arity_bound, "identities": {
+        tag: _sector_record(
+            ({"tuple": names, "bullet": bname}, _evaluate_nat(terms, a, None if a else c0, bullet))
+            for names, a, c0, bullets in walk for t, bname, bullet in bullets if t == ref)
+        for tag, (terms, ref) in sector.items()}}
 
     # formal unit laws, on arbitrary single-generator tuples
     unit_fail = []
@@ -1220,7 +1252,7 @@ def yoneda_equivalence_check(model, arity_bound: int = 2) -> dict:
     }
 
     report["ok"] = all(v["ok"] for v in report["identities"].values())
-    report["scalar"] = str(setup["scalar"])
+    report["scalar"] = str(scalar)
     return report
 
 
@@ -1278,21 +1310,12 @@ def functor_equation_check(model, arity_bound: int) -> dict:
     ops, alpha, beta_n, _ = iso_setup(model)
     l0, l1 = ops.hom_pair(alpha)
     sides = {l0: ("p",), l1: ("q", "gamma")}
-    arrows = sector_elements(ops, alpha, beta_n)
-    failures = []
-    cases = 0
-    for k in range(1, arity_bound + 1):
-        for chain, _, ck in sector_tuples(ops, arrows, k):
-            a = tuple(el for _, el in chain)
-            bullets = [(bname, bullet, side) for (s, t), items in sorted(arrows.items())
-                       if s == ck for bname, bullet in items for side in sides[t]]
-            for bname, side, res in functor_equation_residuals(ops, alpha, beta_n, a, bullets):
-                cases += 1
-                if res:
-                    failures.append({"tuple": tuple(n for n, _ in chain),
-                                     "bullet": bname, "component": side,
-                                     "residual": {g: str(c) for g, c in res.items()}})
-    return {"ok": not failures, "cases": cases, "failures": failures}
+    return _sector_record(
+        ({"tuple": names, "bullet": bname, "component": side}, res)
+        for names, a, _, bullets in sector_walk(ops, alpha, beta_n, arity_bound) if a
+        for bname, side, res in functor_equation_residuals(
+            ops, alpha, beta_n, a, [(bname, el, side) for t, bname, el in bullets
+                                    for side in sides[t]]))
 
 
 def one_chart_degenerate_check() -> dict:

@@ -1,5 +1,8 @@
 """Tests for the dg/A-infinity layer: fiber products, transformations, functor."""
 
+import contextlib
+import io
+import json
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -659,6 +662,52 @@ class TestModelOps:
         assert report == {"ok": False, "consumed": ["A", "B"]}
 
 
+def isotopy_pair_with(*entries, **fields):
+    """isotopy_pair (alpha = P6: L0 -> L1, beta = P4: L1 -> L0) with the given
+    (inputs, output) entries of coefficient 1 added and ``fields`` replaced."""
+    model = ainf.load_model("isotopy_pair")
+    added = [ainf.Entry(inputs, output, SymPoly.scalar(1)) for inputs, output in entries]
+    return replace(model, entries=model.entries + added, **fields)
+
+
+class TestIsoSetup:
+    # iso_setup is the only verifier of an ISO_DATA pair; each refusal keeps
+    # its message.  m1(alpha) != 0 after the change cannot be reached by any
+    # model: solve_isomorphism either zeroes every coefficient of m1(alpha)
+    # or refuses the system itself.
+    def test_beta_must_run_opposite_to_alpha(self):
+        model = ainf.load_model("isotopy_pair")
+        model = replace(model, generators={
+            **model.generators, "P4": ainf.Generator("P4", "L0", "L1", 0)})
+        with pytest.raises(ValueError) as err:
+            dgcat.iso_setup(model)
+        assert str(err.value) == "beta is not a candidate inverse of alpha"
+
+    def test_beta_must_be_closed(self):
+        with pytest.raises(ValueError) as err:
+            dgcat.iso_setup(isotopy_pair_with((("P4",), "X1")))
+        assert str(err.value) == "m1(beta) != 0 after coordinate change: {'X1': SymPoly(1)}"
+
+    def test_products_must_land_on_units(self):
+        with pytest.raises(ValueError) as err:
+            dgcat.iso_setup(isotopy_pair_with((("P6", "P4"), "P6")))
+        assert str(err.value) == "m2 product has non-unit output: {'P6': SymPoly(1)}"
+
+    def test_products_must_be_one_multiple_of_the_unit(self):
+        with pytest.raises(ValueError) as err:
+            dgcat.iso_setup(isotopy_pair_with((("P6", "P4"), "u0b")))
+        k = "T^(4*k1 + 8*k5 + 6*k6 + 7*k7)"
+        assert str(err.value) == ("m2 product is not a multiple of the unit: "
+                                  f"{{'u0a': SymPoly({k}), 'u0b': SymPoly(1 + {k})}}")
+
+    def test_both_orders_must_give_one_scalar(self):
+        with pytest.raises(ValueError) as err:
+            dgcat.iso_setup(isotopy_pair_with((("P4", "P6"), "u1a"), (("P4", "P6"), "u1b")))
+        k = "T^(4*k1 + 8*k5 + 6*k6 + 7*k7)"
+        assert str(err.value) == (
+            f"two-sided scalars differ: {k} vs 1 + {k}; cannot normalize beta")
+
+
 class TestYonedaEquivalence:
     def test_components_reject_elements_of_another_hom(self):
         ops, alpha, beta_n, _ = dgcat.iso_setup("two_pants")
@@ -722,17 +771,40 @@ class TestGlobalFunctor:
         assert not ops.m([half])
         l0, l1 = ops.hom_pair(alpha)
         sides = {l0: ("p",), l1: ("q", "gamma")}
-        arrows = dgcat.sector_elements(ops, alpha, beta_n)
         residuals = []
-        for k in (1, 2):
-            for chain, _, ck in dgcat.sector_tuples(ops, arrows, k):
-                bullets = [(name, el, side) for (s, t), items in sorted(arrows.items())
-                           if s == ck for name, el in items for side in sides[t]]
+        for _, a, _, bullets in dgcat.sector_walk(ops, alpha, beta_n, 2):
+            if a:
                 residuals += dgcat.functor_equation_residuals(
-                    ops, alpha, half, [el for _, el in chain], bullets)
+                    ops, alpha, half, a,
+                    [(name, el, side) for t, name, el in bullets for side in sides[t]])
         assert len(residuals) == 36
         # only the connecting component at (beta~; alpha) sees the missing P1r half
         assert [(name, side) for name, side, res in residuals if res] == [("alpha", "gamma")]
+
+    def test_failed_yoneda_identity_fails_the_suite(self, monkeypatch):
+        # the suite's report shows no Yoneda identity, so one that fails shows
+        # only in its ok and its exit code: every key it reports reads true
+        product = dgcat.nat_M2
+
+        def without_h0_composite(N1, N2):
+            M = product(N1, N2)
+            # of two_pants' products only M2(N01, N10) runs Y^Lt => Y^Lt
+            if (M.source.ref, M.target.ref) != ("Lt", "Lt"):
+                return M
+            return dgcat.PreNatTransform(M.ops, M.source, M.target, M.norm,
+                                         lambda a, obj: None)
+
+        monkeypatch.setattr(dgcat, "nat_M2", without_h0_composite)
+        report = dgcat.yoneda_equivalence_check("two_pants", arity_bound=2)
+        assert [tag for tag, v in report["identities"].items() if not v["ok"]] == [
+            "M2(N01,N10)-id=M1(H0)"]
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.main(["verify", "functor", "--format", "structured"])
+        suite = json.loads(out.getvalue())["suites"]["functor"]
+        assert code == 1 and suite["ok"] is False
+        assert suite["certificate"] and suite["mf_triple"] and suite["functor_equation_cases"]
+        assert suite["failures"] == [] and suite["charts"]
 
     @pytest.mark.parametrize("name", ["isotopy_pair", "circle_seidel"])
     def test_all_shipped_pairs_glue(self, name):

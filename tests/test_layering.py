@@ -367,3 +367,29 @@ def test_one_covering_certificate_builder():
     # the search's overlap table already knows each stratum's intervals and
     # triples, so the certificate is read from it and built nowhere else
     assert certificate_builders(PACKAGE / "tropical.py") == {"_OverlapTable"}
+
+
+def callers_of(name):
+    """Top-level definitions of the package that call ``name``, as
+    ``module:definition``."""
+    return {f"{path.stem}:{node.name}"
+            for path in sorted(PACKAGE.glob("*.py"))
+            for node in ast.parse(path.read_text()).body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            for inner in ast.walk(node)
+            if isinstance(inner, ast.Call)
+            and name in (getattr(inner.func, "id", None), getattr(inner.func, "attr", None))}
+
+
+def test_one_isomorphism_sector_walk():
+    # the Yoneda identities and the functor equation visit the sector through
+    # one walk, and an ISO_DATA pair is verified by iso_setup's ModelOps, so
+    # a coordinate change acts on polynomials only, never on a model element
+    assert callers_of("sector_tuples") == {"dgcat:sector_walk"}
+    tree = ast.parse((PACKAGE / "ainf.py").read_text())
+    change = next(node for node in tree.body
+                  if isinstance(node, ast.ClassDef) and node.name == "CoordinateChange")
+    params = {method.name: [ast.unparse(arg.annotation) if arg.annotation else None
+                            for arg in method.args.args[1:]]
+              for method in change.body if isinstance(method, ast.FunctionDef)}
+    assert params and all(ann == "SymPoly" for anns in params.values() for ann in anns)
